@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .evaluation import DEFAULT_FEATURE_SUBSETS, GridSpec
 from .features import FAMILIES, FeatureConfig, feature_config_from_families
+from .models.registry import MODEL_KINDS, REGISTRY
 from .preprocess import CleaningConfig
 from .segment import SegmentationConfig
 
@@ -127,13 +128,7 @@ _SCHEMA = {
     },
     "segmentation": {"window_minutes", "overlap", "train_fraction"},
     "features": {"families", "histogram_bins", "trim_keep_fraction", "difference_uses_sum"},
-    "model.knn": {"k"},
-    "model.dtree": {"max_depth", "min_leaf"},
-    "model.rforest": {"n_trees", "max_depth", "features_per_split"},
-    "model.mlp": {
-        "hidden_layers", "activation", "learning_rate", "batch_size",
-        "max_epochs", "early_stop_patience", "validation_fraction",
-    },
+    **{f"model.{kind}": set(entry.defaults) for kind, entry in REGISTRY.items()},
     "grid": {"window_minutes", "overlaps", "features", "models", "repetitions"},
 }
 
@@ -187,14 +182,14 @@ def _build_config(parser: configparser.ConfigParser) -> RunConfig:
         ),
     )
     model_kind = get.str("run", "model", "mlp")
-    if model_kind not in ("knn", "dtree", "rforest", "mlp"):
+    if model_kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {model_kind!r}")
     model_params = _model_params(parser, model_kind)
     grid = GridSpec(
         window_minutes_list=get.floats("grid", "window_minutes", (5.0, 10.0, 15.0, 30.0)),
         overlap_list=get.floats("grid", "overlaps", (0.0, 0.25, 0.5, 0.75)),
         feature_subset_list=get.strs("grid", "features", DEFAULT_FEATURE_SUBSETS),
-        model_list=get.strs("grid", "models", ("knn", "dtree", "rforest", "mlp")),
+        model_list=get.strs("grid", "models", MODEL_KINDS),
         repetitions=get.int("grid", "repetitions", 5),
     )
     return RunConfig(
@@ -209,22 +204,19 @@ def _build_config(parser: configparser.ConfigParser) -> RunConfig:
 
 
 def _model_params(parser, kind: str) -> dict:
-    section = f"model.{kind}"
-    if not parser.has_section(section):
+    """Values of [model.<kind>], parsed after the type of each key's default."""
+    if not parser.has_section(f"model.{kind}"):
         return {}
-    out: dict = {}
-    for key, raw in parser[section].items():
-        if key == "hidden_layers":
-            out[key] = tuple(int(v) for v in raw.split(","))
-        elif key in ("k", "min_leaf", "n_trees", "batch_size", "max_epochs", "early_stop_patience"):
-            out[key] = int(raw)
-        elif key in ("max_depth", "features_per_split"):
-            out[key] = None if raw.strip().lower() == "none" else int(raw)
-        elif key in ("learning_rate", "validation_fraction"):
-            out[key] = float(raw)
-        else:
-            out[key] = raw
-    return out
+    defaults = REGISTRY[kind].defaults
+    return {key: _parse_param(raw, defaults[key]) for key, raw in parser[f"model.{kind}"].items()}
+
+
+def _parse_param(raw: str, default):
+    if isinstance(default, tuple):
+        return tuple(int(v) for v in raw.split(","))
+    if default is None:  # an optional count
+        return None if raw.strip().lower() == "none" else int(raw)
+    return type(default)(raw)
 
 
 class _SectionReader:

@@ -18,7 +18,7 @@ from .features import (
     feature_schema,
     fit_standardizer,
 )
-from .models import LabeledDataset, TrainedModel, predict
+from .models import MODEL_KINDS, LabeledDataset, TrainedModel, predict
 from .pipeline import build_datasets, train_model
 from .preprocess import CleanTrip
 from .seeds import derive_seed
@@ -115,13 +115,16 @@ class GridSpec:
     window_minutes_list: tuple[float, ...] = (5.0, 10.0, 15.0, 30.0)
     overlap_list: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
     feature_subset_list: tuple[str, ...] = DEFAULT_FEATURE_SUBSETS
-    model_list: tuple[str, ...] = ("knn", "dtree", "rforest", "mlp")
+    model_list: tuple[str, ...] = MODEL_KINDS
     repetitions: int = 5
 
     def __post_init__(self):
         for name in ("window_minutes_list", "overlap_list", "feature_subset_list", "model_list"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        unknown = [m for m in self.model_list if m not in MODEL_KINDS]
+        if unknown:
+            raise ValueError(f"unknown model kinds {unknown}; known: {list(MODEL_KINDS)}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 

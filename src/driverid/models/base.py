@@ -8,13 +8,11 @@ carried on the model so persisted models can transform fresh raw features.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
-from ..features import FeatureVector, Standardizer
-
-MODEL_KINDS = ("knn", "dtree", "rforest", "mlp")
+from ..features import Standardizer
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,25 +50,6 @@ class LabeledDataset:
         lookup = {c: i for i, c in enumerate(self.class_list)}
         return np.array([lookup[label] for label in self.labels], dtype=np.int64)
 
-    @classmethod
-    def from_vectors(
-        cls, vectors: Sequence[FeatureVector], class_list: Sequence[str] | None = None
-    ) -> "LabeledDataset":
-        if not vectors:
-            raise ValueError("no feature vectors")
-        features = np.vstack([v.values for v in vectors])
-        labels = np.array([v.driver_id for v in vectors], dtype=object)
-        if class_list is None:
-            class_list = sorted(set(labels))
-        from ..features import schema_labels as _labels
-
-        return cls(
-            features=features,
-            labels=labels,
-            class_list=tuple(class_list),
-            schema_labels=_labels(vectors[0].schema),
-        )
-
 
 @dataclass
 class TrainedModel:
@@ -82,8 +61,6 @@ class TrainedModel:
     schema_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
         if len(self.class_list) < 1:
             raise ValueError("class_list must be nonempty")
 

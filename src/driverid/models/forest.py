@@ -6,12 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import LabeledDataset, TrainedModel, as_query_matrix, check_training_data
-from .tree import TreeNode, grow_tree, predict_tree
+from .tree import Tree, grow_tree, predict_tree, tree_from_nodes, tree_to_nodes
 
 
 @dataclass
 class ForestParams:
-    trees: list[TreeNode]
+    trees: list[Tree]
     n_trees: int
     max_depth: int | None
     features_per_split: int
@@ -92,3 +92,35 @@ def rf_predict(model: TrainedModel, x):
     winners = votes.argmax(axis=1)
     out = np.array([model.class_list[i] for i in winners], dtype=object)
     return out[0] if single else out
+
+
+def fit(data: LabeledDataset, params: dict, seed: int) -> TrainedModel:
+    return rf_train(
+        data,
+        n_trees=int(params["n_trees"]),
+        max_depth=params["max_depth"],
+        features_per_split=params["features_per_split"],
+        seed=seed,
+    )
+
+
+def to_doc(p: ForestParams) -> dict:
+    return {
+        "n_trees": p.n_trees,
+        "max_depth": p.max_depth,
+        "features_per_split": p.features_per_split,
+        "bootstrap": p.bootstrap,
+        "seed": p.seed,
+        "trees": [tree_to_nodes(t) for t in p.trees],
+    }
+
+
+def from_doc(doc: dict, n_features: int, n_classes: int) -> ForestParams:
+    return ForestParams(
+        trees=[tree_from_nodes(nodes, n_features, n_classes) for nodes in doc["trees"]],
+        n_trees=int(doc["n_trees"]),
+        max_depth=doc["max_depth"],
+        features_per_split=int(doc["features_per_split"]),
+        bootstrap=bool(doc["bootstrap"]),
+        seed=int(doc["seed"]),
+    )

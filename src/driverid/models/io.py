@@ -1,7 +1,8 @@
 """Versioned JSON persistence for trained models.
 
 Floats are written with full repr precision so a save/load round trip
-reproduces predictions bit for bit.
+reproduces predictions bit for bit. This module writes the envelope; the
+kind's registry entry converts its params.
 """
 from __future__ import annotations
 
@@ -12,10 +13,7 @@ import numpy as np
 
 from ..features import Standardizer
 from .base import TrainedModel
-from .forest import ForestParams
-from .knn import KnnParams
-from .mlp import MlpConfig, MlpParams
-from .tree import flatten_tree, unflatten_tree
+from .registry import lookup
 
 FORMAT_VERSION = 1
 
@@ -32,7 +30,7 @@ def save_model(model: TrainedModel, sink) -> None:
             if model.standardizer is not None
             else None
         ),
-        "params": _params_to_doc(model),
+        "params": lookup(model.kind).to_doc(model.params),
     }
     text = json.dumps(doc, indent=1)
     if hasattr(sink, "write"):
@@ -42,6 +40,7 @@ def save_model(model: TrainedModel, sink) -> None:
 
 
 def load_model(source) -> TrainedModel:
+    """Read a model file; a malformed or mismatched one raises ValueError."""
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -54,117 +53,23 @@ def load_model(source) -> TrainedModel:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    kind = doc.get("kind")
-    n_features = int(doc["n_features"])
-    class_list = tuple(doc["class_list"])
-    std_doc = doc.get("standardizer")
-    standardizer = (
-        Standardizer(np.array(std_doc["mean"]), np.array(std_doc["std"]))
-        if std_doc is not None
-        else None
-    )
-    params = _params_from_doc(kind, doc["params"], n_features)
-    schema = doc.get("schema_labels")
-    return TrainedModel(
-        kind=kind,
-        params=params,
-        class_list=class_list,
-        n_features=n_features,
-        standardizer=standardizer,
-        schema_labels=tuple(schema) if schema else None,
-    )
-
-
-def _params_to_doc(model: TrainedModel) -> dict:
-    p = model.params
-    if model.kind == "knn":
-        return {"k": p.k, "train_x": p.train_x.tolist(), "train_y": p.train_y.tolist()}
-    if model.kind == "dtree":
-        return {"nodes": flatten_tree(p)}
-    if model.kind == "rforest":
-        return {
-            "n_trees": p.n_trees,
-            "max_depth": p.max_depth,
-            "features_per_split": p.features_per_split,
-            "bootstrap": p.bootstrap,
-            "seed": p.seed,
-            "trees": [flatten_tree(t) for t in p.trees],
-        }
-    if model.kind == "mlp":
-        cfg = p.config
-        return {
-            "activation": p.activation,
-            "weights": [w.tolist() for w in p.weights],
-            "biases": [b.tolist() for b in p.biases],
-            "epochs_run": p.epochs_run,
-            "config": {
-                "hidden_layers": list(cfg.hidden_layers),
-                "activation": cfg.activation,
-                "learning_rate": cfg.learning_rate,
-                "batch_size": cfg.batch_size,
-                "max_epochs": cfg.max_epochs,
-                "early_stop_patience": cfg.early_stop_patience,
-                "validation_fraction": cfg.validation_fraction,
-                "seed": cfg.seed,
-            }
-            if cfg is not None
-            else None,
-        }
-    raise ValueError(f"unknown model kind {model.kind!r}")
-
-
-def _params_from_doc(kind: str, doc: dict, n_features: int):
-    if kind == "knn":
-        try:
-            train_x = np.array(doc["train_x"], dtype=np.float64)
-        except ValueError as err:
-            raise ValueError(f"schema mismatch: ragged training rows ({err})") from None
-        if train_x.ndim != 2 or train_x.shape[1] != n_features:
-            raise ValueError(
-                f"schema mismatch: stored rows have {train_x.shape[-1] if train_x.ndim == 2 else '?'} "
-                f"features, header says {n_features}"
-            )
-        return KnnParams(
-            k=int(doc["k"]),
-            train_x=train_x,
-            train_y=np.array(doc["train_y"], dtype=np.int64),
+    try:
+        entry = lookup(doc["kind"])
+        n_features = int(doc["n_features"])
+        class_list = tuple(doc["class_list"])
+        std_doc = doc.get("standardizer")
+        schema = doc.get("schema_labels")
+        return TrainedModel(
+            kind=doc["kind"],
+            params=entry.from_doc(doc["params"], n_features, len(class_list)),
+            class_list=class_list,
+            n_features=n_features,
+            standardizer=(
+                Standardizer(np.array(std_doc["mean"]), np.array(std_doc["std"]))
+                if std_doc is not None
+                else None
+            ),
+            schema_labels=tuple(schema) if schema else None,
         )
-    if kind == "dtree":
-        return unflatten_tree(doc["nodes"])
-    if kind == "rforest":
-        return ForestParams(
-            trees=[unflatten_tree(nodes) for nodes in doc["trees"]],
-            n_trees=int(doc["n_trees"]),
-            max_depth=doc["max_depth"],
-            features_per_split=int(doc["features_per_split"]),
-            bootstrap=bool(doc["bootstrap"]),
-            seed=int(doc["seed"]),
-        )
-    if kind == "mlp":
-        weights = [np.array(w, dtype=np.float64) for w in doc["weights"]]
-        biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
-        if weights and weights[0].shape[0] != n_features:
-            raise ValueError(
-                f"schema mismatch: stored weights expect {weights[0].shape[0]} features, "
-                f"header says {n_features}"
-            )
-        cfg_doc = doc.get("config")
-        cfg = (
-            MlpConfig(
-                hidden_layers=tuple(cfg_doc["hidden_layers"]),
-                activation=cfg_doc["activation"],
-                learning_rate=cfg_doc["learning_rate"],
-                batch_size=cfg_doc["batch_size"],
-                max_epochs=cfg_doc["max_epochs"],
-                early_stop_patience=cfg_doc["early_stop_patience"],
-                validation_fraction=cfg_doc["validation_fraction"],
-                seed=cfg_doc["seed"],
-            )
-            if cfg_doc
-            else None
-        )
-        params = MlpParams(weights=weights, biases=biases, activation=doc["activation"])
-        params.config = cfg
-        params.epochs_run = int(doc.get("epochs_run", 0))
-        return params
-    raise ValueError(f"unknown model kind {kind!r}")
+    except KeyError as err:
+        raise ValueError(f"malformed model file: missing key {err.args[0]!r}") from None

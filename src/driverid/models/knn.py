@@ -47,3 +47,28 @@ def knn_predict(model: TrainedModel, x):
         votes = np.bincount(p.train_y[order], minlength=n_classes)
         out[row] = model.class_list[int(np.argmax(votes))]
     return out[0] if single else out
+
+
+def fit(data: LabeledDataset, params: dict, seed: int) -> TrainedModel:
+    return knn_train(data, k=int(params["k"]))
+
+
+def to_doc(p: KnnParams) -> dict:
+    return {"k": p.k, "train_x": p.train_x.tolist(), "train_y": p.train_y.tolist()}
+
+
+def from_doc(doc: dict, n_features: int, n_classes: int) -> KnnParams:
+    try:
+        train_x = np.array(doc["train_x"], dtype=np.float64)
+    except ValueError as err:
+        raise ValueError(f"schema mismatch: ragged training rows ({err})") from None
+    if train_x.ndim != 2 or train_x.shape[1] != n_features:
+        raise ValueError(
+            f"schema mismatch: stored rows have {train_x.shape[-1] if train_x.ndim == 2 else '?'} "
+            f"features, header says {n_features}"
+        )
+    return KnnParams(
+        k=int(doc["k"]),
+        train_x=train_x,
+        train_y=np.array(doc["train_y"], dtype=np.int64),
+    )

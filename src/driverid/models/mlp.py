@@ -6,7 +6,7 @@ chronological tail of the training rows and restores the best weights.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +28,10 @@ class MlpConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
+        for name in ("learning_rate", "validation_fraction"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("batch_size", "max_epochs", "early_stop_patience"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden_layers must be positive integers")
         if self.activation not in ACTIVATIONS:
@@ -180,6 +184,39 @@ def mlp_predict(model: TrainedModel, x):
     winners = probs.argmax(axis=1)
     out = np.array([model.class_list[i] for i in winners], dtype=object)
     return out[0] if single else out
+
+
+def fit(data: LabeledDataset, params: dict, seed: int) -> TrainedModel:
+    return mlp_train(data, MlpConfig(**params, seed=seed))
+
+
+def to_doc(p: MlpParams) -> dict:
+    return {
+        "activation": p.activation,
+        "weights": [w.tolist() for w in p.weights],
+        "biases": [b.tolist() for b in p.biases],
+        "epochs_run": p.epochs_run,
+        "config": asdict(p.config) if p.config is not None else None,
+    }
+
+
+def from_doc(doc: dict, n_features: int, n_classes: int) -> MlpParams:
+    weights = [np.array(w, dtype=np.float64) for w in doc["weights"]]
+    biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
+    if weights and weights[0].shape[0] != n_features:
+        raise ValueError(
+            f"schema mismatch: stored weights expect {weights[0].shape[0]} features, "
+            f"header says {n_features}"
+        )
+    cfg_doc = doc.get("config")
+    cfg = MlpConfig(**{f.name: cfg_doc[f.name] for f in fields(MlpConfig)}) if cfg_doc else None
+    return MlpParams(
+        weights=weights,
+        biases=biases,
+        activation=doc["activation"],
+        config=cfg,
+        epochs_run=int(doc.get("epochs_run", 0)),
+    )
 
 
 def _validation_mask(y: np.ndarray, fraction: float) -> np.ndarray:

@@ -4,28 +4,26 @@ Splits scan every candidate feature and every midpoint between consecutive
 distinct sorted values. Ties are broken toward the lower feature index and
 lower threshold, and leaves emit their majority class (earlier class on
 vote ties), so training is fully deterministic.
+
+A fitted tree is a ``Tree`` of parallel arrays indexed by node, numbered in
+preorder (root 0, then the whole left subtree, then the right one).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .base import LabeledDataset, TrainedModel, as_query_matrix, check_training_data
 
 
-@dataclass
-class TreeNode:
-    feature: int = -1          # -1 marks a leaf
-    threshold: float = 0.0     # go left when x[feature] <= threshold
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    leaf_class: int = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+@dataclass(frozen=True, eq=False)
+class Tree:
+    feature: np.ndarray     # (n_nodes,) split feature; -1 marks a leaf
+    threshold: np.ndarray   # go left when x[feature] <= threshold
+    left: np.ndarray        # child node indices; -1 at a leaf
+    right: np.ndarray
+    leaf_class: np.ndarray  # class index at a leaf; -1 at a split
 
 
 def dtree_train(
@@ -35,15 +33,15 @@ def dtree_train(
         raise ValueError("min_leaf must be >= 1")
     if len(data.class_list) < 2:
         # single-class data degenerates to a constant predictor
-        root = TreeNode(leaf_class=0)
+        tree = _to_tree([(-1, 0.0, -1, -1, 0)])
     else:
         check_training_data(data)
-        root = grow_tree(
+        tree = grow_tree(
             data.features, data.label_indices, len(data.class_list), max_depth, min_leaf
         )
     return TrainedModel(
         kind="dtree",
-        params=root,
+        params=tree,
         class_list=data.class_list,
         n_features=data.n_features,
         schema_labels=data.schema_labels,
@@ -57,6 +55,18 @@ def dtree_predict(model: TrainedModel, x):
     return out[0] if single else out
 
 
+def fit(data: LabeledDataset, params: dict, seed: int) -> TrainedModel:
+    return dtree_train(data, max_depth=params["max_depth"], min_leaf=int(params["min_leaf"]))
+
+
+def to_doc(tree: Tree) -> dict:
+    return {"nodes": tree_to_nodes(tree)}
+
+
+def from_doc(doc: dict, n_features: int, n_classes: int) -> Tree:
+    return tree_from_nodes(doc["nodes"], n_features, n_classes)
+
+
 def grow_tree(
     x: np.ndarray,
     y: np.ndarray,
@@ -65,8 +75,33 @@ def grow_tree(
     min_leaf: int,
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
-    depth: int = 0,
-) -> TreeNode:
+) -> Tree:
+    """Grow depth-first, left before right, so nodes are numbered in preorder
+    and the RNG draws each split's feature subset in that order."""
+    nodes: list[list] = []  # [feature, threshold, left, right, leaf_class]
+    stack = [(np.arange(y.size), 0, -1)]  # (rows, depth, parent if a right child)
+    while stack:
+        rows, depth, right_of = stack.pop()
+        slot = len(nodes)
+        if right_of >= 0:
+            nodes[right_of][3] = slot
+        majority, split = _find_split(
+            x, rows, y[rows], n_classes, max_depth, min_leaf, rng, features_per_split, depth
+        )
+        if split is None:
+            nodes.append([-1, 0.0, -1, -1, majority])
+            continue
+        dim, thr = split
+        nodes.append([dim, thr, slot + 1, -1, -1])
+        go_left = x[rows, dim] <= thr
+        stack.append((rows[~go_left], depth + 1, slot))
+        stack.append((rows[go_left], depth + 1, -1))
+    return _to_tree(nodes)
+
+
+def _find_split(x, rows, y, n_classes, max_depth, min_leaf, rng, features_per_split, depth):
+    """(majority class, best (feature, threshold) or None) for the node
+    holding ``rows``; None leaves the node a leaf."""
     counts = np.bincount(y, minlength=n_classes)
     majority = int(np.argmax(counts))
     n = y.size
@@ -75,7 +110,7 @@ def grow_tree(
         or (max_depth is not None and depth >= max_depth)
         or n < 2 * min_leaf
     ):
-        return TreeNode(leaf_class=majority)
+        return majority, None
 
     if features_per_split is not None and features_per_split < x.shape[1]:
         dims = np.sort(rng.choice(x.shape[1], size=features_per_split, replace=False))
@@ -83,31 +118,14 @@ def grow_tree(
         dims = np.arange(x.shape[1])
 
     best_score = -np.inf
-    best: tuple[int, float] | None = None
+    best = None
+    x_node = x[rows]
     for dim in dims:
-        found = _best_split_on_dim(x[:, dim], y, n_classes, min_leaf)
+        found = _best_split_on_dim(x_node[:, dim], y, n_classes, min_leaf)
         if found is not None and found[0] > best_score:
             best_score, thr = found
             best = (int(dim), float(thr))
-    if best is None:
-        return TreeNode(leaf_class=majority)
-
-    dim, thr = best
-    left_mask = x[:, dim] <= thr
-    kwargs = dict(
-        n_classes=n_classes,
-        max_depth=max_depth,
-        min_leaf=min_leaf,
-        rng=rng,
-        features_per_split=features_per_split,
-        depth=depth + 1,
-    )
-    return TreeNode(
-        feature=dim,
-        threshold=thr,
-        left=grow_tree(x[left_mask], y[left_mask], **kwargs),
-        right=grow_tree(x[~left_mask], y[~left_mask], **kwargs),
-    )
+    return majority, best
 
 
 def _best_split_on_dim(values, y, n_classes, min_leaf):
@@ -139,58 +157,56 @@ def _best_split_on_dim(values, y, n_classes, min_leaf):
     return float(score[best]), (xs[p - 1] + xs[p]) / 2.0
 
 
-def predict_tree(root: TreeNode, matrix: np.ndarray) -> np.ndarray:
-    out = np.empty(matrix.shape[0], dtype=np.int64)
-    for i, row in enumerate(matrix):
-        node = root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        out[i] = node.leaf_class
-    return out
+def predict_tree(tree: Tree, matrix: np.ndarray) -> np.ndarray:
+    """Leaf class index for every row, descending all rows one level per step."""
+    node = np.zeros(matrix.shape[0], dtype=np.int64)
+    rows = np.arange(matrix.shape[0])
+    while rows.size:
+        rows = rows[tree.feature[node[rows]] >= 0]
+        at = node[rows]
+        go_left = matrix[rows, tree.feature[at]] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+    return tree.leaf_class[node]
 
 
-def tree_depth(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+def tree_depth(tree: Tree) -> int:
+    depth = np.zeros(len(tree.feature), dtype=np.int64)
+    for i in np.flatnonzero(tree.feature >= 0):  # children follow their parent
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return int(depth.max())
 
 
-def flatten_tree(root: TreeNode) -> list[dict]:
+def tree_to_nodes(tree: Tree) -> list[dict]:
     """Preorder node list with child index links, for serialization."""
-    nodes: list[dict] = []
-
-    def visit(node: TreeNode) -> int:
-        slot = len(nodes)
-        nodes.append({})
-        if node.is_leaf:
-            nodes[slot] = {"leaf": node.leaf_class}
-        else:
-            left = visit(node.left)
-            right = visit(node.right)
-            nodes[slot] = {
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "left": left,
-                "right": right,
-            }
-        return slot
-
-    visit(root)
-    return nodes
+    columns = (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_class)
+    return [
+        {"leaf": cls} if f < 0 else {"feature": f, "threshold": thr, "left": lo, "right": hi}
+        for f, thr, lo, hi, cls in zip(*(c.tolist() for c in columns))
+    ]
 
 
-def unflatten_tree(nodes: list[dict]) -> TreeNode:
-    def build(slot: int) -> TreeNode:
-        spec = nodes[slot]
-        if "leaf" in spec:
-            return TreeNode(leaf_class=int(spec["leaf"]))
-        return TreeNode(
-            feature=int(spec["feature"]),
-            threshold=float(spec["threshold"]),
-            left=build(int(spec["left"])),
-            right=build(int(spec["right"])),
-        )
-
+def tree_from_nodes(nodes: list[dict], n_features: int, n_classes: int) -> Tree:
+    """Inverse of tree_to_nodes. Rejects indices out of range and children
+    that do not follow their parent, which rules out cycles."""
     if not nodes:
         raise ValueError("empty tree serialization")
-    return build(0)
+    rows = []
+    for i, spec in enumerate(nodes):
+        if "leaf" in spec:
+            cls = int(spec["leaf"])
+            if not 0 <= cls < n_classes:
+                raise ValueError(f"tree node {i}: leaf class {cls} outside [0, {n_classes})")
+            rows.append((-1, 0.0, -1, -1, cls))
+            continue
+        dim, lo, hi = int(spec["feature"]), int(spec["left"]), int(spec["right"])
+        if not 0 <= dim < n_features:
+            raise ValueError(f"tree node {i}: feature {dim} outside [0, {n_features})")
+        if not (i < lo < len(nodes) and i < hi < len(nodes)):
+            raise ValueError(f"tree node {i}: children {lo}, {hi} not in ({i}, {len(nodes)})")
+        rows.append((dim, float(spec["threshold"]), lo, hi, -1))
+    return _to_tree(rows)
+
+
+def _to_tree(nodes) -> Tree:
+    """Tree from per-node (feature, threshold, left, right, leaf_class) rows."""
+    return Tree(*(np.array(column) for column in zip(*nodes)))

@@ -21,15 +21,8 @@ from .features import (
     fit_standardizer,
     schema_labels,
 )
-from .models import (
-    LabeledDataset,
-    MlpConfig,
-    TrainedModel,
-    dtree_train,
-    knn_train,
-    mlp_train,
-    rf_train,
-)
+from .models import LabeledDataset, TrainedModel
+from .models.registry import lookup
 from .preprocess import CleanTrip
 from .segment import SegmentationConfig, segment_trip
 
@@ -76,40 +69,13 @@ def train_model(
     seed: int = 0,
     standardizer: Standardizer | None = None,
 ) -> TrainedModel:
-    """Train one classifier kind with its parameter dict."""
-    params = dict(params or {})
-    if kind == "knn":
-        model = knn_train(train, k=int(params.pop("k", 5)))
-    elif kind == "dtree":
-        model = dtree_train(
-            train,
-            max_depth=params.pop("max_depth", None),
-            min_leaf=int(params.pop("min_leaf", 1)),
-        )
-    elif kind == "rforest":
-        model = rf_train(
-            train,
-            n_trees=int(params.pop("n_trees", 25)),
-            max_depth=params.pop("max_depth", None),
-            features_per_split=params.pop("features_per_split", None),
-            seed=seed,
-        )
-    elif kind == "mlp":
-        cfg = MlpConfig(
-            hidden_layers=tuple(params.pop("hidden_layers", (100,))),
-            activation=params.pop("activation", "relu"),
-            learning_rate=float(params.pop("learning_rate", 1e-3)),
-            batch_size=int(params.pop("batch_size", 32)),
-            max_epochs=int(params.pop("max_epochs", 200)),
-            early_stop_patience=int(params.pop("early_stop_patience", 20)),
-            validation_fraction=float(params.pop("validation_fraction", 0.15)),
-            seed=seed,
-        )
-        model = mlp_train(train, cfg)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    if params:
-        raise ValueError(f"unknown parameters for {kind}: {sorted(params)}")
+    """Train one classifier kind; ``params`` override the kind's defaults."""
+    entry = lookup(kind)
+    params = params or {}
+    unknown = set(params) - set(entry.defaults)
+    if unknown:
+        raise ValueError(f"unknown parameters for {kind}: {sorted(unknown)}")
+    model = entry.fit(train, {**entry.defaults, **params}, seed)
     model.standardizer = standardizer
     return model
 

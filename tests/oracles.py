@@ -65,3 +65,12 @@ def knn_oracle(train_x, train_y, class_list, query, k):
     for label in class_list:  # class order breaks vote ties
         if votes.get(label) == best:
             return label
+
+
+def tree_walk_oracle(nodes, query):
+    """Class index reached by one query walking a saved CART node list."""
+    node = nodes[0]
+    while "leaf" not in node:
+        go_left = query[node["feature"]] <= node["threshold"]
+        node = nodes[node["left"] if go_left else node["right"]]
+    return node["leaf"]

@@ -256,6 +256,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             read_run_config(path)
 
+    def test_unknown_grid_model_rejected(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[grid]\nmodels = knn,svm\n")
+        with pytest.raises(ConfigError, match="svm"):
+            read_run_config(path)
+
     def test_exit_code_two_for_bad_config(self, corpus_dir, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[cleaning]\nmystery = 1\n")

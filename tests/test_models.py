@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from driverid.models import (
     LabeledDataset,
     MlpConfig,
+    TrainedModel,
     dtree_predict,
     dtree_train,
     knn_predict,
@@ -20,8 +22,18 @@ from driverid.models import (
     save_model,
 )
 from driverid.models.mlp import MlpParams, init_params, loss_and_grads
-from driverid.models.tree import tree_depth
-from oracles import knn_oracle
+from driverid.models.tree import tree_depth, tree_from_nodes, tree_to_nodes
+from oracles import knn_oracle, tree_walk_oracle
+
+
+def train_kind(kind, data):
+    trainers = {
+        "knn": lambda: knn_train(data, k=3),
+        "dtree": lambda: dtree_train(data, max_depth=4),
+        "rforest": lambda: rf_train(data, n_trees=5, seed=2),
+        "mlp": lambda: mlp_train(data, MlpConfig(max_epochs=15, seed=2)),
+    }
+    return trainers[kind]()
 
 
 def make_dataset(rng, n=60, dim=5, classes=("a", "b", "c")):
@@ -135,6 +147,54 @@ class TestDecisionTree:
         save_model(a, buf_a)
         save_model(b, buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
+
+
+class TestTreeArrays:
+    CLASSES = ("a", "b", "c")
+
+    def random_nodes(self, rng, n_features, max_depth):
+        """Preorder node list of a random tree with thresholds on a 0.1 grid."""
+        nodes = []
+
+        def grow(depth):
+            slot = len(nodes)
+            nodes.append({})
+            if depth == max_depth or rng.random() < 0.25:
+                nodes[slot] = {"leaf": int(rng.integers(len(self.CLASSES)))}
+            else:
+                feature = int(rng.integers(n_features))
+                threshold = float(np.round(rng.standard_normal(), 1))
+                left = grow(depth + 1)
+                right = grow(depth + 1)
+                nodes[slot] = {"feature": feature, "threshold": threshold, "left": left, "right": right}
+            return slot
+
+        grow(0)
+        return nodes
+
+    def test_predict_matches_walk_oracle_on_random_trees(self):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            nodes = self.random_nodes(rng, n_features=4, max_depth=7)
+            tree = tree_from_nodes(nodes, 4, len(self.CLASSES))
+            assert tree_to_nodes(tree) == nodes
+            model = TrainedModel(kind="dtree", params=tree, class_list=self.CLASSES, n_features=4)
+            # on the same 0.1 grid, many queries land exactly on a threshold
+            queries = np.round(rng.standard_normal((200, 4)), 1)
+            expected = [self.CLASSES[tree_walk_oracle(nodes, q)] for q in queries]
+            assert list(dtree_predict(model, queries)) == expected
+
+    def test_predict_matches_walk_oracle_on_trained_tree(self):
+        rng = np.random.default_rng(26)
+        data = make_dataset(rng, n=80)
+        model = dtree_train(data)
+        nodes = tree_to_nodes(model.params)
+        queries = rng.standard_normal((100, data.n_features)) * 2
+        for q in queries:  # put one coordinate on a split threshold
+            split = nodes[int(rng.choice(np.flatnonzero(model.params.feature >= 0)))]
+            q[split["feature"]] = split["threshold"]
+        expected = [data.class_list[tree_walk_oracle(nodes, q)] for q in queries]
+        assert list(dtree_predict(model, queries)) == expected
 
 
 class TestRandomForest:
@@ -297,22 +357,64 @@ class TestSaveLoad:
     def test_round_trip_identical_predictions(self, kind, tmp_path):
         rng = np.random.default_rng(18)
         data = make_dataset(rng, n=50)
-        trainers = {
-            "knn": lambda: knn_train(data, k=3),
-            "dtree": lambda: dtree_train(data, max_depth=4),
-            "rforest": lambda: rf_train(data, n_trees=5, seed=2),
-            "mlp": lambda: mlp_train(data, MlpConfig(max_epochs=15, seed=2)),
-        }
-        model = trainers[kind]()
+        model = train_kind(kind, data)
         path = tmp_path / f"{kind}.json"
         save_model(model, path)
         loaded = load_model(path)
+        resaved = tmp_path / f"{kind}-resaved.json"
+        save_model(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
         queries = rng.standard_normal((100, data.n_features)) * 3
         assert (predict(model, queries) == predict(loaded, queries)).all()
         if kind == "mlp":
             assert np.array_equal(
                 mlp_predict_proba(model, queries), mlp_predict_proba(loaded, queries)
             )
+
+    @pytest.mark.parametrize(
+        "kind, path",
+        [
+            ("knn", ("n_features",)),
+            ("knn", ("params", "train_y")),
+            ("dtree", ("params", "nodes", 0, "threshold")),
+            ("rforest", ("params", "trees", 0, 0, "left")),
+            ("mlp", ("params", "config", "batch_size")),
+        ],
+    )
+    def test_missing_key_is_named_value_error(self, kind, path, tmp_path):
+        rng = np.random.default_rng(23)
+        file = tmp_path / "model.json"
+        save_model(train_kind(kind, make_dataset(rng, n=50)), file)
+        doc = json.loads(file.read_text())
+        holder = doc
+        for step in path[:-1]:
+            holder = holder[step]
+        del holder[path[-1]]
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"missing key '{path[-1]}'"):
+            load_model(file)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("left", 99, "children"),       # child index past the end
+            ("right", 0, "children"),       # self-loop at the root
+            ("feature", 5, "feature 5"),    # == n_features
+            ("feature", -1, "feature -1"),
+            ("leaf", 3, "leaf class 3"),    # == len(class_list)
+        ],
+    )
+    def test_malformed_tree_rejected(self, field, value, message, tmp_path):
+        rng = np.random.default_rng(24)
+        file = tmp_path / "model.json"
+        save_model(dtree_train(make_dataset(rng), max_depth=4), file)
+        doc = json.loads(file.read_text())
+        nodes = doc["params"]["nodes"]
+        node = next(spec for spec in nodes if (field == "leaf") == ("leaf" in spec))
+        node[field] = value
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_model(file)
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(19)
