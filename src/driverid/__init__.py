@@ -10,18 +10,13 @@ from __future__ import annotations
 
 from .evaluation import EvaluationReport, GridSpec, evaluate, run_grid
 from .features import (
+    FeatureBlock,
     FeatureConfig,
-    FeatureVector,
     Standardizer,
     apply_standardizer,
-    extract,
     extract_sequence,
     fit_standardizer,
-    pairwise_correlation,
     trimmed_histogram,
-    window_difference,
-    window_mean,
-    window_variance,
 )
 from .ingest import CHANNELS, SensorSample, Trip, ValidationReport, parse_log, serialize_log, validate_trip
 from .models import (
@@ -41,7 +36,7 @@ from .models import (
     rf_train,
     save_model,
 )
-from .pipeline import build_datasets, train_model
+from .pipeline import build_datasets, build_test_dataset, train_model
 from .preprocess import (
     CleaningConfig,
     CleanTrip,
@@ -53,7 +48,14 @@ from .preprocess import (
     remove_stops,
     reorient,
 )
-from .segment import SegmentationConfig, Window, cut_windows, segment_trip, split_train_test
+from .segment import (
+    InsufficientData,
+    SegmentationConfig,
+    WindowBatch,
+    cut_windows,
+    segment_trip,
+    split_train_test,
+)
 from .synth import DriverProfile, SyntheticTruth, generate_trip, make_profiles
 
 __version__ = "0.1.0"

@@ -11,16 +11,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation as ev
 from . import ingest, preprocess, synth
 from .config import ConfigError, Manifest, RunConfig, read_manifest, read_run_config, write_manifest
-from .features import apply_standardizer, extract_sequence
-from .models import LabeledDataset, load_model, save_model
-from .pipeline import build_datasets, train_model
+from .models import load_model, save_model
+from .pipeline import build_datasets, build_test_dataset, train_model
 from .seeds import derive_seed
-from .segment import segment_trip
 
 
 def main(argv=None) -> int:
@@ -174,6 +170,7 @@ def cmd_train(args) -> int:
         seed=sub_seed,
         standardizer=bundle.standardizer,
     )
+    model.pipeline = cfg.pipeline_record()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,24 +194,11 @@ def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
     manifest = read_manifest(args.manifest)
     model = load_model(args.model)
+    _check_pipeline_record(cfg, model, args.model)
     trips = _load_trips(manifest)
     cleaned = _clean_all(trips, cfg)
 
-    test_vectors = []
-    for trip in cleaned:
-        _, test_windows = segment_trip(trip, cfg.segmentation)
-        test_vectors.extend(extract_sequence(test_windows, cfg.features))
-    if not test_vectors:
-        raise ValueError("empty test set: no test windows were produced")
-    if model.standardizer is None:
-        raise ValueError("model carries no standardizer; cannot evaluate raw features")
-
-    matrix = apply_standardizer(model.standardizer, np.vstack([v.values for v in test_vectors]))
-    test = LabeledDataset(
-        features=matrix,
-        labels=np.array([v.driver_id for v in test_vectors], dtype=object),
-        class_list=model.class_list,
-    )
+    test = build_test_dataset(cleaned, cfg.segmentation, cfg.features, model)
     report = ev.evaluate(model, test, config_snapshot=cfg.snapshot())
 
     out = Path(args.out)
@@ -223,6 +207,26 @@ def cmd_evaluate(args) -> int:
     (out / "report.csv").write_text(_confusion_csv(report), encoding="utf-8")
     print(f"accuracy {report.accuracy:.4f} on {report.n_test_windows} test windows")
     return 0
+
+
+def _check_pipeline_record(cfg: RunConfig, model, model_path) -> None:
+    """Refuse to featurize test data differently from the model's training data."""
+    if model.pipeline is None:
+        raise ConfigError(
+            f"{model_path} records no cleaning/segmentation/features config; "
+            "retrain it with `driverid train`"
+        )
+    ours, theirs = _flatten(cfg.pipeline_record()), _flatten(model.pipeline)
+    for key in [*ours, *(k for k in theirs if k not in ours)]:
+        if ours.get(key) != theirs.get(key):
+            raise ConfigError(
+                f"run config sets {key} = {ours.get(key)!r}, "
+                f"but {model_path} was trained with {theirs.get(key)!r}"
+            )
+
+
+def _flatten(record: dict) -> dict:
+    return {f"{section}.{key}": value for section, keys in record.items() for key, value in keys.items()}
 
 
 def cmd_grid(args) -> int:

@@ -86,6 +86,11 @@ class RunConfig:
     grid: GridSpec = field(default_factory=GridSpec)
     master_seed: int = 0
 
+    def pipeline_record(self) -> dict:
+        """The snapshot sections that decide how feature rows are made."""
+        snapshot = self.snapshot()
+        return {section: snapshot[section] for section in ("cleaning", "segmentation", "features")}
+
     def snapshot(self) -> dict:
         """Full config as a plain dict, embedded in every report."""
         return {

@@ -22,7 +22,7 @@ from .models import MODEL_KINDS, LabeledDataset, TrainedModel, predict
 from .pipeline import build_datasets, train_model
 from .preprocess import CleanTrip
 from .seeds import derive_seed
-from .segment import SegmentationConfig
+from .segment import InsufficientData, SegmentationConfig
 
 REPORT_COLUMNS = ("window_minutes", "overlap", "features", "model", "mean_accuracy", "std", "error")
 
@@ -125,6 +125,8 @@ class GridSpec:
         unknown = [m for m in self.model_list if m not in MODEL_KINDS]
         if unknown:
             raise ValueError(f"unknown model kinds {unknown}; known: {list(MODEL_KINDS)}")
+        for subset in self.feature_subset_list:
+            feature_config_from_families(subset.split("+"))  # rejects unknown families
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
@@ -162,8 +164,9 @@ def iter_grid(
 ) -> Iterator[GridRow]:
     """Yield one result row per grid cell, in deterministic cell order.
 
-    Every cell is emitted even when its pipeline fails; the failure reason
-    travels in the row. Features are extracted once per window/overlap cell
+    Every cell is emitted even when it has too little data
+    (`InsufficientData`); the reason travels in the row, and any other
+    error propagates. Features are extracted once per window/overlap cell
     with all families on, then sliced per named subset, which is equivalent
     to extracting each subset directly because the families are independent
     columns.
@@ -182,7 +185,7 @@ def iter_grid(
             try:
                 bundle = build_datasets(trips, seg_cfg, full_cfg)
                 cell_error = None
-            except Exception as err:  # captured, not fatal: short trips etc.
+            except InsufficientData as err:  # short trips, long windows
                 bundle = None
                 cell_error = str(err)
 
@@ -249,20 +252,13 @@ def _run_cell(bundle, full_cfg, wm, ov, subset, kind, repetitions, params, maste
             std=float(acc.std()),
             accuracies=tuple(float(a) for a in acc),
         )
-    except Exception as err:
+    except InsufficientData as err:
         return GridRow(wm, ov, subset, kind, error=str(err))
 
 
 def _subset_columns(full_cfg: FeatureConfig, subset: str) -> np.ndarray:
-    families = subset.split("+") if subset != "all" else list(FAMILIES)
-    unknown = set(families) - set(FAMILIES)
-    if unknown:
-        raise ValueError(f"unknown feature families: {sorted(unknown)}")
-    schema = feature_schema(full_cfg)
-    mask = np.array([entry[0] in families for entry in schema])
-    if not mask.any():
-        raise ValueError(f"feature subset {subset!r} selects no columns")
-    return np.nonzero(mask)[0]
+    families = feature_config_from_families(subset.split("+")).families
+    return np.nonzero([entry[0] in families for entry in feature_schema(full_cfg)])[0]
 
 
 def _slice_dataset(ds: LabeledDataset, columns: np.ndarray) -> LabeledDataset:

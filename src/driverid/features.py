@@ -3,24 +3,24 @@
 Feature families, in fixed schema order: trimmed histogram (per channel),
 mean, variance, mean difference to the previous window, and pairwise
 Pearson correlation. With all families on and 100 bins a window yields
-6*100 + 6 + 6 + 6 + 15 = 633 values.
+6*100 + 6 + 6 + 6 + 15 = 633 values. `extract_sequence` featurizes a whole
+`WindowBatch` at once into one `FeatureBlock` of rows; every family except
+the histogram is a reduction over the batch's sample axis.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .ingest import CHANNELS
-from .segment import Window
+from .segment import TEST, InsufficientData, WindowBatch
 
 FAMILIES = ("histogram", "mean", "variance", "difference", "correlation")
 PAIRS = tuple(combinations(range(6), 2))  # 15 channel pairs, lexicographic
+_PAIR_I, _PAIR_J = (np.array(side) for side in zip(*PAIRS))
 STD_FLOOR = 1e-8
 
 
@@ -107,18 +107,15 @@ def schema_labels(schema) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureVector:
-    values: np.ndarray
-    schema: tuple
+class FeatureBlock:
+    """Feature rows of one span's windows, in window order."""
+
+    values: np.ndarray          # (n, d)
     driver_id: str
     partition: str
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (len(self.schema),):
-            raise ValueError("values length must equal schema length")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+    def __len__(self) -> int:
+        return self.values.shape[0]
 
 
 def trimmed_histogram(signal, bins: int, keep: float) -> np.ndarray:
@@ -143,85 +140,50 @@ def trimmed_histogram(signal, bins: int, keep: float) -> np.ndarray:
     return counts / counts.sum()
 
 
-def window_mean(window: Window) -> np.ndarray:
-    return window.channels.mean(axis=1)
+def extract_sequence(batch: WindowBatch, cfg: FeatureConfig) -> FeatureBlock:
+    """Featurize one span's windows in time order, enabled families in schema order.
 
-
-def window_variance(window: Window) -> np.ndarray:
-    """Per-channel population variance (divide by N)."""
-    return window.channels.var(axis=1)
-
-
-def window_difference(current: Window, previous: Window | None, use_sum: bool = False) -> np.ndarray:
-    """Change in per-channel level relative to the preceding window.
-
-    Default is mean(current) - mean(previous); `use_sum` switches the first
-    term to the channel sum. The first window of a partition has no
-    predecessor and reports zeros.
+    Callers pass the batch of one partition of one trip, so the difference
+    family never reaches across partitions or trips. Reductions run over the
+    contiguous sample axis, so each row equals featurizing its window alone.
     """
-    if previous is None:
-        return np.zeros(6)
-    if previous.channels.shape[1] != current.channels.shape[1]:
-        raise ValueError("windows have mismatched channel lengths")
-    level = current.channels.sum(axis=1) if use_sum else current.channels.mean(axis=1)
-    return level - previous.channels.mean(axis=1)
+    x = batch.channels
+    n = len(batch)
+    mean = x.mean(axis=-1)
+    parts = []
+    for family in cfg.families:
+        if family == "histogram":
+            hist = np.empty((n, 6, cfg.histogram_bins))
+            for i in range(n):
+                for c in range(6):
+                    hist[i, c] = trimmed_histogram(x[i, c], cfg.histogram_bins, cfg.trim_keep_fraction)
+            parts.append(hist.reshape(n, 6 * cfg.histogram_bins))
+        elif family == "mean":
+            parts.append(mean)
+        elif family == "variance":
+            parts.append(x.var(axis=-1))  # population variance (divide by N)
+        elif family == "difference":  # level minus the previous window's mean; row 0 is 0
+            level = x.sum(axis=-1) if cfg.difference_uses_sum else mean
+            difference = np.zeros_like(mean)
+            difference[1:] = level[1:] - mean[:-1]
+            parts.append(difference)
+        elif family == "correlation":
+            parts.append(_correlation(x, mean))
+    return FeatureBlock(np.concatenate(parts, axis=1), batch.driver_id, batch.partition)
 
 
-def pairwise_correlation(window: Window) -> np.ndarray:
+def _correlation(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Pearson correlation for the 15 unordered channel pairs, clamped to [-1, 1].
 
     A pair involving a zero-variance channel reports 0.
     """
-    x = window.channels
-    centered = x - x.mean(axis=1, keepdims=True)
-    cov = centered @ centered.T / x.shape[1]
-    sd = np.sqrt(np.diag(cov))
-    out = np.empty(len(PAIRS))
-    for k, (i, j) in enumerate(PAIRS):
-        if sd[i] == 0.0 or sd[j] == 0.0:
-            out[k] = 0.0
-        else:
-            out[k] = cov[i, j] / (sd[i] * sd[j])
+    centered = x - mean[..., None]
+    cov = centered @ centered.transpose(0, 2, 1) / x.shape[-1]
+    sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    si, sj = sd[:, _PAIR_I], sd[:, _PAIR_J]
+    out = np.zeros(si.shape)
+    np.divide(cov[:, _PAIR_I, _PAIR_J], si * sj, out=out, where=(si != 0.0) & (sj != 0.0))
     return np.clip(out, -1.0, 1.0)
-
-
-def extract(window: Window, previous: Window | None, cfg: FeatureConfig) -> FeatureVector:
-    """Concatenate the enabled feature families in schema order."""
-    parts = []
-    for family in cfg.families:
-        if family == "histogram":
-            parts.extend(
-                trimmed_histogram(window.channels[c], cfg.histogram_bins, cfg.trim_keep_fraction)
-                for c in range(6)
-            )
-        elif family == "mean":
-            parts.append(window_mean(window))
-        elif family == "variance":
-            parts.append(window_variance(window))
-        elif family == "difference":
-            parts.append(window_difference(window, previous, cfg.difference_uses_sum))
-        elif family == "correlation":
-            parts.append(pairwise_correlation(window))
-    return FeatureVector(
-        values=np.concatenate(parts),
-        schema=feature_schema(cfg),
-        driver_id=window.driver_id,
-        partition=window.partition,
-    )
-
-
-def extract_sequence(windows: Sequence[Window], cfg: FeatureConfig) -> list[FeatureVector]:
-    """Featurize an ordered window sequence, chaining each window to its predecessor.
-
-    Callers pass the windows of one partition of one trip, in time order, so
-    the difference family never reaches across partitions or trips.
-    """
-    vectors = []
-    previous = None
-    for window in windows:
-        vectors.append(extract(window, previous, cfg))
-        previous = window
-    return vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,11 +210,20 @@ class Standardizer:
         return self.mean.size
 
 
-def fit_standardizer(train_vectors) -> Standardizer:
-    """Fit per-dimension mean/std. Rejects anything tagged as test data."""
-    matrix = _as_matrix(train_vectors, forbid_test=True)
+def fit_standardizer(train_rows) -> Standardizer:
+    """Fit per-dimension mean/std on a matrix or on feature blocks.
+
+    Rejects any block tagged as test data.
+    """
+    if isinstance(train_rows, np.ndarray):
+        matrix = np.atleast_2d(np.asarray(train_rows, dtype=np.float64))
+    else:
+        blocks = list(train_rows)
+        if any(block.partition == TEST for block in blocks):
+            raise ValueError("standardizer must be fitted on train vectors only")
+        matrix = np.vstack([block.values for block in blocks])
     if matrix.shape[0] < 2:
-        raise ValueError("need at least 2 training vectors to fit a standardizer")
+        raise InsufficientData("need at least 2 training vectors to fit a standardizer")
     mean = matrix.mean(axis=0)
     std = np.maximum(matrix.std(axis=0), STD_FLOOR)
     return Standardizer(mean=mean, std=std)
@@ -264,32 +235,3 @@ def apply_standardizer(std: Standardizer, vector):
     if x.shape[-1] != std.dimension:
         raise ValueError(f"dimension mismatch: vector has {x.shape[-1]}, standardizer {std.dimension}")
     return (x - std.mean) / std.std
-
-
-def export_features(vectors: Sequence[FeatureVector], csv_path, schema_path=None) -> None:
-    """Write a feature matrix as CSV plus a JSON schema sidecar."""
-    if not vectors:
-        raise ValueError("no feature vectors to export")
-    labels = schema_labels(vectors[0].schema)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(labels) + ["driver_id", "partition"])
-        for vec in vectors:
-            writer.writerow([repr(float(v)) for v in vec.values] + [vec.driver_id, vec.partition])
-    if schema_path is not None:
-        schema = [list(entry) for entry in vectors[0].schema]
-        Path(schema_path).write_text(json.dumps({"schema": schema}, indent=2), encoding="utf-8")
-
-
-def _as_matrix(vectors, forbid_test: bool = False) -> np.ndarray:
-    if isinstance(vectors, np.ndarray):
-        return np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    rows = []
-    for vec in vectors:
-        if isinstance(vec, FeatureVector):
-            if forbid_test and vec.partition == "test":
-                raise ValueError("standardizer must be fitted on train vectors only")
-            rows.append(vec.values)
-        else:
-            rows.append(np.asarray(vec, dtype=np.float64))
-    return np.vstack(rows)

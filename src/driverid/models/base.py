@@ -13,6 +13,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..features import Standardizer
+from ..segment import InsufficientData
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +60,8 @@ class TrainedModel:
     n_features: int
     standardizer: Optional[Standardizer] = None
     schema_labels: Optional[tuple[str, ...]] = None
+    # cleaning/segmentation/features settings it was trained under; set by the CLI
+    pipeline: Optional[dict] = None
 
     def __post_init__(self):
         if len(self.class_list) < 1:
@@ -67,9 +70,9 @@ class TrainedModel:
 
 def check_training_data(data: LabeledDataset) -> None:
     if len(data.class_list) < 2:
-        raise ValueError("training data must contain at least 2 classes")
+        raise InsufficientData("training data must contain at least 2 classes")
     if len(data) < 2:
-        raise ValueError("training data must contain at least 2 rows")
+        raise InsufficientData("training data must contain at least 2 rows")
 
 
 def as_query_matrix(model: TrainedModel, x) -> tuple[np.ndarray, bool]:

@@ -24,6 +24,7 @@ def save_model(model: TrainedModel, sink) -> None:
         "kind": model.kind,
         "class_list": list(model.class_list),
         "n_features": model.n_features,
+        "pipeline": model.pipeline,
         "schema_labels": list(model.schema_labels) if model.schema_labels else None,
         "standardizer": (
             {"mean": model.standardizer.mean.tolist(), "std": model.standardizer.std.tolist()}
@@ -70,6 +71,7 @@ def load_model(source) -> TrainedModel:
                 else None
             ),
             schema_labels=tuple(schema) if schema else None,
+            pipeline=doc.get("pipeline"),
         )
     except KeyError as err:
         raise ValueError(f"malformed model file: missing key {err.args[0]!r}") from None

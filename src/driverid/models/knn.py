@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..segment import InsufficientData
 from .base import LabeledDataset, TrainedModel, as_query_matrix, check_training_data
 
 
@@ -24,7 +25,7 @@ def knn_train(data: LabeledDataset, k: int = 5) -> TrainedModel:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > len(data):
-        raise ValueError(f"k={k} exceeds {len(data)} training rows")
+        raise InsufficientData(f"k={k} exceeds {len(data)} training rows")
     params = KnnParams(k=int(k), train_x=data.features.copy(), train_y=data.label_indices)
     return TrainedModel(
         kind="knn",

@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from ..segment import InsufficientData
 from .base import LabeledDataset, TrainedModel, as_query_matrix, check_training_data
 
 ACTIVATIONS = ("relu", "tanh")
@@ -124,7 +125,7 @@ def mlp_train(data: LabeledDataset, cfg: MlpConfig = MlpConfig()) -> TrainedMode
 
     val_mask = _validation_mask(y, cfg.validation_fraction)
     if (~val_mask).sum() < 1:
-        raise ValueError("not enough rows to carve a validation slice")
+        raise InsufficientData("not enough rows to carve a validation slice")
     x_tr, y_tr = x[~val_mask], y_onehot[~val_mask]
     x_val, y_val = x[val_mask], y_onehot[val_mask]
 

@@ -1,9 +1,11 @@
 """Shared composition of the stages: ingest -> clean -> split -> segment ->
 featurize -> standardize -> train.
 
-Partition tags travel with every window and feature vector, and the
-standardizer fit refuses anything tagged test, so training can never touch
-held-out data.
+Each trip's train and test spans become one window batch and one feature
+block each, tagged with their partition; the standardizer fit refuses any
+block tagged test, so training can never touch held-out data.
+`build_datasets` (train, grid) and `build_test_dataset` (evaluating a saved
+model) turn blocks into labelled rows through the same function.
 """
 from __future__ import annotations
 
@@ -13,18 +15,21 @@ from typing import Sequence
 import numpy as np
 
 from .features import (
+    FeatureBlock,
     FeatureConfig,
-    FeatureVector,
     Standardizer,
     apply_standardizer,
     extract_sequence,
+    feature_schema,
     fit_standardizer,
     schema_labels,
 )
 from .models import LabeledDataset, TrainedModel
 from .models.registry import lookup
 from .preprocess import CleanTrip
-from .segment import SegmentationConfig, segment_trip
+from .segment import InsufficientData, SegmentationConfig, segment_trip
+
+NO_TEST_WINDOWS = "empty test set: no test windows were produced"
 
 
 @dataclass
@@ -39,27 +44,40 @@ def build_datasets(
     trips: Sequence[CleanTrip], seg_cfg: SegmentationConfig, feat_cfg: FeatureConfig
 ) -> DatasetBundle:
     """Window and featurize every trip, then standardize on train statistics."""
-    train_vectors: list[FeatureVector] = []
-    test_vectors: list[FeatureVector] = []
+    train_blocks: list[FeatureBlock] = []
+    test_blocks: list[FeatureBlock] = []
     counts: dict = {}
     for trip in trips:
         train_windows, test_windows = segment_trip(trip, seg_cfg)
-        train_vectors.extend(extract_sequence(train_windows, feat_cfg))
-        test_vectors.extend(extract_sequence(test_windows, feat_cfg))
+        train_blocks.append(extract_sequence(train_windows, feat_cfg))
+        test_blocks.append(extract_sequence(test_windows, feat_cfg))
         entry = counts.setdefault(trip.driver_id, {"train": 0, "test": 0})
         entry["train"] += len(train_windows)
         entry["test"] += len(test_windows)
 
-    if not train_vectors:
-        raise ValueError("no training windows were produced")
-    if not test_vectors:
-        raise ValueError("empty test set: no test windows were produced")
-
-    standardizer = fit_standardizer(train_vectors)
-    class_list = tuple(sorted({v.driver_id for v in train_vectors}))
-    train = _standardized_dataset(train_vectors, standardizer, class_list)
-    test = _standardized_dataset(test_vectors, standardizer, class_list)
+    if not any(map(len, train_blocks)):
+        raise InsufficientData("no training windows were produced")
+    if not any(map(len, test_blocks)):
+        raise InsufficientData(NO_TEST_WINDOWS)
+    standardizer = fit_standardizer(train_blocks)
+    class_list = tuple(sorted({b.driver_id for b in train_blocks if len(b)}))
+    schema = schema_labels(feature_schema(feat_cfg))
+    train = _standardized_dataset(train_blocks, standardizer, class_list, schema)
+    test = _standardized_dataset(test_blocks, standardizer, class_list, schema)
     return DatasetBundle(train=train, test=test, standardizer=standardizer, window_counts=counts)
+
+
+def build_test_dataset(
+    trips: Sequence[CleanTrip], seg_cfg: SegmentationConfig, feat_cfg: FeatureConfig, model: TrainedModel
+) -> LabeledDataset:
+    """Window and featurize only the test spans, standardized with the model's statistics."""
+    if model.standardizer is None:
+        raise ValueError("model carries no standardizer; cannot evaluate raw features")
+    blocks = [extract_sequence(segment_trip(trip, seg_cfg)[1], feat_cfg) for trip in trips]
+    if not any(map(len, blocks)):
+        raise InsufficientData(NO_TEST_WINDOWS)
+    schema = schema_labels(feature_schema(feat_cfg))
+    return _standardized_dataset(blocks, model.standardizer, model.class_list, schema)
 
 
 def train_model(
@@ -81,12 +99,12 @@ def train_model(
 
 
 def _standardized_dataset(
-    vectors: Sequence[FeatureVector], standardizer: Standardizer, class_list
+    blocks: Sequence[FeatureBlock], standardizer: Standardizer, class_list, schema
 ) -> LabeledDataset:
-    matrix = apply_standardizer(standardizer, np.vstack([v.values for v in vectors]))
+    """Stack feature blocks into z-scored rows labelled with each block's driver."""
     return LabeledDataset(
-        features=matrix,
-        labels=np.array([v.driver_id for v in vectors], dtype=object),
+        features=apply_standardizer(standardizer, np.vstack([b.values for b in blocks])),
+        labels=np.concatenate([np.full(len(b), b.driver_id, dtype=object) for b in blocks]),
         class_list=class_list,
-        schema_labels=schema_labels(vectors[0].schema),
+        schema_labels=schema,
     )

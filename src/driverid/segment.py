@@ -3,18 +3,29 @@
 The split is chronological over movement samples (earliest fraction trains,
 the remainder tests) so that no time span can contribute to both
 partitions. Windows are cut per partition; a window is emitted only when it
-lies fully inside its span and bridges no continuity break.
+lies fully inside its span and bridges no continuity break. The windows of
+one span travel together as one `WindowBatch`: a single `(n, 6, w)` channel
+array plus per-window start and end times.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .preprocess import CleanTrip
 
 TRAIN = "train"
 TEST = "test"
+
+
+class InsufficientData(ValueError):
+    """Too little data for a split, a window set, a standardizer or a training set.
+
+    The grid sweep records this error in the failing cell's report row;
+    every other error propagates.
+    """
 
 
 @dataclass(frozen=True)
@@ -55,24 +66,24 @@ class Span:
 
 
 @dataclass(frozen=True, eq=False)
-class Window:
-    """A fixed-duration 6-channel slice with its label and half-open time span."""
+class WindowBatch:
+    """The windows of one span, in time order, with half-open time spans."""
 
     driver_id: str
-    start_t: float
-    end_t: float
-    channels: np.ndarray        # (6, w) in channel order
     partition: str
+    start_t: np.ndarray         # (n,)
+    end_t: np.ndarray           # (n,)
+    channels: np.ndarray        # (n, 6, w), C-contiguous, channel order
 
     def __post_init__(self):
-        ch = np.asarray(self.channels, dtype=np.float64)
-        if ch.ndim != 2 or ch.shape[0] != 6 or ch.shape[1] < 2:
-            raise ValueError("channels must be a (6, w) array with w >= 2")
+        ch = np.ascontiguousarray(self.channels, dtype=np.float64)
+        if ch.ndim != 3 or ch.shape[1] != 6 or ch.shape[2] < 2:
+            raise ValueError("channels must be an (n, 6, w) array with w >= 2")
         ch.setflags(write=False)
         object.__setattr__(self, "channels", ch)
 
     def __len__(self) -> int:
-        return self.channels.shape[1]
+        return self.channels.shape[0]
 
 
 def split_train_test(
@@ -90,7 +101,7 @@ def split_train_test(
     n_train = int(np.floor(train_fraction * n))
     n_test = n - n_train
     if n_train < min_span_samples or n_test < min_span_samples:
-        raise ValueError(
+        raise InsufficientData(
             f"insufficient data for split: trip {trip.driver_id!r} has {n} samples, "
             f"split gives {n_train}/{n_test}, need {min_span_samples} per side"
         )
@@ -100,45 +111,40 @@ def split_train_test(
     )
 
 
-def cut_windows(span: Span, cfg: SegmentationConfig, rate_hz: float) -> list[Window]:
+def cut_windows(span: Span, cfg: SegmentationConfig, rate_hz: float) -> WindowBatch:
     """Cut fixed-length overlapping windows from a span.
 
     Windows start every stride samples; only windows that fit entirely in
     the span and cross no recorded continuity break are emitted, and a
     trailing partial window is discarded. A span shorter than one window
-    yields an empty list.
+    yields an empty batch.
     """
     w = cfg.window_samples(rate_hz)
     if w < 2:
         raise ValueError(f"window of {cfg.window_minutes} min at {rate_hz} Hz has {w} samples")
     stride = cfg.stride_samples(rate_hz)
     n = len(span)
-    if n < w:
-        return []
+    starts = np.arange(0, max(n - w + 1, 0), stride)
 
     # prefix sum of break flags for O(1) "any break inside?" checks
-    break_cum = np.concatenate([[0], np.cumsum(span.break_after.astype(np.int64))])
-    period = 1.0 / rate_hz
-    windows = []
-    for off in range(0, n - w + 1, stride):
-        if break_cum[off + w - 1] - break_cum[off] > 0:
-            continue
-        windows.append(
-            Window(
-                driver_id=span.driver_id,
-                start_t=float(span.t[off]),
-                end_t=float(span.t[off + w - 1] + period),
-                channels=span.data[off : off + w].T.copy(),
-                partition=span.partition,
-            )
-        )
-    return windows
+    break_cum = np.concatenate([[0], np.cumsum(span.break_after, dtype=np.int64)])
+    starts = starts[break_cum[starts + w - 1] == break_cum[starts]]
+    if n >= w:
+        # view[i, c, k] == data[i + k, c]; fancy indexing copies the kept windows
+        channels = sliding_window_view(span.data, w, axis=0)[starts]
+    else:
+        channels = np.empty((0, 6, w))
+    return WindowBatch(
+        driver_id=span.driver_id,
+        partition=span.partition,
+        start_t=span.t[starts],
+        end_t=span.t[starts + w - 1] + 1.0 / rate_hz,
+        channels=channels,
+    )
 
 
-def segment_trip(
-    trip: CleanTrip, cfg: SegmentationConfig
-) -> tuple[list[Window], list[Window]]:
-    """Split then window one cleaned trip; returns (train windows, test windows)."""
+def segment_trip(trip: CleanTrip, cfg: SegmentationConfig) -> tuple[WindowBatch, WindowBatch]:
+    """Split then window one cleaned trip; returns (train batch, test batch)."""
     rate = trip.nominal_rate_hz
     w = cfg.window_samples(rate)
     train_span, test_span = split_train_test(trip, cfg.train_fraction, min_span_samples=w)

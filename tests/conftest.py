@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import driverid as d
+from driverid.segment import WindowBatch
 
 BENCH_SEED = 1234
 BENCH_DRIVERS = 10
@@ -54,3 +55,10 @@ def quiet_trip():
 def stoppy_profile(seed: int, stops_per_hour: float = 2.5) -> d.DriverProfile:
     profile = d.make_profiles(10, "easy", seed)[seed % 10]
     return dataclasses.replace(profile, stop_frequency=stops_per_hour)
+
+
+def window_batch(*channels, driver="d", partition="train") -> WindowBatch:
+    """A batch of the given equal-length (6, w) windows, back to back at 2 Hz."""
+    stacked = np.stack([np.asarray(c, dtype=float) for c in channels])
+    start = np.arange(len(stacked)) * stacked.shape[2] / 2.0
+    return WindowBatch(driver, partition, start, start + stacked.shape[2] / 2.0, stacked)

@@ -74,3 +74,12 @@ def tree_walk_oracle(nodes, query):
         go_left = query[node["feature"]] <= node["threshold"]
         node = nodes[node["left"] if go_left else node["right"]]
     return node["leaf"]
+
+
+def window_starts_oracle(t, break_after, w, stride):
+    """Start time of every stride offset whose w samples cross no break."""
+    starts = []
+    for off in range(0, len(t) - w + 1, stride):
+        if not any(break_after[off + k] for k in range(w - 1)):
+            starts.append(float(t[off]))
+    return starts

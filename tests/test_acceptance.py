@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import driverid as d
-from conftest import BENCH_DRIVERS, stoppy_profile
+from conftest import BENCH_DRIVERS, stoppy_profile, window_batch
 from driverid.cli import main as cli_main
 from driverid.evaluation import (
     GridSpec,
@@ -24,6 +24,8 @@ from driverid.evaluation import (
 from driverid.evaluation import _restandardize, _slice_dataset, _subset_columns
 from driverid.features import (
     FeatureConfig,
+    extract_sequence,
+    feature_config_from_families,
     fit_standardizer,
     trimmed_histogram,
 )
@@ -71,15 +73,13 @@ class TestOracleEquivalence:
         report("oracle-equivalence/trimmed-histogram", "100 instances, exact")
 
     def test_mean_variance_match_two_pass_oracle(self):
-        from driverid.features import window_mean, window_variance
-        from driverid.segment import Window
-
+        cfg = feature_config_from_families(["mean", "variance"])
         rng = np.random.default_rng(101)
         for _ in range(100):
             n = int(rng.integers(4, 300))
             channels = rng.standard_normal((6, n)) * rng.uniform(0.01, 20)
-            w = Window("d", 0.0, n / 2.0, channels, "train")
-            means, variances = window_mean(w), window_variance(w)
+            row = extract_sequence(window_batch(channels), cfg).values[0]
+            means, variances = row[:6], row[6:]
             for c in range(6):
                 m, v = mean_var_oracle(list(channels[c]))
                 assert abs(means[c] - m) <= 1e-12 * max(1.0, abs(m))
@@ -87,16 +87,13 @@ class TestOracleEquivalence:
         report("oracle-equivalence/mean-variance", "100 windows, <=1e-12 relative")
 
     def test_correlation_matches_direct_oracle(self):
-        from driverid.features import pairwise_correlation
-        from driverid.segment import Window
-
+        cfg = feature_config_from_families(["correlation"])
         rng = np.random.default_rng(102)
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         for _ in range(100):
             n = int(rng.integers(4, 200))
             channels = rng.standard_normal((6, n)) * rng.uniform(0.1, 5)
-            w = Window("d", 0.0, n / 2.0, channels, "train")
-            ours = pairwise_correlation(w)
+            ours = extract_sequence(window_batch(channels), cfg).values[0]
             for k, (i, j) in enumerate(pairs):
                 expected = corr_oracle(list(channels[i]), list(channels[j]))
                 assert abs(ours[k] - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -199,9 +196,9 @@ class TestPartitionPurity:
                 continue
             train_windows = cut_windows(train_span, cfg, 2.0)
             test_windows = cut_windows(test_span, cfg, 2.0)
-            for a in train_windows:
-                for b in test_windows:
-                    assert a.end_t <= b.start_t or b.end_t <= a.start_t
+            for a_start, a_end in zip(train_windows.start_t, train_windows.end_t):
+                for b_start, b_end in zip(test_windows.start_t, test_windows.end_t):
+                    assert a_end <= b_start or b_end <= a_start
             checked += 1
         report("partition-purity", "50 random segmentation configs, no span overlap")
 

@@ -5,6 +5,7 @@ import pytest
 
 from driverid.cli import main
 from driverid.config import ConfigError, read_manifest, read_run_config, write_manifest
+from driverid.models import load_model, save_model
 
 RUN_CONFIG = """
 [run]
@@ -100,6 +101,8 @@ class TestTrainCommand:
         assert report["config_snapshot"]["model"]["kind"] == "knn"
         for driver, counts in report["window_counts"].items():
             assert counts["train"] > 0
+        record = json.loads((out / "model.json").read_text())["pipeline"]
+        assert record == {k: report["config_snapshot"][k] for k in ("cleaning", "segmentation", "features")}
 
     def test_missing_log_fails_without_outputs(self, tmp_path, config_path):
         manifest = tmp_path / "manifest.csv"
@@ -147,7 +150,45 @@ class TestEvaluateCommand:
              "--manifest", str(corpus_dir / "manifest.csv"),
              "--config", str(bad_cfg), "--out", str(tmp_path / "eval")]
         )
-        assert code == 1
+        assert code == 2
+
+    def test_other_feature_settings_fail_loudly(self, corpus_dir, config_path, tmp_path, capsys):
+        # same dimension, other features: this once scored 0.25 instead of 0.58, exit code 0
+        model_dir = tmp_path / "model"
+        assert main(
+            ["train", "--manifest", str(corpus_dir / "manifest.csv"),
+             "--config", str(config_path), "--out", str(model_dir)]
+        ) == 0
+        bad_cfg = tmp_path / "bad.ini"
+        bad_cfg.write_text(
+            RUN_CONFIG + "\n[features]\ntrim_keep_fraction = 0.5\ndifference_uses_sum = true\n"
+        )
+        out = tmp_path / "eval"
+        code = main(
+            ["evaluate", "--model", str(model_dir / "model.json"),
+             "--manifest", str(corpus_dir / "manifest.csv"),
+             "--config", str(bad_cfg), "--out", str(out)]
+        )
+        assert code == 2
+        assert "features.trim_keep_fraction" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_without_pipeline_record_rejected(self, corpus_dir, config_path, tmp_path):
+        model_dir = tmp_path / "model"
+        assert main(
+            ["train", "--manifest", str(corpus_dir / "manifest.csv"),
+             "--config", str(config_path), "--out", str(model_dir)]
+        ) == 0
+        model = load_model(model_dir / "model.json")
+        model.pipeline = None  # as saved through the library API
+        save_model(model, model_dir / "model.json")
+        assert json.loads((model_dir / "model.json").read_text())["pipeline"] is None
+        code = main(
+            ["evaluate", "--model", str(model_dir / "model.json"),
+             "--manifest", str(corpus_dir / "manifest.csv"),
+             "--config", str(config_path), "--out", str(tmp_path / "eval")]
+        )
+        assert code == 2
 
 
 class TestTrainDeterminism:
@@ -203,10 +244,10 @@ class TestNoTestDataInTraining:
         seen_partitions = []
         real_fit = pipeline.fit_standardizer
 
-        def spying_fit(vectors):
-            for vec in vectors:
-                seen_partitions.append(vec.partition)
-            return real_fit(vectors)
+        def spying_fit(blocks):
+            for block in blocks:
+                seen_partitions.extend([block.partition] * len(block))
+            return real_fit(blocks)
 
         trained_row_counts = []
         real_train = pipeline.train_model

@@ -187,6 +187,27 @@ class TestGrid:
         assert failed[0].window_minutes == 60.0
         assert failed[0].mean_accuracy is None
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        import driverid.evaluation as evaluation
+
+        def broken_train(*args, **kwargs):
+            raise TypeError("broken trainer")
+
+        monkeypatch.setattr(evaluation, "train_model", broken_train)
+        grid = GridSpec(
+            window_minutes_list=(2.0,),
+            overlap_list=(0.0,),
+            feature_subset_list=("mean",),
+            model_list=("knn",),
+            repetitions=1,
+        )
+        with pytest.raises(TypeError, match="broken trainer"):
+            run_grid(self.small_trips(), grid, master_seed=5)
+
+    def test_unknown_feature_subset_rejected(self):
+        with pytest.raises(ValueError, match="wavelet"):
+            GridSpec(feature_subset_list=("mean+wavelet",))
+
     def test_determinism_across_runs(self):
         trips = self.small_trips()
         grid = GridSpec(

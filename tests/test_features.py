@@ -1,41 +1,38 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driverid.features import (
     FeatureConfig,
     Standardizer,
     apply_standardizer,
-    extract,
     extract_sequence,
     feature_config_from_families,
     feature_schema,
     fit_standardizer,
-    pairwise_correlation,
     schema_labels,
     trimmed_histogram,
-    window_difference,
-    window_mean,
-    window_variance,
 )
-from driverid.segment import Window
+from driverid.segment import WindowBatch
 
-
-def make_window(channels, driver="d", partition="train", start=0.0):
-    channels = np.asarray(channels, dtype=float)
-    return Window(
-        driver_id=driver,
-        start_t=start,
-        end_t=start + channels.shape[1] / 2.0,
-        channels=channels,
-        partition=partition,
-    )
-
-
-def random_window(rng, n=64):
-    return make_window(rng.standard_normal((6, n)) * rng.uniform(0.5, 4.0))
-
-
+from conftest import window_batch
 from oracles import corr_oracle, histogram_oracle, mean_var_oracle
+
+
+def random_channels(rng, n=64):
+    return rng.standard_normal((6, n)) * rng.uniform(0.5, 4.0)
+
+
+def family_rows(family, *channels, **cfg):
+    """One feature family's rows for a batch of the given windows."""
+    config = feature_config_from_families([family], FeatureConfig(**cfg))
+    return extract_sequence(window_batch(*channels), config).values
+
+
+def family_row(family, channels, **cfg):
+    """One feature family of a single window, featurized alone."""
+    return family_rows(family, channels, **cfg)[0]
 
 
 class TestTrimmedHistogram:
@@ -91,24 +88,23 @@ class TestTrimmedHistogram:
 
 class TestMeanVariance:
     def test_constant_channel(self):
-        w = make_window(np.full((6, 10), 4.0))
-        assert np.allclose(window_mean(w), 4.0)
-        assert np.allclose(window_variance(w), 0.0)
+        w = np.full((6, 10), 4.0)
+        assert np.allclose(family_row("mean", w), 4.0)
+        assert np.allclose(family_row("variance", w), 0.0)
 
     def test_two_point_hand_case(self):
         channels = np.tile([1.0, 3.0], (6, 1))
-        w = make_window(channels)
-        assert np.allclose(window_mean(w), 2.0)
-        assert np.allclose(window_variance(w), 1.0)  # population variance
+        assert np.allclose(family_row("mean", channels), 2.0)
+        assert np.allclose(family_row("variance", channels), 1.0)  # population variance
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
-            w = random_window(rng, n=int(rng.integers(8, 200)))
-            means = window_mean(w)
-            variances = window_variance(w)
+            w = random_channels(rng, n=int(rng.integers(8, 200)))
+            means = family_row("mean", w)
+            variances = family_row("variance", w)
             for c in range(6):
-                m, v = mean_var_oracle(list(w.channels[c]))
+                m, v = mean_var_oracle(list(w[c]))
                 assert means[c] == pytest.approx(m, rel=1e-12, abs=1e-12)
                 assert variances[c] == pytest.approx(v, rel=1e-12, abs=1e-12)
 
@@ -116,40 +112,33 @@ class TestMeanVariance:
 class TestDifference:
     def test_first_window_is_zero(self):
         rng = np.random.default_rng(2)
-        w = random_window(rng)
-        assert np.array_equal(window_difference(w, None), np.zeros(6))
+        w = random_channels(rng)
+        assert np.array_equal(family_row("difference", w), np.zeros(6))
 
     def test_unit_shift_hand_case(self):
-        prev = make_window(np.tile(np.arange(6, dtype=float)[:, None], (1, 4)))
-        cur = make_window(np.tile(np.arange(1, 7, dtype=float)[:, None], (1, 4)))
-        assert np.allclose(window_difference(cur, prev), 1.0)
+        prev = np.tile(np.arange(6, dtype=float)[:, None], (1, 4))
+        cur = np.tile(np.arange(1, 7, dtype=float)[:, None], (1, 4))
+        assert np.allclose(family_rows("difference", prev, cur)[1], 1.0)
 
     def test_matches_mean_delta_oracle_over_sequence(self):
         rng = np.random.default_rng(31)
-        windows = [random_window(rng, 40) for _ in range(6)]
+        windows = [random_channels(rng, 40) for _ in range(6)]
         cfg = FeatureConfig()
-        vectors = extract_sequence(windows, cfg)
+        block = extract_sequence(window_batch(*windows), cfg)
         schema = feature_schema(cfg)
         diff_cols = [i for i, s in enumerate(schema) if s[0] == "difference"]
         for k in range(1, len(windows)):
             expected = [
-                (sum(windows[k].channels[c]) / len(windows[k]))
-                - (sum(windows[k - 1].channels[c]) / len(windows[k - 1]))
+                (sum(windows[k][c]) / windows[k].shape[1])
+                - (sum(windows[k - 1][c]) / windows[k - 1].shape[1])
                 for c in range(6)
             ]
-            assert np.allclose(vectors[k].values[diff_cols], expected, atol=1e-12)
-
-    def test_mismatched_lengths_rejected(self):
-        rng = np.random.default_rng(1)
-        a = random_window(rng, 30)
-        b = random_window(rng, 20)
-        with pytest.raises(ValueError, match="mismatched"):
-            window_difference(a, b)
+            assert np.allclose(block.values[k, diff_cols], expected, atol=1e-12)
 
     def test_sum_mode(self):
-        prev = make_window(np.full((6, 4), 1.0))
-        cur = make_window(np.full((6, 4), 2.0))
-        out = window_difference(cur, prev, use_sum=True)
+        prev = np.full((6, 4), 1.0)
+        cur = np.full((6, 4), 2.0)
+        out = family_rows("difference", prev, cur, difference_uses_sum=True)[1]
         assert np.allclose(out, 2.0 * 4 - 1.0)
 
 
@@ -158,21 +147,21 @@ class TestCorrelation:
         rng = np.random.default_rng(4)
         base = rng.standard_normal(50)
         channels = np.vstack([base, base, rng.standard_normal((4, 50))])
-        out = pairwise_correlation(make_window(channels))
+        out = family_row("correlation", channels)
         assert out[0] == pytest.approx(1.0)
 
     def test_negated_channel_gives_minus_one(self):
         rng = np.random.default_rng(5)
         base = rng.standard_normal(50)
         channels = np.vstack([base, -base, rng.standard_normal((4, 50))])
-        out = pairwise_correlation(make_window(channels))
+        out = family_row("correlation", channels)
         assert out[0] == pytest.approx(-1.0)
 
     def test_zero_variance_channel_yields_zero(self):
         rng = np.random.default_rng(6)
         channels = rng.standard_normal((6, 40))
         channels[3] = 7.0
-        out = pairwise_correlation(make_window(channels))
+        out = family_row("correlation", channels)
         schema_pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         for k, (i, j) in enumerate(schema_pairs):
             if i == 3 or j == 3:
@@ -181,19 +170,18 @@ class TestCorrelation:
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
-            w = random_window(rng, n=int(rng.integers(8, 120)))
-            ours = pairwise_correlation(w)
+            w = random_channels(rng, n=int(rng.integers(8, 120)))
+            ours = family_row("correlation", w)
             k = 0
             for i in range(6):
                 for j in range(i + 1, 6):
-                    expected = corr_oracle(list(w.channels[i]), list(w.channels[j]))
+                    expected = corr_oracle(list(w[i]), list(w[j]))
                     assert ours[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
                     k += 1
 
     def test_reconstructed_matrix_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(51)
-        w = random_window(rng)
-        vals = pairwise_correlation(w)
+        vals = family_row("correlation", random_channels(rng))
         mat = np.eye(6)
         k = 0
         for i in range(6):
@@ -210,8 +198,13 @@ class TestExtract:
         cfg = FeatureConfig()
         assert cfg.dimension() == 633
         rng = np.random.default_rng(61)
-        vec = extract(random_window(rng), None, cfg)
-        assert vec.values.shape == (633,)
+        block = extract_sequence(window_batch(random_channels(rng)), cfg)
+        assert block.values.shape == (1, 633)
+
+    def test_empty_batch_gives_empty_block(self):
+        empty = WindowBatch("d", "train", np.empty(0), np.empty(0), np.empty((0, 6, 8)))
+        block = extract_sequence(empty, FeatureConfig())
+        assert block.values.shape == (0, 633)
 
     def test_histogram_only_is_600(self):
         cfg = feature_config_from_families(["histogram"])
@@ -233,11 +226,10 @@ class TestExtract:
 
     def test_shift_invariance_of_variance_correlation_histogram(self):
         rng = np.random.default_rng(71)
-        w = random_window(rng)
-        shifted = make_window(w.channels + 55.0)
+        w = random_channels(rng)
         cfg = feature_config_from_families(["histogram", "variance", "correlation"])
-        a = extract(w, None, cfg)
-        b = extract(shifted, None, cfg)
+        a = extract_sequence(window_batch(w), cfg)
+        b = extract_sequence(window_batch(w + 55.0), cfg)
         assert np.allclose(a.values, b.values, atol=1e-9)
 
     def test_at_least_one_family_required(self):
@@ -252,31 +244,25 @@ class TestExtract:
         cfg = FeatureConfig()
         assert len(schema_labels(feature_schema(cfg))) == 633
 
-
-class TestExportFeatures:
-    def test_csv_and_schema_sidecar(self, tmp_path):
-        from driverid.features import export_features
-
-        rng = np.random.default_rng(91)
-        cfg = feature_config_from_families(["mean", "correlation"])
-        vectors = extract_sequence([random_window(rng, 30) for _ in range(4)], cfg)
-        csv_path = tmp_path / "features.csv"
-        schema_path = tmp_path / "features.schema.json"
-        export_features(vectors, csv_path, schema_path)
-
-        lines = csv_path.read_text().splitlines()
-        header = lines[0].split(",")
-        assert len(lines) == 5
-        assert header[:21] == list(schema_labels(vectors[0].schema))
-        assert header[-2:] == ["driver_id", "partition"]
-        # values round-trip exactly through the repr formatting
-        first = [float(v) for v in lines[1].split(",")[:21]]
-        assert np.array_equal(np.array(first), vectors[0].values)
-
-        import json
-
-        schema_doc = json.loads(schema_path.read_text())
-        assert len(schema_doc["schema"]) == 21
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        w=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        constant=st.sets(st.integers(0, 5)),
+        use_sum=st.booleans(),
+    )
+    def test_batch_rows_equal_windows_featurized_alone(self, n, w, seed, constant, use_sum):
+        rng = np.random.default_rng(seed)
+        channels = rng.standard_normal((n, 6, w)) * rng.uniform(0.01, 20.0, size=(1, 6, 1))
+        channels[:, sorted(constant)] = 3.0
+        cfg = FeatureConfig(difference_uses_sum=use_sum)
+        rows = extract_sequence(window_batch(*channels), cfg).values
+        columns = [i for i, entry in enumerate(feature_schema(cfg)) if entry[0] != "difference"]
+        for i in range(n):
+            alone = extract_sequence(window_batch(channels[i].copy()), cfg).values[0]
+            # bit for bit; a 2-sample window has an empty trimmed range (NaN histogram)
+            assert np.array_equal(rows[i, columns], alone[columns], equal_nan=True)
 
 
 class TestStandardizer:
@@ -316,9 +302,9 @@ class TestStandardizer:
     def test_refuses_test_partition_vectors(self):
         rng = np.random.default_rng(85)
         cfg = feature_config_from_families(["mean"])
-        train = extract(random_window(rng), None, cfg)
-        test = extract(
-            make_window(rng.standard_normal((6, 30)), partition="test"), None, cfg
+        train = extract_sequence(window_batch(random_channels(rng)), cfg)
+        test = extract_sequence(
+            window_batch(rng.standard_normal((6, 30)), partition="test"), cfg
         )
         with pytest.raises(ValueError, match="train vectors only"):
             fit_standardizer([train, test])

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driverid as d
 from driverid.preprocess import CleanTrip
 from driverid.segment import SegmentationConfig, Span, cut_windows, segment_trip, split_train_test
+from oracles import window_starts_oracle
 
 
 def make_clean_trip(n=2000, rate=2.0, breaks=(), driver="t"):
@@ -70,15 +73,15 @@ class TestCutWindows:
         cfg = SegmentationConfig(window_minutes=10, overlap_fraction=0.0)
         windows = cut_windows(make_span(trip), cfg, 2.0)
         assert len(windows) == 1
-        assert len(windows[0]) == 1200
+        assert windows.channels.shape[2] == 1200
 
     def test_half_overlap_offsets(self):
         trip = make_clean_trip(1800)
         cfg = SegmentationConfig(window_minutes=10, overlap_fraction=0.5)
         windows = cut_windows(make_span(trip), cfg, 2.0)
         assert len(windows) == 2
-        assert windows[0].start_t == 0.0
-        assert windows[1].start_t == pytest.approx(300.0)
+        assert windows.start_t[0] == 0.0
+        assert windows.start_t[1] == pytest.approx(300.0)
 
     def test_stride_arithmetic_75_percent(self):
         cfg = SegmentationConfig(window_minutes=10, overlap_fraction=0.75)
@@ -88,15 +91,15 @@ class TestCutWindows:
     def test_short_span_yields_empty_list(self):
         trip = make_clean_trip(100)
         cfg = SegmentationConfig(window_minutes=10, overlap_fraction=0.0)
-        assert cut_windows(make_span(trip), cfg, 2.0) == []
+        assert len(cut_windows(make_span(trip), cfg, 2.0)) == 0
 
     def test_windows_never_cross_breaks(self):
         trip = make_clean_trip(3000, breaks=(1500,))
         cfg = SegmentationConfig(window_minutes=10, overlap_fraction=0.75)
         windows = cut_windows(make_span(trip), cfg, 2.0)
-        assert windows, "expected some windows"
-        for w in windows:
-            inside = (w.start_t <= trip.t[1500]) and (trip.t[1501] < w.end_t)
+        assert len(windows), "expected some windows"
+        for start_t, end_t in zip(windows.start_t, windows.end_t):
+            inside = (start_t <= trip.t[1500]) and (trip.t[1501] < end_t)
             assert not inside
 
     def test_window_count_formula_against_enumeration(self):
@@ -122,12 +125,36 @@ class TestCutWindows:
             expected = max(0, (n - cfg.window_samples(2.0)) // s + 1)
             assert len(windows) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        w=st.integers(2, 80),
+        overlap=st.floats(0.0, 0.99),
+        breaks=st.sets(st.integers(0, 298), max_size=8),
+    )
+    def test_starts_match_enumeration_oracle(self, n, w, overlap, breaks):
+        rate = 2.0
+        flags = np.zeros(max(n - 1, 0), dtype=bool)
+        flags[[b for b in breaks if b < n - 1]] = True
+        data = np.random.default_rng(n).standard_normal((n, 6))
+        span = Span("t", np.arange(n) / rate, data, flags, rate, "train")
+        cfg = SegmentationConfig(window_minutes=w / (60.0 * rate), overlap_fraction=overlap)
+        assert cfg.window_samples(rate) == w
+        windows = cut_windows(span, cfg, rate)
+        expected = window_starts_oracle(span.t, flags, w, cfg.stride_samples(rate))
+        assert windows.start_t.tolist() == expected
+        assert windows.channels.shape == (len(expected), 6, w)
+        for channels, start_t in zip(windows.channels, expected):
+            off = int(round(start_t * rate))
+            assert np.array_equal(channels, data[off : off + w].T)
+
     def test_each_window_has_expected_duration(self):
         trip = make_clean_trip(4000)
         cfg = SegmentationConfig(window_minutes=5, overlap_fraction=0.25)
-        for w in cut_windows(make_span(trip), cfg, 2.0):
-            assert w.end_t - w.start_t == pytest.approx(300.0, abs=0.5)
-            assert len(w) == cfg.window_samples(2.0)
+        windows = cut_windows(make_span(trip), cfg, 2.0)
+        for start_t, end_t in zip(windows.start_t, windows.end_t):
+            assert end_t - start_t == pytest.approx(300.0, abs=0.5)
+        assert windows.channels.shape[2] == cfg.window_samples(2.0)
 
 
 class TestPartitionPurity:
@@ -146,18 +173,18 @@ class TestPartitionPurity:
                 continue
             train_windows = cut_windows(train_span, cfg, 2.0)
             test_windows = cut_windows(test_span, cfg, 2.0)
-            for a in train_windows:
-                for b in test_windows:
-                    assert a.end_t <= b.start_t or b.end_t <= a.start_t
+            for a_start, a_end in zip(train_windows.start_t, train_windows.end_t):
+                for b_start, b_end in zip(test_windows.start_t, test_windows.end_t):
+                    assert a_end <= b_start or b_end <= a_start
 
     def test_partition_tags_assigned(self):
         trip = make_clean_trip(4000)
         train_windows, test_windows = segment_trip(
             trip, SegmentationConfig(window_minutes=5, overlap_fraction=0.5)
         )
-        assert all(w.partition == "train" for w in train_windows)
-        assert all(w.partition == "test" for w in test_windows)
-        assert train_windows and test_windows
+        assert train_windows.partition == "train"
+        assert test_windows.partition == "test"
+        assert len(train_windows) and len(test_windows)
 
 
 class TestSegmentationConfig:
