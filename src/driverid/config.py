@@ -4,17 +4,19 @@ The manifest is CSV with header ``path,driver_id,rate_hz``; relative paths
 resolve against the manifest's directory. The run config is INI-style
 (key = value under [section] headers, keys lowercase) with a strict
 schema: any unknown section or key is rejected, because a silently ignored
-typo is the main way a run stops being reproducible.
+typo is the main way a run stops being reproducible. Each section sets the
+fields of one dataclass, each value is parsed after the type of its
+field's default, and a key the file leaves out keeps that default.
 """
 from __future__ import annotations
 
 import configparser
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .evaluation import DEFAULT_FEATURE_SUBSETS, GridSpec
-from .features import FAMILIES, FeatureConfig, feature_config_from_families
+from .evaluation import GridSpec
+from .features import FeatureConfig, subset_families
 from .models.registry import MODEL_KINDS, REGISTRY
 from .preprocess import CleaningConfig
 from .segment import SegmentationConfig
@@ -76,6 +78,38 @@ def write_manifest(entries, path) -> None:
             writer.writerow([str(log_path), driver_id, repr(float(rate))])
 
 
+def _same_names(cls) -> dict[str, str]:
+    return {f.name: f.name for f in fields(cls)}
+
+
+# INI section -> {INI key: dataclass field}. [run] sets RunConfig's own
+# fields; every other section sets the dataclass held in the RunConfig field
+# of its name. The key schema, the value parsing, the defaults and the
+# snapshot all derive from this table and the dataclasses' fields.
+_SECTIONS = {
+    "run": {"seed": "master_seed", "model": "model_kind"},
+    "cleaning": _same_names(CleaningConfig),
+    "segmentation": {
+        "window_minutes": "window_minutes",
+        "overlap": "overlap_fraction",
+        "train_fraction": "train_fraction",
+    },
+    "features": _same_names(FeatureConfig),
+    "grid": {
+        "window_minutes": "window_minutes_list",
+        "overlaps": "overlap_list",
+        "features": "feature_subset_list",
+        "models": "model_list",
+        "repetitions": "repetitions",
+    },
+}
+_PIPELINE_SECTIONS = ("cleaning", "segmentation", "features")
+_SCHEMA = {
+    **{section: set(keys) for section, keys in _SECTIONS.items()},
+    **{f"model.{kind}": set(entry.defaults) for kind, entry in REGISTRY.items()},
+}
+
+
 @dataclass
 class RunConfig:
     cleaning: CleaningConfig = field(default_factory=CleaningConfig)
@@ -87,55 +121,28 @@ class RunConfig:
     master_seed: int = 0
 
     def pipeline_record(self) -> dict:
-        """The snapshot sections that decide how feature rows are made."""
-        snapshot = self.snapshot()
-        return {section: snapshot[section] for section in ("cleaning", "segmentation", "features")}
+        """The snapshot sections that decide how feature rows are made, keyed by field."""
+        return {section: self._record(section, by_key=False) for section in _PIPELINE_SECTIONS}
 
     def snapshot(self) -> dict:
         """Full config as a plain dict, embedded in every report."""
         return {
             "seed": self.master_seed,
-            "cleaning": {
-                "denoise_window": self.cleaning.denoise_window,
-                "stop_threshold": self.cleaning.stop_threshold,
-                "min_stop_seconds": self.cleaning.min_stop_seconds,
-                "max_gap_fill": self.cleaning.max_gap_fill,
-                "reorient": self.cleaning.reorient,
-                "stop_aggregate": self.cleaning.stop_aggregate,
-            },
-            "segmentation": {
-                "window_minutes": self.segmentation.window_minutes,
-                "overlap_fraction": self.segmentation.overlap_fraction,
-                "train_fraction": self.segmentation.train_fraction,
-            },
-            "features": {
-                "families": "+".join(self.features.families),
-                "histogram_bins": self.features.histogram_bins,
-                "trim_keep_fraction": self.features.trim_keep_fraction,
-                "difference_uses_sum": self.features.difference_uses_sum,
-            },
+            **self.pipeline_record(),
             "model": {"kind": self.model_kind, "params": dict(self.model_params)},
-            "grid": {
-                "window_minutes": list(self.grid.window_minutes_list),
-                "overlaps": list(self.grid.overlap_list),
-                "features": list(self.grid.feature_subset_list),
-                "models": list(self.grid.model_list),
-                "repetitions": self.grid.repetitions,
-            },
+            "grid": self._record("grid", by_key=True),
         }
 
-
-_SCHEMA = {
-    "run": {"seed", "model"},
-    "cleaning": {
-        "denoise_window", "stop_threshold", "min_stop_seconds",
-        "max_gap_fill", "reorient", "stop_aggregate",
-    },
-    "segmentation": {"window_minutes", "overlap", "train_fraction"},
-    "features": {"families", "histogram_bins", "trim_keep_fraction", "difference_uses_sum"},
-    **{f"model.{kind}": set(entry.defaults) for kind, entry in REGISTRY.items()},
-    "grid": {"window_minutes", "overlaps", "features", "models", "repetitions"},
-}
+    def _record(self, section: str, by_key: bool) -> dict:
+        """A section's values, keyed by INI key or by field: tuples as lists, families joined by +."""
+        values = getattr(self, section)
+        record = {}
+        for key, name in _SECTIONS[section].items():
+            value = getattr(values, name)
+            if name == "families":
+                value = "+".join(value)
+            record[key if by_key else name] = list(value) if isinstance(value, tuple) else value
+        return record
 
 
 def read_run_config(path) -> RunConfig:
@@ -161,109 +168,38 @@ def read_run_config(path) -> RunConfig:
 
 
 def _build_config(parser: configparser.ConfigParser) -> RunConfig:
+    """The run config with the fields the file sets; the others keep their dataclass defaults."""
     cfg = RunConfig()
-    get = _SectionReader(parser)
-
-    cleaning = CleaningConfig(
-        denoise_window=get.int("cleaning", "denoise_window", cfg.cleaning.denoise_window),
-        stop_threshold=get.float("cleaning", "stop_threshold", cfg.cleaning.stop_threshold),
-        min_stop_seconds=get.float("cleaning", "min_stop_seconds", cfg.cleaning.min_stop_seconds),
-        max_gap_fill=get.float("cleaning", "max_gap_fill", cfg.cleaning.max_gap_fill),
-        reorient=get.bool("cleaning", "reorient", cfg.cleaning.reorient),
-        stop_aggregate=get.str("cleaning", "stop_aggregate", cfg.cleaning.stop_aggregate),
-    )
-    segmentation = SegmentationConfig(
-        window_minutes=get.float("segmentation", "window_minutes", cfg.segmentation.window_minutes),
-        overlap_fraction=get.float("segmentation", "overlap", cfg.segmentation.overlap_fraction),
-        train_fraction=get.float("segmentation", "train_fraction", cfg.segmentation.train_fraction),
-    )
-    families = get.str("features", "families", "all")
-    features = feature_config_from_families(
-        list(FAMILIES) if families == "all" else families.split("+"),
-        FeatureConfig(
-            histogram_bins=get.int("features", "histogram_bins", 100),
-            trim_keep_fraction=get.float("features", "trim_keep_fraction", 0.95),
-            difference_uses_sum=get.bool("features", "difference_uses_sum", False),
-        ),
-    )
-    model_kind = get.str("run", "model", "mlp")
-    if model_kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {model_kind!r}")
-    model_params = _model_params(parser, model_kind)
-    grid = GridSpec(
-        window_minutes_list=get.floats("grid", "window_minutes", (5.0, 10.0, 15.0, 30.0)),
-        overlap_list=get.floats("grid", "overlaps", (0.0, 0.25, 0.5, 0.75)),
-        feature_subset_list=get.strs("grid", "features", DEFAULT_FEATURE_SUBSETS),
-        model_list=get.strs("grid", "models", MODEL_KINDS),
-        repetitions=get.int("grid", "repetitions", 5),
-    )
-    return RunConfig(
-        cleaning=cleaning,
-        segmentation=segmentation,
-        features=features,
-        model_kind=model_kind,
-        model_params=model_params,
-        grid=grid,
-        master_seed=get.int("run", "seed", 0),
-    )
+    for section, keys in _SECTIONS.items():
+        if not parser.has_section(section):
+            continue
+        values = parser[section]
+        owner = cfg if section == "run" else getattr(cfg, section)
+        changes = {keys[key]: _parse(values, key, getattr(owner, keys[key])) for key in values}
+        if section == "run":
+            cfg = replace(cfg, **changes)
+        else:
+            setattr(cfg, section, replace(owner, **changes))
+    if cfg.model_kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {cfg.model_kind!r}")
+    section = f"model.{cfg.model_kind}"
+    if parser.has_section(section):
+        defaults = REGISTRY[cfg.model_kind].defaults
+        cfg.model_params = {key: _parse(parser[section], key, defaults[key]) for key in parser[section]}
+    return cfg
 
 
-def _model_params(parser, kind: str) -> dict:
-    """Values of [model.<kind>], parsed after the type of each key's default."""
-    if not parser.has_section(f"model.{kind}"):
-        return {}
-    defaults = REGISTRY[kind].defaults
-    return {key: _parse_param(raw, defaults[key]) for key, raw in parser[f"model.{kind}"].items()}
-
-
-def _parse_param(raw: str, default):
-    if isinstance(default, tuple):
-        return tuple(int(v) for v in raw.split(","))
-    if default is None:  # an optional count
-        return None if raw.strip().lower() == "none" else int(raw)
-    return type(default)(raw)
-
-
-class _SectionReader:
-    def __init__(self, parser):
-        self.parser = parser
-
-    def _raw(self, section, key):
-        if self.parser.has_section(section) and key in self.parser[section]:
-            return self.parser[section][key]
-        return None
-
-    def str(self, section, key, default):
-        raw = self._raw(section, key)
-        return default if raw is None else raw.strip()
-
-    def int(self, section, key, default):
-        raw = self._raw(section, key)
-        return default if raw is None else int(raw)
-
-    def float(self, section, key, default):
-        raw = self._raw(section, key)
-        return default if raw is None else float(raw)
-
-    def bool(self, section, key, default):
-        raw = self._raw(section, key)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ValueError(f"bad boolean {raw!r} for {section}.{key}")
-
-    def floats(self, section, key, default):
-        raw = self._raw(section, key)
-        if raw is None:
-            return tuple(default)
-        return tuple(float(v) for v in raw.split(","))
-
-    def strs(self, section, key, default):
-        raw = self._raw(section, key)
-        if raw is None:
-            return tuple(default)
-        return tuple(v.strip() for v in raw.split(","))
+def _parse(values: configparser.SectionProxy, key: str, default):
+    """One INI value, parsed after the type of its field's default."""
+    try:
+        if key == "families":  # [features] families is a subset string such as mean+variance
+            return subset_families(values[key])
+        if isinstance(default, bool):
+            return values.getboolean(key)
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(v.strip()) for v in values[key].split(","))
+        if default is None:  # an optional count
+            return None if values[key].lower() == "none" else int(values[key])
+        return type(default)(values[key])
+    except ValueError as err:
+        raise ValueError(f"[{values.name}] {key}: {err}") from None

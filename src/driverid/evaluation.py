@@ -4,9 +4,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -14,9 +14,9 @@ from .features import (
     FAMILIES,
     FeatureConfig,
     apply_standardizer,
-    feature_config_from_families,
     feature_schema,
     fit_standardizer,
+    subset_families,
 )
 from .models import MODEL_KINDS, LabeledDataset, TrainedModel, predict
 from .pipeline import build_datasets, train_model
@@ -126,7 +126,7 @@ class GridSpec:
         if unknown:
             raise ValueError(f"unknown model kinds {unknown}; known: {list(MODEL_KINDS)}")
         for subset in self.feature_subset_list:
-            feature_config_from_families(subset.split("+"))  # rejects unknown families
+            subset_families(subset)  # rejects unknown families
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
@@ -174,7 +174,7 @@ def iter_grid(
     if len({t.driver_id for t in trips}) < 2:
         raise ValueError("grid needs trips from at least 2 drivers")
     feature_base = feature_base or FeatureConfig()
-    full_cfg = feature_config_from_families(list(FAMILIES), feature_base)
+    full_cfg = replace(feature_base, families=FAMILIES)
     model_params = model_params or {}
 
     for wm in grid.window_minutes_list:
@@ -207,15 +207,10 @@ def run_grid(
     feature_base: FeatureConfig | None = None,
     model_params: dict | None = None,
     master_seed: int = 0,
-    on_row: Callable[[GridRow], None] | None = None,
 ) -> list[GridRow]:
     """Run the full grid and return rows sorted by mean accuracy, best first."""
-    rows = []
-    for row in iter_grid(trips, grid, train_fraction, feature_base, model_params, master_seed):
-        rows.append(row)
-        if on_row is not None:
-            on_row(row)
-    return sort_rows(rows)
+    rows = iter_grid(trips, grid, train_fraction, feature_base, model_params, master_seed)
+    return sort_rows(list(rows))
 
 
 def sort_rows(rows: Sequence[GridRow]) -> list[GridRow]:
@@ -257,7 +252,7 @@ def _run_cell(bundle, full_cfg, wm, ov, subset, kind, repetitions, params, maste
 
 
 def _subset_columns(full_cfg: FeatureConfig, subset: str) -> np.ndarray:
-    families = feature_config_from_families(subset.split("+")).families
+    families = subset_families(subset)
     return np.nonzero([entry[0] in families for entry in feature_schema(full_cfg)])[0]
 
 

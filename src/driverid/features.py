@@ -3,7 +3,9 @@
 Feature families, in fixed schema order: trimmed histogram (per channel),
 mean, variance, mean difference to the previous window, and pairwise
 Pearson correlation. With all families on and 100 bins a window yields
-6*100 + 6 + 6 + 6 + 15 = 633 values. `extract_sequence` featurizes a whole
+6*100 + 6 + 6 + 6 + 15 = 633 values. `FeatureConfig.families` holds the
+enabled families; `subset_families` reads a subset string such as
+"mean+variance" or "all". `extract_sequence` featurizes a whole
 `WindowBatch` at once into one `FeatureBlock` of rows; every family except
 the histogram is a reduction over the batch's sample axis.
 """
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 import numpy as np
 
@@ -26,62 +27,33 @@ STD_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    use_histogram: bool = True
-    use_mean: bool = True
-    use_variance: bool = True
-    use_difference: bool = True
-    use_correlation: bool = True
+    families: tuple[str, ...] = FAMILIES  # enabled families, kept in schema order
     histogram_bins: int = 100
     trim_keep_fraction: float = 0.95
     difference_uses_sum: bool = False  # literal sum-minus-mean reading
 
     def __post_init__(self):
-        if not any(
-            (self.use_histogram, self.use_mean, self.use_variance,
-             self.use_difference, self.use_correlation)
-        ):
+        unknown = set(self.families) - set(FAMILIES)
+        if unknown:
+            raise ValueError(f"unknown feature families: {sorted(unknown)}")
+        if not self.families:
             raise ValueError("at least one feature family must be enabled")
+        object.__setattr__(self, "families", tuple(f for f in FAMILIES if f in self.families))
         if self.histogram_bins < 1:
             raise ValueError("histogram_bins must be >= 1")
         if not 0.0 < self.trim_keep_fraction <= 1.0:
             raise ValueError("trim_keep_fraction must be in (0, 1]")
 
-    @property
-    def families(self) -> tuple[str, ...]:
-        on = {
-            "histogram": self.use_histogram,
-            "mean": self.use_mean,
-            "variance": self.use_variance,
-            "difference": self.use_difference,
-            "correlation": self.use_correlation,
-        }
-        return tuple(f for f in FAMILIES if on[f])
-
     def dimension(self) -> int:
         return len(feature_schema(self))
 
 
-def feature_config_from_families(
-    families: Iterable[str], base: FeatureConfig | None = None
-) -> FeatureConfig:
-    """Build a config enabling exactly the named families ('all' enables every one)."""
-    base = base or FeatureConfig()
-    names = list(families)
-    if names == ["all"]:
-        names = list(FAMILIES)
-    unknown = set(names) - set(FAMILIES)
-    if unknown:
-        raise ValueError(f"unknown feature families: {sorted(unknown)}")
-    return FeatureConfig(
-        use_histogram="histogram" in names,
-        use_mean="mean" in names,
-        use_variance="variance" in names,
-        use_difference="difference" in names,
-        use_correlation="correlation" in names,
-        histogram_bins=base.histogram_bins,
-        trim_keep_fraction=base.trim_keep_fraction,
-        difference_uses_sum=base.difference_uses_sum,
-    )
+def subset_families(subset: str) -> tuple[str, ...]:
+    """The families a subset string names ("mean+variance", or "all"), in schema order.
+
+    Rejects an unknown family or an empty subset with `ValueError`.
+    """
+    return FeatureConfig(families=FAMILIES if subset == "all" else tuple(subset.split("+"))).families
 
 
 def feature_schema(cfg: FeatureConfig) -> tuple[tuple[str, str, int], ...]:
@@ -125,7 +97,8 @@ def trimmed_histogram(signal, bins: int, keep: float) -> np.ndarray:
     empirical quantiles (linear interpolation). In-range samples are counted
     into `bins` equal-width bins over that range (last bin right-closed) and
     counts are normalized to sum to one. A constant signal puts all mass in
-    bin 0.
+    bin 0. A signal with no sample inside the range (too few samples for
+    `keep`) raises `ValueError`.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
@@ -137,7 +110,13 @@ def trimmed_histogram(signal, bins: int, keep: float) -> np.ndarray:
         out[0] = 1.0
         return out
     counts, _ = np.histogram(x[(x >= q_lo) & (x <= q_hi)], bins=bins, range=(q_lo, q_hi))
-    return counts / counts.sum()
+    total = counts.sum()
+    if total == 0:
+        raise ValueError(
+            f"no sample of a {x.size}-sample signal lies inside its trimmed range "
+            f"at trim_keep_fraction {keep}"
+        )
+    return counts / total
 
 
 def extract_sequence(batch: WindowBatch, cfg: FeatureConfig) -> FeatureBlock:

@@ -33,11 +33,12 @@ def save_model(model: TrainedModel, sink) -> None:
         ),
         "params": lookup(model.kind).to_doc(model.params),
     }
-    text = json.dumps(doc, indent=1)
+    # streamed, not built as one string: a knn document holds every training row
     if hasattr(sink, "write"):
-        sink.write(text)
+        json.dump(doc, sink, indent=1)
     else:
-        Path(sink).write_text(text, encoding="utf-8")
+        with open(sink, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
 
 
 def load_model(source) -> TrainedModel:

@@ -25,7 +25,6 @@ from driverid.evaluation import _restandardize, _slice_dataset, _subset_columns
 from driverid.features import (
     FeatureConfig,
     extract_sequence,
-    feature_config_from_families,
     fit_standardizer,
     trimmed_histogram,
 )
@@ -73,7 +72,7 @@ class TestOracleEquivalence:
         report("oracle-equivalence/trimmed-histogram", "100 instances, exact")
 
     def test_mean_variance_match_two_pass_oracle(self):
-        cfg = feature_config_from_families(["mean", "variance"])
+        cfg = FeatureConfig(families=("mean", "variance"))
         rng = np.random.default_rng(101)
         for _ in range(100):
             n = int(rng.integers(4, 300))
@@ -87,7 +86,7 @@ class TestOracleEquivalence:
         report("oracle-equivalence/mean-variance", "100 windows, <=1e-12 relative")
 
     def test_correlation_matches_direct_oracle(self):
-        cfg = feature_config_from_families(["correlation"])
+        cfg = FeatureConfig(families=("correlation",))
         rng = np.random.default_rng(102)
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         for _ in range(100):

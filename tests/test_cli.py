@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from driverid import config
 from driverid.cli import main
-from driverid.config import ConfigError, read_manifest, read_run_config, write_manifest
-from driverid.models import load_model, save_model
+from driverid.config import ConfigError, RunConfig, read_manifest, read_run_config, write_manifest
+from driverid.models import MODEL_KINDS, load_model, save_model
+from driverid.models.registry import REGISTRY
 
 RUN_CONFIG = """
 [run]
@@ -267,6 +269,96 @@ class TestNoTestDataInTraining:
         assert seen_partitions and set(seen_partitions) == {"train"}
         # the trained dataset is exactly the standardizer's training rows
         assert trained_row_counts == [len(seen_partitions)]
+
+
+# Every INI key set to a value other than its default:
+# (section, key, INI text, parsed attribute, parsed value, snapshot path, snapshot value).
+# [run] model is set per model kind, since only that kind's [model.<kind>] is read.
+NON_DEFAULT_SETTINGS = [
+    ("run", "seed", "9", "master_seed", 9, "seed", 9),
+    ("cleaning", "denoise_window", "7", "cleaning.denoise_window", 7, "cleaning.denoise_window", 7),
+    ("cleaning", "stop_threshold", "0.25", "cleaning.stop_threshold", 0.25, "cleaning.stop_threshold", 0.25),
+    ("cleaning", "min_stop_seconds", "4", "cleaning.min_stop_seconds", 4.0, "cleaning.min_stop_seconds", 4.0),
+    ("cleaning", "max_gap_fill", "3.5", "cleaning.max_gap_fill", 3.5, "cleaning.max_gap_fill", 3.5),
+    ("cleaning", "reorient", "off", "cleaning.reorient", False, "cleaning.reorient", False),
+    ("cleaning", "stop_aggregate", "sum", "cleaning.stop_aggregate", "sum", "cleaning.stop_aggregate", "sum"),
+    ("segmentation", "window_minutes", "7.5", "segmentation.window_minutes", 7.5,
+     "segmentation.window_minutes", 7.5),
+    ("segmentation", "overlap", "0.5", "segmentation.overlap_fraction", 0.5, "segmentation.overlap_fraction", 0.5),
+    ("segmentation", "train_fraction", "0.6", "segmentation.train_fraction", 0.6,
+     "segmentation.train_fraction", 0.6),
+    ("features", "families", "correlation+mean", "features.families", ("mean", "correlation"),
+     "features.families", "mean+correlation"),
+    ("features", "histogram_bins", "20", "features.histogram_bins", 20, "features.histogram_bins", 20),
+    ("features", "trim_keep_fraction", "0.9", "features.trim_keep_fraction", 0.9,
+     "features.trim_keep_fraction", 0.9),
+    ("features", "difference_uses_sum", "yes", "features.difference_uses_sum", True,
+     "features.difference_uses_sum", True),
+    ("grid", "window_minutes", "5, 10", "grid.window_minutes_list", (5.0, 10.0), "grid.window_minutes", [5.0, 10.0]),
+    ("grid", "overlaps", "0.5", "grid.overlap_list", (0.5,), "grid.overlaps", [0.5]),
+    ("grid", "features", "mean+variance, all", "grid.feature_subset_list", ("mean+variance", "all"),
+     "grid.features", ["mean+variance", "all"]),
+    ("grid", "models", "knn,mlp", "grid.model_list", ("knn", "mlp"), "grid.models", ["knn", "mlp"]),
+    ("grid", "repetitions", "2", "grid.repetitions", 2, "grid.repetitions", 2),
+]
+NON_DEFAULT_MODEL_PARAMS = {
+    "knn": [("k", "3", 3, 3)],
+    "dtree": [("max_depth", "4", 4, 4), ("min_leaf", "2", 2, 2)],
+    "rforest": [("n_trees", "7", 7, 7), ("max_depth", "5", 5, 5), ("features_per_split", "3", 3, 3)],
+    "mlp": [
+        ("hidden_layers", "16, 8", (16, 8), [16, 8]),
+        ("activation", "tanh", "tanh", "tanh"),
+        ("learning_rate", "0.01", 0.01, 0.01),
+        ("batch_size", "16", 16, 16),
+        ("max_epochs", "50", 50, 50),
+        ("early_stop_patience", "5", 5, 5),
+        ("validation_fraction", "0.2", 0.2, 0.2),
+    ],
+}
+
+
+def _dotted(root, path, get=getattr):
+    for part in path.split("."):
+        root = get(root, part)
+    return root
+
+
+class TestConfigRoundTrip:
+    def test_settings_cover_every_key(self):
+        covered = {(section, key) for section, key, *_ in NON_DEFAULT_SETTINGS}
+        covered |= {("run", "model")}
+        for kind, params in NON_DEFAULT_MODEL_PARAMS.items():
+            covered |= {(f"model.{kind}", key) for key, *_ in params}
+        assert covered == {(section, key) for section, keys in config._SCHEMA.items() for key in keys}
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_key_parsed_and_snapshotted(self, tmp_path, kind):
+        sections = {"run": [f"model = {kind}"]}
+        for section, key, text, *_ in NON_DEFAULT_SETTINGS:
+            sections.setdefault(section, []).append(f"{key} = {text}")
+        sections[f"model.{kind}"] = [f"{key} = {text}" for key, text, *_ in NON_DEFAULT_MODEL_PARAMS[kind]]
+        path = tmp_path / "all.ini"
+        path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items()))
+
+        cfg = read_run_config(path)
+        snapshot = json.loads(json.dumps(cfg.snapshot()))
+        default = RunConfig()
+        for _, _, _, attribute, value, entry, recorded in NON_DEFAULT_SETTINGS:
+            assert _dotted(cfg, attribute) == value != _dotted(default, attribute), attribute
+            assert _dotted(snapshot, entry, dict.__getitem__) == recorded, entry
+        assert cfg.model_kind == snapshot["model"]["kind"] == kind
+        defaults = REGISTRY[kind].defaults
+        for key, _, value, recorded in NON_DEFAULT_MODEL_PARAMS[kind]:
+            assert cfg.model_params[key] == value != defaults[key], key
+            assert snapshot["model"]["params"][key] == recorded, key
+        assert cfg.pipeline_record() == {s: cfg.snapshot()[s] for s in ("cleaning", "segmentation", "features")}
+
+    def test_empty_file_snapshot_equals_defaults(self, tmp_path):
+        path = tmp_path / "empty.ini"
+        path.write_text("")
+        cfg = read_run_config(path)
+        assert json.dumps(cfg.snapshot(), indent=1) == json.dumps(RunConfig().snapshot(), indent=1)
+        assert cfg.pipeline_record() == RunConfig().pipeline_record()
 
 
 class TestConfigParsing:

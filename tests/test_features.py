@@ -8,7 +8,6 @@ from driverid.features import (
     Standardizer,
     apply_standardizer,
     extract_sequence,
-    feature_config_from_families,
     feature_schema,
     fit_standardizer,
     schema_labels,
@@ -26,7 +25,7 @@ def random_channels(rng, n=64):
 
 def family_rows(family, *channels, **cfg):
     """One feature family's rows for a batch of the given windows."""
-    config = feature_config_from_families([family], FeatureConfig(**cfg))
+    config = FeatureConfig(families=(family,), **cfg)
     return extract_sequence(window_batch(*channels), config).values
 
 
@@ -84,6 +83,14 @@ class TestTrimmedHistogram:
     def test_too_short_signal_rejected(self):
         with pytest.raises(ValueError):
             trimmed_histogram(np.array([1.0]), 10, 0.95)
+
+    @pytest.mark.parametrize(
+        "signal, keep", [([0.0, 1.0], 0.95), ([0.0, 1.0, 2.0, 3.0], 0.01)], ids=["2-at-0.95", "4-at-0.01"]
+    )
+    def test_empty_trimmed_range_rejected(self, signal, keep):
+        # no sample lies between the two quantiles, so there is nothing to normalize
+        with pytest.raises(ValueError, match=rf"{len(signal)}-sample .* trim_keep_fraction {keep}$"):
+            trimmed_histogram(np.array(signal), 10, keep)
 
 
 class TestMeanVariance:
@@ -207,11 +214,11 @@ class TestExtract:
         assert block.values.shape == (0, 633)
 
     def test_histogram_only_is_600(self):
-        cfg = feature_config_from_families(["histogram"])
+        cfg = FeatureConfig(families=("histogram",))
         assert cfg.dimension() == 600
 
     def test_mean_plus_correlation_is_21(self):
-        cfg = feature_config_from_families(["mean", "correlation"])
+        cfg = FeatureConfig(families=("mean", "correlation"))
         assert cfg.dimension() == 21
 
     def test_schema_deterministic(self):
@@ -227,18 +234,18 @@ class TestExtract:
     def test_shift_invariance_of_variance_correlation_histogram(self):
         rng = np.random.default_rng(71)
         w = random_channels(rng)
-        cfg = feature_config_from_families(["histogram", "variance", "correlation"])
+        cfg = FeatureConfig(families=("histogram", "variance", "correlation"))
         a = extract_sequence(window_batch(w), cfg)
         b = extract_sequence(window_batch(w + 55.0), cfg)
         assert np.allclose(a.values, b.values, atol=1e-9)
 
     def test_at_least_one_family_required(self):
         with pytest.raises(ValueError):
-            feature_config_from_families([])
+            FeatureConfig(families=())
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            feature_config_from_families(["histogram", "wavelet"])
+            FeatureConfig(families=("histogram", "wavelet"))
 
     def test_labels_match_schema_length(self):
         cfg = FeatureConfig()
@@ -257,12 +264,22 @@ class TestExtract:
         channels = rng.standard_normal((n, 6, w)) * rng.uniform(0.01, 20.0, size=(1, 6, 1))
         channels[:, sorted(constant)] = 3.0
         cfg = FeatureConfig(difference_uses_sum=use_sum)
-        rows = extract_sequence(window_batch(*channels), cfg).values
+
+        def featurize(*windows):
+            try:
+                return extract_sequence(window_batch(*windows), cfg).values, None
+            except ValueError as err:  # an empty trimmed range, e.g. at w = 2
+                return None, str(err)
+
+        rows, error = featurize(*channels)
+        alone = [featurize(channels[i].copy()) for i in range(n)]
+        if error is not None:  # the first window that fails alone fails the batch the same way
+            assert error == next(err for _, err in alone if err is not None)
+            return
         columns = [i for i, entry in enumerate(feature_schema(cfg)) if entry[0] != "difference"]
-        for i in range(n):
-            alone = extract_sequence(window_batch(channels[i].copy()), cfg).values[0]
-            # bit for bit; a 2-sample window has an empty trimmed range (NaN histogram)
-            assert np.array_equal(rows[i, columns], alone[columns], equal_nan=True)
+        for i, (values, err) in enumerate(alone):
+            assert err is None
+            assert np.array_equal(rows[i, columns], values[0, columns])  # bit for bit
 
 
 class TestStandardizer:
@@ -301,7 +318,7 @@ class TestStandardizer:
 
     def test_refuses_test_partition_vectors(self):
         rng = np.random.default_rng(85)
-        cfg = feature_config_from_families(["mean"])
+        cfg = FeatureConfig(families=("mean",))
         train = extract_sequence(window_batch(random_channels(rng)), cfg)
         test = extract_sequence(
             window_batch(rng.standard_normal((6, 30)), partition="test"), cfg

@@ -119,7 +119,7 @@ class TestGenerateTrip:
 
 class TestEndToEndSeparability:
     def test_small_corpus_beats_chance_widely(self):
-        from driverid.features import FeatureConfig, feature_config_from_families
+        from driverid.features import FeatureConfig
         from driverid.pipeline import build_datasets, train_model
         from driverid.evaluation import evaluate, separability_achieved
         from driverid.segment import SegmentationConfig
@@ -130,7 +130,7 @@ class TestEndToEndSeparability:
             trip, _ = generate_trip(p, 3000.0, 2.0, driver_id=f"drv{i}")
             trips.append(d.clean(trip))
         seg = SegmentationConfig(window_minutes=5, overlap_fraction=0.5, train_fraction=0.7)
-        cfg = feature_config_from_families(["mean", "variance", "correlation"])
+        cfg = FeatureConfig(families=("mean", "variance", "correlation"))
         bundle = build_datasets(trips, seg, cfg)
         model = train_model("rforest", bundle.train, seed=1)
         report = evaluate(model, bundle.test)
