@@ -6,10 +6,13 @@ Everything downstream of feature extraction: standardize on train
 statistics, fit kNN / decision tree / random forest / MLP, and count a
 confusion matrix on the test partition.
 """
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
-from driverid import FeatureConfig, MlpConfig, SegmentationConfig, clean, evaluate, generate_trip, make_profiles
-from driverid.models import mlp_train, save_model, load_model
+from driverid import FeatureConfig, SegmentationConfig, clean, evaluate, generate_trip, make_profiles
+from driverid.models import save_model, load_model
 from driverid.pipeline import build_datasets, train_model
 
 profiles = make_profiles(5, "easy", seed=11)
@@ -28,9 +31,8 @@ for kind in ("knn", "dtree", "rforest"):
     rep = evaluate(model, bundle.test)
     print(f"{kind:>8}: accuracy {rep.accuracy:.3f}")
 
-mlp = mlp_train(bundle.train, MlpConfig(hidden_layers=(32,), learning_rate=0.15,
-                                        max_epochs=600, early_stop_patience=80, seed=1))
-mlp.standardizer = bundle.standardizer
+mlp_params = dict(hidden_layers=(32,), learning_rate=0.15, max_epochs=600, early_stop_patience=80)
+mlp = train_model("mlp", bundle.train, mlp_params, seed=1, standardizer=bundle.standardizer)
 rep = evaluate(mlp, bundle.test)
 print(f"{'mlp':>8}: accuracy {rep.accuracy:.3f} (trained {mlp.params.epochs_run} epochs)")
 
@@ -42,7 +44,9 @@ recalls = ", ".join(
 print("per-class recall:", recalls)
 
 # models persist to a versioned JSON container and round-trip exactly
-save_model(mlp, "/tmp/demo_mlp.json")
-reloaded = load_model("/tmp/demo_mlp.json")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "mlp.json"
+    save_model(mlp, path)
+    reloaded = load_model(path)
 same = (evaluate(reloaded, bundle.test).accuracy == rep.accuracy)
 print("\nsave/load round trip preserves predictions:", same)

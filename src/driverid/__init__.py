@@ -18,24 +18,8 @@ from .features import (
     fit_standardizer,
     trimmed_histogram,
 )
-from .ingest import CHANNELS, SensorSample, Trip, ValidationReport, parse_log, serialize_log, validate_trip
-from .models import (
-    LabeledDataset,
-    MlpConfig,
-    TrainedModel,
-    dtree_predict,
-    dtree_train,
-    knn_predict,
-    knn_train,
-    load_model,
-    mlp_predict,
-    mlp_predict_proba,
-    mlp_train,
-    predict,
-    rf_predict,
-    rf_train,
-    save_model,
-)
+from .ingest import CHANNELS, Trip, ValidationReport, parse_log, serialize_log, validate_trip
+from .models import LabeledDataset, MlpConfig, TrainedModel, load_model, predict, save_model
 from .pipeline import build_datasets, build_test_dataset, train_model
 from .preprocess import (
     CleaningConfig,

@@ -166,7 +166,7 @@ def cmd_train(args) -> int:
     model = train_model(
         cfg.model_kind,
         bundle.train,
-        cfg.model_params,
+        cfg.model_params.get(cfg.model_kind),
         seed=sub_seed,
         standardizer=bundle.standardizer,
     )
@@ -245,7 +245,7 @@ def cmd_grid(args) -> int:
             cfg.grid,
             train_fraction=cfg.segmentation.train_fraction,
             feature_base=cfg.features,
-            model_params={cfg.model_kind: cfg.model_params},
+            model_params=cfg.model_params,
             master_seed=cfg.master_seed,
         ):
             rows.append(row)

@@ -6,7 +6,8 @@ resolve against the manifest's directory. The run config is INI-style
 schema: any unknown section or key is rejected, because a silently ignored
 typo is the main way a run stops being reproducible. Each section sets the
 fields of one dataclass, each value is parsed after the type of its
-field's default, and a key the file leaves out keeps that default.
+field's default, and a key the file leaves out keeps that default. Every
+``[model.<kind>]`` section present is parsed, into ``model_params[kind]``.
 """
 from __future__ import annotations
 
@@ -116,7 +117,7 @@ class RunConfig:
     segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     model_kind: str = "mlp"
-    model_params: dict = field(default_factory=dict)
+    model_params: dict = field(default_factory=dict)  # kind -> params, one per [model.<kind>]
     grid: GridSpec = field(default_factory=GridSpec)
     master_seed: int = 0
 
@@ -129,7 +130,7 @@ class RunConfig:
         return {
             "seed": self.master_seed,
             **self.pipeline_record(),
-            "model": {"kind": self.model_kind, "params": dict(self.model_params)},
+            "model": {"kind": self.model_kind, "params": dict(self.model_params.get(self.model_kind, {}))},
             "grid": self._record("grid", by_key=True),
         }
 
@@ -154,6 +155,8 @@ def read_run_config(path) -> RunConfig:
     except (configparser.Error, OSError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
 
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ConfigError(f"keys in [DEFAULT] are not allowed: {sorted(parser.defaults())}")
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
@@ -182,10 +185,10 @@ def _build_config(parser: configparser.ConfigParser) -> RunConfig:
             setattr(cfg, section, replace(owner, **changes))
     if cfg.model_kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {cfg.model_kind!r}")
-    section = f"model.{cfg.model_kind}"
-    if parser.has_section(section):
-        defaults = REGISTRY[cfg.model_kind].defaults
-        cfg.model_params = {key: _parse(parser[section], key, defaults[key]) for key in parser[section]}
+    for kind, entry in REGISTRY.items():
+        if parser.has_section(f"model.{kind}"):
+            values = parser[f"model.{kind}"]
+            cfg.model_params[kind] = {key: _parse(values, key, entry.defaults[key]) for key in values}
     return cfg
 
 

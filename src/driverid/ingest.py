@@ -21,22 +21,6 @@ GYRO_COLUMNS = slice(3, 6)
 LOG_HEADER = "t," + ",".join(CHANNELS)
 
 
-@dataclass(frozen=True)
-class SensorSample:
-    """One timestamped 6-channel IMU reading. NaN marks a missing channel."""
-
-    t: float
-    ax: float
-    ay: float
-    az: float
-    gx: float
-    gy: float
-    gz: float
-
-    def values(self) -> np.ndarray:
-        return np.array([self.ax, self.ay, self.az, self.gx, self.gy, self.gz])
-
-
 @dataclass(frozen=True, eq=False)
 class Trip:
     """An ordered, labeled 6-channel recording for one driver.
@@ -81,17 +65,6 @@ class Trip:
             and np.array_equal(self.t, other.t)
             and np.array_equal(self.data, other.data, equal_nan=True)
         )
-
-    @property
-    def samples(self) -> list[SensorSample]:
-        return [SensorSample(float(ti), *map(float, row)) for ti, row in zip(self.t, self.data)]
-
-    @classmethod
-    def from_samples(cls, driver_id: str, samples, nominal_rate_hz: float = 2.0) -> "Trip":
-        samples = list(samples)
-        t = np.array([s.t for s in samples], dtype=np.float64)
-        data = np.array([s.values() for s in samples], dtype=np.float64).reshape(len(samples), 6)
-        return cls(driver_id, t, data, nominal_rate_hz)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
-"""Classifiers behind a uniform train/predict contract.
+"""Classifiers behind one train/predict contract.
 
-All predictors accept a single feature vector or an (m, d) matrix of
-vectors in the standardized feature space and return driver-id labels.
+``pipeline.train_model(kind, data, params, seed)`` is the one trainer and
+``predict(model, x)`` below the one predictor, for every kind. Predictions
+take a single feature vector or an (m, d) matrix in the standardized
+feature space the model was trained in and return driver-id labels.
 
 Each model kind has one ``registry.REGISTRY`` entry: its parameter
 defaults plus ``fit``, ``predict``, ``to_doc`` and ``from_doc`` from the
@@ -10,18 +12,24 @@ kind's own module. ``pipeline.train_model``, ``predict`` below and
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .base import LabeledDataset, TrainedModel
-from .forest import rf_predict, rf_train
 from .io import load_model, save_model
-from .knn import knn_predict, knn_train
-from .mlp import MlpConfig, mlp_predict, mlp_predict_proba, mlp_train
+from .mlp import MlpConfig
 from .registry import MODEL_KINDS, lookup
-from .tree import dtree_predict, dtree_train
 
 
 def predict(model: TrainedModel, x):
-    """Dispatch to the model kind's predictor."""
-    return lookup(model.kind).predict(model, x)
+    """The label of one vector, or an object array of labels for an (m, d) matrix."""
+    arr = np.asarray(x, dtype=np.float64)
+    matrix = np.atleast_2d(arr)
+    if matrix.shape[1] != model.n_features:
+        raise ValueError(
+            f"dimension mismatch: query has {matrix.shape[1]} features, model expects {model.n_features}"
+        )
+    labels = np.array(model.class_list, dtype=object)[lookup(model.kind).predict(model, matrix)]
+    return labels[0] if arr.ndim == 1 else labels
 
 
 __all__ = [
@@ -30,15 +38,6 @@ __all__ = [
     "TrainedModel",
     "MlpConfig",
     "predict",
-    "knn_train",
-    "knn_predict",
-    "dtree_train",
-    "dtree_predict",
-    "rf_train",
-    "rf_predict",
-    "mlp_train",
-    "mlp_predict",
-    "mlp_predict_proba",
     "save_model",
     "load_model",
 ]

@@ -1,7 +1,7 @@
 """Shared dataset and trained-model containers for the classifiers.
 
-All four classifiers consume a LabeledDataset of standardized feature rows
-and produce a TrainedModel. Predictions always take vectors in the same
+``pipeline.train_model`` turns a LabeledDataset of standardized feature
+rows into a TrainedModel, whatever the kind. Predictions always take vectors in the same
 (standardized) space the model was trained in; the fitted Standardizer is
 carried on the model so persisted models can transform fresh raw features.
 """
@@ -74,14 +74,3 @@ def check_training_data(data: LabeledDataset) -> None:
     if len(data) < 2:
         raise InsufficientData("training data must contain at least 2 rows")
 
-
-def as_query_matrix(model: TrainedModel, x) -> tuple[np.ndarray, bool]:
-    """Normalize a query to (m, d); returns (matrix, was_single_vector)."""
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    matrix = np.atleast_2d(arr)
-    if matrix.shape[1] != model.n_features:
-        raise ValueError(
-            f"dimension mismatch: query has {matrix.shape[1]} features, model expects {model.n_features}"
-        )
-    return matrix, single

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..segment import InsufficientData
-from .base import LabeledDataset, TrainedModel, as_query_matrix, check_training_data
+from .base import LabeledDataset, TrainedModel
 
 
 @dataclass
@@ -20,38 +20,25 @@ class KnnParams:
     train_y: np.ndarray       # (n,) class indices
 
 
-def knn_train(data: LabeledDataset, k: int = 5) -> TrainedModel:
-    check_training_data(data)
+def fit(data: LabeledDataset, params: dict, seed: int) -> KnnParams:
+    k = int(params["k"])
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > len(data):
         raise InsufficientData(f"k={k} exceeds {len(data)} training rows")
-    params = KnnParams(k=int(k), train_x=data.features.copy(), train_y=data.label_indices)
-    return TrainedModel(
-        kind="knn",
-        params=params,
-        class_list=data.class_list,
-        n_features=data.n_features,
-        schema_labels=data.schema_labels,
-    )
+    return KnnParams(k=k, train_x=data.features.copy(), train_y=data.label_indices)
 
 
-def knn_predict(model: TrainedModel, x):
-    """Majority label among the k nearest training rows."""
-    matrix, single = as_query_matrix(model, x)
+def predict(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:
+    """Majority class among the k nearest training rows."""
     p = model.params
     n_classes = len(model.class_list)
-    out = np.empty(matrix.shape[0], dtype=object)
+    out = np.empty(matrix.shape[0], dtype=np.int64)
     for row, q in enumerate(matrix):
         d2 = ((p.train_x - q) ** 2).sum(axis=1)
         order = np.argsort(d2, kind="stable")[: p.k]
-        votes = np.bincount(p.train_y[order], minlength=n_classes)
-        out[row] = model.class_list[int(np.argmax(votes))]
-    return out[0] if single else out
-
-
-def fit(data: LabeledDataset, params: dict, seed: int) -> TrainedModel:
-    return knn_train(data, k=int(params["k"]))
+        out[row] = np.argmax(np.bincount(p.train_y[order], minlength=n_classes))
+    return out
 
 
 def to_doc(p: KnnParams) -> dict:

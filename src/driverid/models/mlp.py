@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..segment import InsufficientData
-from .base import LabeledDataset, TrainedModel, as_query_matrix, check_training_data
+from .base import LabeledDataset, TrainedModel
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -108,14 +108,14 @@ def loss_and_grads(params: MlpParams, x: np.ndarray, y_onehot: np.ndarray):
     return loss, grads_w, grads_b
 
 
-def mlp_train(data: LabeledDataset, cfg: MlpConfig = MlpConfig()) -> TrainedModel:
+def fit(data: LabeledDataset, params: dict, seed: int) -> MlpParams:
     """Train with mini-batch gradient descent and patience-based early stopping.
 
     The validation slice is the chronological tail of each class's training
     rows; test data never participates. Raises when the loss goes
     non-finite.
     """
-    check_training_data(data)
+    cfg = MlpConfig(**params, seed=seed)
     x = data.features
     y = data.label_indices
     n, d = x.shape
@@ -130,65 +130,45 @@ def mlp_train(data: LabeledDataset, cfg: MlpConfig = MlpConfig()) -> TrainedMode
     x_val, y_val = x[val_mask], y_onehot[val_mask]
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params([d, *cfg.hidden_layers, n_classes], cfg.activation, rng)
+    net = init_params([d, *cfg.hidden_layers, n_classes], cfg.activation, rng)
 
     best_val = np.inf
-    best_snapshot = _snapshot(params)
+    best_snapshot = _snapshot(net)
     patience = cfg.early_stop_patience
     epochs_run = 0
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(x_tr.shape[0])
         for start in range(0, x_tr.shape[0], cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, gw, gb = loss_and_grads(params, x_tr[batch], y_tr[batch])
+            loss, gw, gb = loss_and_grads(net, x_tr[batch], y_tr[batch])
             if not np.isfinite(loss):
                 raise ValueError(f"diverged at epoch {epoch}")
-            for layer in range(len(params.weights)):
-                params.weights[layer] -= cfg.learning_rate * gw[layer]
-                params.biases[layer] -= cfg.learning_rate * gb[layer]
+            for layer in range(len(net.weights)):
+                net.weights[layer] -= cfg.learning_rate * gw[layer]
+                net.biases[layer] -= cfg.learning_rate * gb[layer]
         epochs_run = epoch
 
-        val_loss = loss_and_grads(params, x_val, y_val)[0]
+        val_loss = loss_and_grads(net, x_val, y_val)[0]
         if not np.isfinite(val_loss):
             raise ValueError(f"diverged at epoch {epoch}")
         if val_loss < best_val - 1e-12:
             best_val = val_loss
-            best_snapshot = _snapshot(params)
+            best_snapshot = _snapshot(net)
             patience = cfg.early_stop_patience
         else:
             patience -= 1
             if patience <= 0:
                 break
 
-    params.weights = [w.copy() for w in best_snapshot[0]]
-    params.biases = [b.copy() for b in best_snapshot[1]]
-    params.config = cfg
-    params.epochs_run = epochs_run
-    return TrainedModel(
-        kind="mlp",
-        params=params,
-        class_list=data.class_list,
-        n_features=d,
-        schema_labels=data.schema_labels,
-    )
+    net.weights = [w.copy() for w in best_snapshot[0]]
+    net.biases = [b.copy() for b in best_snapshot[1]]
+    net.config = cfg
+    net.epochs_run = epochs_run
+    return net
 
 
-def mlp_predict_proba(model: TrainedModel, x):
-    matrix, single = as_query_matrix(model, x)
-    probs = forward(model.params, matrix)[-1]
-    return probs[0] if single else probs
-
-
-def mlp_predict(model: TrainedModel, x):
-    matrix, single = as_query_matrix(model, x)
-    probs = forward(model.params, matrix)[-1]
-    winners = probs.argmax(axis=1)
-    out = np.array([model.class_list[i] for i in winners], dtype=object)
-    return out[0] if single else out
-
-
-def fit(data: LabeledDataset, params: dict, seed: int) -> TrainedModel:
-    return mlp_train(data, MlpConfig(**params, seed=seed))
+def predict(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:
+    return forward(model.params, matrix)[-1].argmax(axis=1)
 
 
 def to_doc(p: MlpParams) -> dict:

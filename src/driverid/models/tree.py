@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import LabeledDataset, TrainedModel, as_query_matrix, check_training_data
+from .base import LabeledDataset, TrainedModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,37 +26,17 @@ class Tree:
     leaf_class: np.ndarray  # class index at a leaf; -1 at a split
 
 
-def dtree_train(
-    data: LabeledDataset, max_depth: int | None = None, min_leaf: int = 1
-) -> TrainedModel:
+def fit(data: LabeledDataset, params: dict, seed: int) -> Tree:
+    min_leaf = int(params["min_leaf"])
     if min_leaf < 1:
         raise ValueError("min_leaf must be >= 1")
-    if len(data.class_list) < 2:
-        # single-class data degenerates to a constant predictor
-        tree = _to_tree([(-1, 0.0, -1, -1, 0)])
-    else:
-        check_training_data(data)
-        tree = grow_tree(
-            data.features, data.label_indices, len(data.class_list), max_depth, min_leaf
-        )
-    return TrainedModel(
-        kind="dtree",
-        params=tree,
-        class_list=data.class_list,
-        n_features=data.n_features,
-        schema_labels=data.schema_labels,
+    return grow_tree(
+        data.features, data.label_indices, len(data.class_list), params["max_depth"], min_leaf
     )
 
 
-def dtree_predict(model: TrainedModel, x):
-    matrix, single = as_query_matrix(model, x)
-    idx = predict_tree(model.params, matrix)
-    out = np.array([model.class_list[i] for i in idx], dtype=object)
-    return out[0] if single else out
-
-
-def fit(data: LabeledDataset, params: dict, seed: int) -> TrainedModel:
-    return dtree_train(data, max_depth=params["max_depth"], min_leaf=int(params["min_leaf"]))
+def predict(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:
+    return predict_tree(model.params, matrix)
 
 
 def to_doc(tree: Tree) -> dict:

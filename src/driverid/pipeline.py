@@ -25,6 +25,7 @@ from .features import (
     schema_labels,
 )
 from .models import LabeledDataset, TrainedModel
+from .models.base import check_training_data
 from .models.registry import lookup
 from .preprocess import CleanTrip
 from .segment import InsufficientData, SegmentationConfig, segment_trip
@@ -57,6 +58,9 @@ def build_datasets(
 
     if not any(map(len, train_blocks)):
         raise InsufficientData("no training windows were produced")
+    for driver, entry in counts.items():
+        if entry["test"] and not entry["train"]:
+            raise InsufficientData(f"driver {driver!r} has test windows but no training windows")
     if not any(map(len, test_blocks)):
         raise InsufficientData(NO_TEST_WINDOWS)
     standardizer = fit_standardizer(train_blocks)
@@ -87,15 +91,21 @@ def train_model(
     seed: int = 0,
     standardizer: Standardizer | None = None,
 ) -> TrainedModel:
-    """Train one classifier kind; ``params`` override the kind's defaults."""
+    """Train a classifier of any kind; ``params`` override the kind's registry defaults."""
     entry = lookup(kind)
     params = params or {}
     unknown = set(params) - set(entry.defaults)
     if unknown:
         raise ValueError(f"unknown parameters for {kind}: {sorted(unknown)}")
-    model = entry.fit(train, {**entry.defaults, **params}, seed)
-    model.standardizer = standardizer
-    return model
+    check_training_data(train)
+    return TrainedModel(
+        kind=kind,
+        params=entry.fit(train, {**entry.defaults, **params}, seed),
+        class_list=train.class_list,
+        n_features=train.n_features,
+        standardizer=standardizer,
+        schema_labels=train.schema_labels,
+    )
 
 
 def _standardized_dataset(

@@ -28,7 +28,7 @@ from driverid.features import (
     fit_standardizer,
     trimmed_histogram,
 )
-from driverid.models import LabeledDataset, MlpConfig, knn_predict, knn_train, mlp_train
+from driverid.models import LabeledDataset, predict
 from driverid.models.mlp import init_params, loss_and_grads
 from driverid.pipeline import train_model
 from driverid.preprocess import CleaningConfig, clean, detect_stops
@@ -105,10 +105,10 @@ class TestOracleEquivalence:
         data = LabeledDataset(
             features=x, labels=labels, class_list=tuple(sorted(set(labels)))
         )
-        model = knn_train(data, k=5)
+        model = train_model("knn", data, {"k": 5})
         for _ in range(100):
             q = rng.standard_normal(5) * rng.uniform(0.1, 4)
-            assert knn_predict(model, q) == knn_oracle(x, labels, data.class_list, q, 5)
+            assert predict(model, q) == knn_oracle(x, labels, data.class_list, q, 5)
         report("oracle-equivalence/knn", "100 queries, exact")
 
 
@@ -207,7 +207,7 @@ def bench_models(bench_bundle):
     models = {}
     for kind in ("knn", "dtree", "rforest"):
         models[kind] = train_model(kind, bench_bundle.train, seed=7)
-    models["mlp"] = mlp_train(bench_bundle.train, MlpConfig(**BENCH_MLP, seed=7))
+    models["mlp"] = train_model("mlp", bench_bundle.train, BENCH_MLP, seed=7)
     return models
 
 

@@ -237,6 +237,30 @@ class TestGridCommand:
         assert len(csv_lines) == 5
 
 
+    def test_grid_trains_each_kind_with_its_section(self, corpus_dir, tmp_path, monkeypatch):
+        import driverid.evaluation as evaluation
+
+        seen = []
+        real = evaluation.train_model
+
+        def spy(kind, train, params=None, seed=0, standardizer=None):
+            seen.append((kind, params))
+            return real(kind, train, params, seed=seed, standardizer=standardizer)
+
+        monkeypatch.setattr(evaluation, "train_model", spy)
+        path = tmp_path / "grid.ini"
+        path.write_text(
+            "[run]\nmodel = mlp\n[model.knn]\nk = 1\n"
+            "[grid]\nwindow_minutes = 4\noverlaps = 0.5\nfeatures = mean\nmodels = knn\nrepetitions = 1\n"
+        )
+        code = main(
+            ["grid", "--manifest", str(corpus_dir / "manifest.csv"),
+             "--config", str(path), "--out", str(tmp_path / "grid")]
+        )
+        assert code == 0
+        assert seen == [("knn", {"k": 1})]
+
+
 class TestNoTestDataInTraining:
     def test_training_path_never_sees_test_vectors(
         self, corpus_dir, config_path, tmp_path, monkeypatch
@@ -349,7 +373,7 @@ class TestConfigRoundTrip:
         assert cfg.model_kind == snapshot["model"]["kind"] == kind
         defaults = REGISTRY[kind].defaults
         for key, _, value, recorded in NON_DEFAULT_MODEL_PARAMS[kind]:
-            assert cfg.model_params[key] == value != defaults[key], key
+            assert cfg.model_params[kind][key] == value != defaults[key], key
             assert snapshot["model"]["params"][key] == recorded, key
         assert cfg.pipeline_record() == {s: cfg.snapshot()[s] for s in ("cleaning", "segmentation", "features")}
 
@@ -393,6 +417,24 @@ class TestConfigParsing:
         path = tmp_path / "bad.ini"
         path.write_text("[grid]\nmodels = knn,svm\n")
         with pytest.raises(ConfigError, match="svm"):
+            read_run_config(path)
+
+    def test_every_model_section_parsed(self, corpus_dir, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[run]\nmodel = knn\n[model.knn]\nk = 3\n[model.dtree]\nmax_depth = junk\n")
+        with pytest.raises(ConfigError, match=r"\[model.dtree\] max_depth"):
+            read_run_config(path)
+        code = main(
+            ["train", "--manifest", str(corpus_dir / "manifest.csv"),
+             "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nsede = 3\n", "[DEFAULT]\nseed = 3\n[run]\nmodel = knn\n"])
+    def test_default_section_keys_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
             read_run_config(path)
 
     def test_exit_code_two_for_bad_config(self, corpus_dir, tmp_path):

@@ -14,7 +14,11 @@ from driverid.evaluation import (
     sort_rows,
     write_reports,
 )
-from driverid.models import LabeledDataset, knn_train
+from driverid.features import FeatureConfig
+from driverid.models import LabeledDataset
+from driverid.pipeline import build_datasets, train_model
+from driverid.preprocess import CleanTrip
+from driverid.segment import InsufficientData, SegmentationConfig
 
 
 def dataset_from(labels, x=None, class_list=None):
@@ -105,7 +109,7 @@ class TestEvaluate:
     def test_empty_test_set_rejected(self):
         rng = np.random.default_rng(1)
         data = dataset_from(["a", "b"], x=rng.standard_normal((2, 3)))
-        model = knn_train(data, k=1)
+        model = train_model("knn", data, {"k": 1})
         empty = LabeledDataset(
             features=np.zeros((0, 3)),
             labels=np.array([], dtype=object),
@@ -117,7 +121,7 @@ class TestEvaluate:
     def test_schema_mismatch_rejected(self):
         rng = np.random.default_rng(2)
         data = dataset_from(["a", "b", "a", "b"], x=rng.standard_normal((4, 3)))
-        model = knn_train(data, k=1)
+        model = train_model("knn", data, {"k": 1})
         wrong = LabeledDataset(
             features=rng.standard_normal((4, 5)),
             labels=np.array(["a", "b", "a", "b"], dtype=object),
@@ -131,9 +135,30 @@ class TestEvaluate:
         x = rng.standard_normal((30, 4))
         labels = np.array([f"c{i % 3}" for i in range(30)], dtype=object)
         data = dataset_from(labels, x=x)
-        model = knn_train(data, k=1)
+        model = train_model("knn", data, {"k": 1})
         report = evaluate(model, data)
         assert report.accuracy == 1.0
+
+
+def trips_one_without_train_windows():
+    """Three 2,000-sample trips at 2 Hz; trip c breaks every 25 s across its train span."""
+    rng = np.random.default_rng(4)
+    trips = []
+    for driver in ("a", "b", "c"):
+        breaks = np.zeros(1999, dtype=bool)
+        if driver == "c":
+            breaks[:1399:50] = True
+        trips.append(
+            CleanTrip(driver, np.arange(2000) / 2.0, rng.standard_normal((2000, 6)), 2.0, break_after=breaks)
+        )
+    return trips
+
+
+class TestBuildDatasets:
+    def test_driver_without_train_windows_is_insufficient_data(self):
+        seg = SegmentationConfig(window_minutes=1.0, overlap_fraction=0.5)
+        with pytest.raises(InsufficientData, match="driver 'c' has test windows but no training windows"):
+            build_datasets(trips_one_without_train_windows(), seg, FeatureConfig())
 
 
 class TestSeparability:
@@ -186,6 +211,18 @@ class TestGrid:
         assert len(failed) == 1
         assert failed[0].window_minutes == 60.0
         assert failed[0].mean_accuracy is None
+
+    def test_driver_without_train_windows_annotated(self):
+        grid = GridSpec(
+            window_minutes_list=(1.0,),
+            overlap_list=(0.5,),
+            feature_subset_list=("mean",),
+            model_list=("knn",),
+            repetitions=1,
+        )
+        [row] = run_grid(trips_one_without_train_windows(), grid, master_seed=5)
+        assert row.mean_accuracy is None
+        assert row.error == "driver 'c' has test windows but no training windows"
 
     def test_programming_errors_propagate(self, monkeypatch):
         import driverid.evaluation as evaluation

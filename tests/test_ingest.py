@@ -118,20 +118,6 @@ class TestTripInvariants:
             quiet_trip.data[0, 0] = 1.0
 
 
-class TestSensorSamples:
-    def test_samples_view_matches_arrays(self):
-        log = make_log(["0.0,1,2,3,4,5,6", "0.5,7,NaN,9,10,11,12"])
-        trip = parse_log(log, "d1", 2.0)
-        samples = trip.samples
-        assert len(samples) == 2
-        assert samples[0].t == 0.0 and samples[0].gz == 6.0
-        assert np.isnan(samples[1].ay)
-
-    def test_from_samples_round_trip(self, quiet_trip):
-        rebuilt = Trip.from_samples("quiet", quiet_trip.samples, 2.0)
-        assert rebuilt == quiet_trip
-
-
 class TestValidateTrip:
     def test_clean_uniform_trip(self, quiet_trip):
         report = validate_trip(quiet_trip)

@@ -4,36 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from driverid.models import (
-    LabeledDataset,
-    MlpConfig,
-    TrainedModel,
-    dtree_predict,
-    dtree_train,
-    knn_predict,
-    knn_train,
-    load_model,
-    mlp_predict,
-    mlp_predict_proba,
-    mlp_train,
-    predict,
-    rf_predict,
-    rf_train,
-    save_model,
-)
-from driverid.models.mlp import MlpParams, init_params, loss_and_grads
+from driverid.models import LabeledDataset, MlpConfig, TrainedModel, load_model, predict, save_model
+from driverid.models.mlp import forward, init_params, loss_and_grads
 from driverid.models.tree import tree_depth, tree_from_nodes, tree_to_nodes
+from driverid.pipeline import train_model
+from driverid.segment import InsufficientData
 from oracles import knn_oracle, tree_walk_oracle
 
 
+KIND_PARAMS = {"knn": {"k": 3}, "dtree": {"max_depth": 4}, "rforest": {"n_trees": 5}, "mlp": {"max_epochs": 15}}
+
+
 def train_kind(kind, data):
-    trainers = {
-        "knn": lambda: knn_train(data, k=3),
-        "dtree": lambda: dtree_train(data, max_depth=4),
-        "rforest": lambda: rf_train(data, n_trees=5, seed=2),
-        "mlp": lambda: mlp_train(data, MlpConfig(max_epochs=15, seed=2)),
-    }
-    return trainers[kind]()
+    return train_model(kind, data, KIND_PARAMS[kind], seed=2)
 
 
 def make_dataset(rng, n=60, dim=5, classes=("a", "b", "c")):
@@ -49,52 +32,52 @@ class TestKnn:
     def test_exact_match_with_k1(self):
         rng = np.random.default_rng(0)
         data = make_dataset(rng)
-        model = knn_train(data, k=1)
+        model = train_model("knn", data, {"k": 1})
         for i in (0, 7, 31):
-            assert knn_predict(model, data.features[i]) == data.labels[i]
+            assert predict(model, data.features[i]) == data.labels[i]
 
     def test_k_equal_to_all_rows_gives_majority(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((9, 3))
         labels = np.array(["a"] * 5 + ["b"] * 4, dtype=object)
         data = LabeledDataset(features=x, labels=labels, class_list=("a", "b"))
-        model = knn_train(data, k=9)
-        assert knn_predict(model, rng.standard_normal(3) * 10) == "a"
+        model = train_model("knn", data, {"k": 9})
+        assert predict(model, rng.standard_normal(3) * 10) == "a"
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((200, 4))
         labels = np.array([f"c{i % 7}" for i in range(200)], dtype=object)
         data = LabeledDataset(features=x, labels=labels, class_list=tuple(sorted(set(labels))))
-        model = knn_train(data, k=5)
+        model = train_model("knn", data, {"k": 5})
         for _ in range(100):
             q = rng.standard_normal(4) * rng.uniform(0.2, 3.0)
             expected = knn_oracle(x, labels, data.class_list, q, 5)
-            assert knn_predict(model, q) == expected
+            assert predict(model, q) == expected
 
     def test_k_zero_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
-            knn_train(make_dataset(rng), k=0)
+            train_model("knn", make_dataset(rng), {"k": 0})
 
     def test_k_above_row_count_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="exceeds"):
-            knn_train(make_dataset(rng, n=10), k=11)
+            train_model("knn", make_dataset(rng, n=10), {"k": 11})
 
     def test_prediction_invariant_under_uniform_scaling(self):
         rng = np.random.default_rng(5)
         data = make_dataset(rng, n=80)
         queries = rng.standard_normal((30, data.n_features))
-        model = knn_train(data, k=3)
+        model = train_model("knn", data, {"k": 3})
         scaled = LabeledDataset(
             features=data.features * 7.5,
             labels=data.labels,
             class_list=data.class_list,
         )
-        model_scaled = knn_train(scaled, k=3)
+        model_scaled = train_model("knn", scaled, {"k": 3})
         for q in queries:
-            assert knn_predict(model, q) == knn_predict(model_scaled, q * 7.5)
+            assert predict(model, q) == predict(model_scaled, q * 7.5)
 
 
 class TestDecisionTree:
@@ -102,26 +85,20 @@ class TestDecisionTree:
         x = np.array([[0.1], [0.2], [0.3], [1.1], [1.2], [1.3]])
         labels = np.array(["a"] * 3 + ["b"] * 3, dtype=object)
         data = LabeledDataset(features=x, labels=labels, class_list=("a", "b"))
-        model = dtree_train(data)
+        model = train_model("dtree", data)
         assert tree_depth(model.params) == 1
-        assert (dtree_predict(model, x) == labels).all()
+        assert (predict(model, x) == labels).all()
 
-    def test_single_class_constant_predictor(self):
-        x = np.random.default_rng(0).standard_normal((10, 3))
-        labels = np.array(["only"] * 10, dtype=object)
-        data = LabeledDataset(features=x, labels=labels, class_list=("only",))
-        model = dtree_train(data)
-        assert dtree_predict(model, np.zeros(3)) == "only"
 
     def test_beats_depth_one_stump_on_train(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((50, 4))
         labels = np.array([("a" if v > 0 else "b") for v in x[:, 0] * x[:, 1]], dtype=object)
         data = LabeledDataset(features=x, labels=labels, class_list=("a", "b"))
-        full = dtree_train(data)
-        stump = dtree_train(data, max_depth=1)
-        full_acc = (dtree_predict(full, x) == labels).mean()
-        stump_acc = (dtree_predict(stump, x) == labels).mean()
+        full = train_model("dtree", data)
+        stump = train_model("dtree", data, {"max_depth": 1})
+        full_acc = (predict(full, x) == labels).mean()
+        stump_acc = (predict(stump, x) == labels).mean()
         assert full_acc >= stump_acc
 
     def test_train_accuracy_at_least_majority_baseline(self):
@@ -133,16 +110,16 @@ class TestDecisionTree:
             data = LabeledDataset(
                 features=x, labels=labels, class_list=tuple(sorted(set(labels)))
             )
-            model = dtree_train(data, max_depth=4)
-            acc = (dtree_predict(model, x) == labels).mean()
+            model = train_model("dtree", data, {"max_depth": 4})
+            acc = (predict(model, x) == labels).mean()
             majority = max(np.bincount([list(data.class_list).index(l) for l in labels])) / len(labels)
             assert acc >= majority - 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         data = make_dataset(rng, n=50)
-        a = dtree_train(data, max_depth=5)
-        b = dtree_train(data, max_depth=5)
+        a = train_model("dtree", data, {"max_depth": 5})
+        b = train_model("dtree", data, {"max_depth": 5})
         buf_a, buf_b = io.StringIO(), io.StringIO()
         save_model(a, buf_a)
         save_model(b, buf_b)
@@ -182,41 +159,48 @@ class TestTreeArrays:
             # on the same 0.1 grid, many queries land exactly on a threshold
             queries = np.round(rng.standard_normal((200, 4)), 1)
             expected = [self.CLASSES[tree_walk_oracle(nodes, q)] for q in queries]
-            assert list(dtree_predict(model, queries)) == expected
+            assert list(predict(model, queries)) == expected
 
     def test_predict_matches_walk_oracle_on_trained_tree(self):
         rng = np.random.default_rng(26)
         data = make_dataset(rng, n=80)
-        model = dtree_train(data)
+        model = train_model("dtree", data)
         nodes = tree_to_nodes(model.params)
         queries = rng.standard_normal((100, data.n_features)) * 2
         for q in queries:  # put one coordinate on a split threshold
             split = nodes[int(rng.choice(np.flatnonzero(model.params.feature >= 0)))]
             q[split["feature"]] = split["threshold"]
         expected = [data.class_list[tree_walk_oracle(nodes, q)] for q in queries]
-        assert list(dtree_predict(model, queries)) == expected
+        assert list(predict(model, queries)) == expected
 
 
 class TestRandomForest:
     def test_degenerate_forest_equals_tree(self):
         rng = np.random.default_rng(9)
         data = make_dataset(rng, n=60, dim=4)
-        tree = dtree_train(data)
-        forest = rf_train(data, n_trees=1, bootstrap=False, features_per_split=data.n_features)
+        seed = 4
+        forest = train_model("rforest", data, {"n_trees": 1, "features_per_split": data.n_features}, seed=seed)
+        # the forest's one tree draws its bootstrap rows first from its own RNG
+        tree_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        rows = tree_rng.integers(0, len(data), size=len(data))
+        bootstrap = LabeledDataset(
+            features=data.features[rows], labels=data.labels[rows], class_list=data.class_list
+        )
+        tree = train_model("dtree", bootstrap)
         queries = rng.standard_normal((40, 4)) * 2
-        assert (rf_predict(forest, queries) == dtree_predict(tree, queries)).all()
+        assert (predict(forest, queries) == predict(tree, queries)).all()
 
     def test_same_seed_same_model_and_predictions(self):
         rng = np.random.default_rng(10)
         data = make_dataset(rng, n=60)
-        a = rf_train(data, n_trees=7, seed=3)
-        b = rf_train(data, n_trees=7, seed=3)
+        a = train_model("rforest", data, {"n_trees": 7}, seed=3)
+        b = train_model("rforest", data, {"n_trees": 7}, seed=3)
         buf_a, buf_b = io.StringIO(), io.StringIO()
         save_model(a, buf_a)
         save_model(b, buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
         q = rng.standard_normal((20, data.n_features))
-        assert (rf_predict(a, q) == rf_predict(b, q)).all()
+        assert (predict(a, q) == predict(b, q)).all()
 
     def test_train_accuracy_at_least_majority_baseline(self):
         for seed in range(4):
@@ -226,8 +210,8 @@ class TestRandomForest:
             data = LabeledDataset(
                 features=x, labels=labels, class_list=tuple(sorted(set(labels)))
             )
-            model = rf_train(data, n_trees=15, seed=seed)
-            acc = (rf_predict(model, x) == labels).mean()
+            model = train_model("rforest", data, {"n_trees": 15}, seed=seed)
+            acc = (predict(model, x) == labels).mean()
             majority = max(
                 np.bincount([list(data.class_list).index(l) for l in labels])
             ) / len(labels)
@@ -244,10 +228,10 @@ class TestRandomForest:
         test_labels = np.array([f"c{i % 3}" for i in range(60)], dtype=object)
         for i in range(3):
             test_x[np.arange(60) % 3 == i] += i * 1.5
-        tree = dtree_train(data, max_depth=3)
-        forest = rf_train(data, n_trees=25, max_depth=3, seed=1)
-        tree_acc = (dtree_predict(tree, test_x) == test_labels).mean()
-        forest_acc = (rf_predict(forest, test_x) == test_labels).mean()
+        tree = train_model("dtree", data, {"max_depth": 3})
+        forest = train_model("rforest", data, {"n_trees": 25, "max_depth": 3}, seed=1)
+        tree_acc = (predict(tree, test_x) == test_labels).mean()
+        forest_acc = (predict(forest, test_x) == test_labels).mean()
         assert forest_acc >= tree_acc
 
 
@@ -261,19 +245,19 @@ class TestMlp:
 
     def test_xor_reaches_full_train_accuracy(self):
         data = self.xor_dataset()
-        cfg = MlpConfig(
+        params = dict(
             hidden_layers=(8,), learning_rate=0.5, batch_size=8,
-            max_epochs=2000, early_stop_patience=2000, seed=1,
+            max_epochs=2000, early_stop_patience=2000,
         )
-        model = mlp_train(data, cfg)
-        preds = mlp_predict(model, data.features)
+        model = train_model("mlp", data, params, seed=1)
+        preds = predict(model, data.features)
         assert (preds == data.labels).mean() == 1.0
 
     def test_proba_sums_to_one(self):
         rng = np.random.default_rng(12)
         data = make_dataset(rng, n=40)
-        model = mlp_train(data, MlpConfig(max_epochs=5, seed=0))
-        probs = mlp_predict_proba(model, rng.standard_normal((25, data.n_features)) * 3)
+        model = train_model("mlp", data, {"max_epochs": 5}, seed=0)
+        probs = forward(model.params, rng.standard_normal((25, data.n_features)) * 3)[-1]
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
         assert (probs >= 0).all()
 
@@ -307,8 +291,7 @@ class TestMlp:
     def test_determinism_with_fixed_seed(self):
         rng = np.random.default_rng(14)
         data = make_dataset(rng, n=50)
-        cfg = MlpConfig(max_epochs=20, seed=9)
-        a, b = mlp_train(data, cfg), mlp_train(data, cfg)
+        a, b = (train_model("mlp", data, {"max_epochs": 20}, seed=9) for _ in range(2))
         buf_a, buf_b = io.StringIO(), io.StringIO()
         save_model(a, buf_a)
         save_model(b, buf_b)
@@ -318,9 +301,8 @@ class TestMlp:
     def test_divergence_reported_with_epoch(self):
         rng = np.random.default_rng(15)
         data = make_dataset(rng, n=30)
-        cfg = MlpConfig(learning_rate=1e12, max_epochs=50, seed=0)
         with pytest.raises(ValueError, match="diverged at epoch"):
-            mlp_train(data, cfg)
+            train_model("mlp", data, {"learning_rate": 1e12, "max_epochs": 50}, seed=0)
 
     def test_validation_fraction_bounds(self):
         with pytest.raises(ValueError):
@@ -330,14 +312,22 @@ class TestMlp:
 
 
 class TestPredictContract:
+    @pytest.mark.parametrize("kind", ["knn", "dtree", "rforest", "mlp"])
+    def test_single_class_data_rejected(self, kind):
+        x = np.random.default_rng(0).standard_normal((10, 3))
+        labels = np.array(["only"] * 10, dtype=object)
+        data = LabeledDataset(features=x, labels=labels, class_list=("only",))
+        with pytest.raises(InsufficientData, match="at least 2 classes"):
+            train_model(kind, data)
+
     def test_all_kinds_return_known_labels(self):
         rng = np.random.default_rng(16)
         data = make_dataset(rng, n=60)
         models = [
-            knn_train(data, k=3),
-            dtree_train(data, max_depth=4),
-            rf_train(data, n_trees=5, seed=0),
-            mlp_train(data, MlpConfig(max_epochs=10, seed=0)),
+            train_model("knn", data, {"k": 3}),
+            train_model("dtree", data, {"max_depth": 4}),
+            train_model("rforest", data, {"n_trees": 5}, seed=0),
+            train_model("mlp", data, {"max_epochs": 10}, seed=0),
         ]
         queries = rng.standard_normal((50, data.n_features)) * 5
         for model in models:
@@ -347,9 +337,9 @@ class TestPredictContract:
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(17)
         data = make_dataset(rng)
-        model = knn_train(data, k=1)
+        model = train_model("knn", data, {"k": 1})
         with pytest.raises(ValueError, match="dimension mismatch"):
-            knn_predict(model, np.zeros(data.n_features + 1))
+            predict(model, np.zeros(data.n_features + 1))
 
 
 class TestSaveLoad:
@@ -368,7 +358,7 @@ class TestSaveLoad:
         assert (predict(model, queries) == predict(loaded, queries)).all()
         if kind == "mlp":
             assert np.array_equal(
-                mlp_predict_proba(model, queries), mlp_predict_proba(loaded, queries)
+                forward(model.params, queries)[-1], forward(loaded.params, queries)[-1]
             )
 
     @pytest.mark.parametrize(
@@ -407,7 +397,7 @@ class TestSaveLoad:
     def test_malformed_tree_rejected(self, field, value, message, tmp_path):
         rng = np.random.default_rng(24)
         file = tmp_path / "model.json"
-        save_model(dtree_train(make_dataset(rng), max_depth=4), file)
+        save_model(train_model("dtree", make_dataset(rng), {"max_depth": 4}), file)
         doc = json.loads(file.read_text())
         nodes = doc["params"]["nodes"]
         node = next(spec for spec in nodes if (field == "leaf") == ("leaf" in spec))
@@ -418,7 +408,7 @@ class TestSaveLoad:
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(19)
-        model = knn_train(make_dataset(rng), k=1)
+        model = train_model("knn", make_dataset(rng), {"k": 1})
         path = tmp_path / "model.json"
         save_model(model, path)
         path.write_text(path.read_text()[: 40])
@@ -427,7 +417,7 @@ class TestSaveLoad:
 
     def test_wrong_schema_dims_rejected(self, tmp_path):
         rng = np.random.default_rng(22)
-        model = knn_train(make_dataset(rng), k=1)
+        model = train_model("knn", make_dataset(rng), {"k": 1})
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = path.read_text().replace('"n_features": 5', '"n_features": 9')
@@ -437,7 +427,7 @@ class TestSaveLoad:
 
     def test_version_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(20)
-        model = knn_train(make_dataset(rng), k=1)
+        model = train_model("knn", make_dataset(rng), {"k": 1})
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
@@ -450,7 +440,7 @@ class TestSaveLoad:
 
         rng = np.random.default_rng(21)
         data = make_dataset(rng)
-        model = knn_train(data, k=1)
+        model = train_model("knn", data, {"k": 1})
         model.standardizer = Standardizer(
             mean=rng.standard_normal(data.n_features),
             std=np.abs(rng.standard_normal(data.n_features)) + 0.1,
