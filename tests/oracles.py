@@ -5,6 +5,9 @@ the implementations under test.
 """
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 
 
@@ -83,3 +86,85 @@ def window_starts_oracle(t, break_after, w, stride):
         if not any(break_after[off + k] for k in range(w - 1)):
             starts.append(float(t[off]))
     return starts
+
+
+def parse_log_oracle(text, header):
+    """(timestamps, channel rows) of a trip log, one line at a time, with
+    the parser's summary warning and its ValueError messages."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise ValueError("empty log")
+    found = lines[0].strip().lstrip("\ufeff")
+    if found != header:
+        raise ValueError(f"malformed header: expected {header!r}, got {found!r}")
+
+    def number(field):
+        try:
+            return float(field)
+        except ValueError:
+            return None
+
+    ts, rows, rejected = [], [], 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.strip().split(",")
+        t = number(fields[0]) if len(fields) == 7 else None
+        if t is None or not math.isfinite(t):
+            rejected += 1
+            continue
+        if t < 0:
+            raise ValueError(f"negative timestamp at line {lineno}")
+        if ts and t <= ts[-1]:
+            raise ValueError(f"non-monotonic timestamp at line {lineno}")
+        ts.append(t)
+        values = [number(f) for f in fields[1:]]
+        rows.append([v if v is not None and math.isfinite(v) else math.nan for v in values])
+    if rejected:
+        warnings.warn(f"rejected {rejected} rows with unparseable timestamps or field counts")
+    if not ts:
+        raise ValueError("empty log")
+    return ts, rows
+
+
+def stop_runs_oracle(t, accel, rate_hz, threshold, min_stop_seconds, aggregate):
+    """[(start_t, end_t)] of the greedy stops, by brute force: from each
+    candidate start, the longest in-band run inside its contiguous block is
+    found by recomputing max - min over every prefix."""
+    period = 1.0 / rate_hz
+    if aggregate == "magnitude":
+        m = [math.sqrt(x * x + y * y + z * z) for x, y, z in accel]
+    else:
+        m = [x + y + z for x, y, z in accel]
+    n = len(m)
+    stops = []
+    i = 0
+    while i < n:
+        block_end = i + 1
+        while block_end < n and t[block_end] - t[block_end - 1] <= 2.0 * period:
+            block_end += 1
+        run_end = i
+        for j in range(i + 1, block_end + 1):
+            if max(m[i:j]) - min(m[i:j]) > threshold:
+                break
+            run_end = j
+        if run_end > i and t[run_end - 1] - t[i] + period >= min_stop_seconds:
+            stops.append((float(t[i]), float(t[run_end - 1] + period)))
+            i = run_end
+        else:
+            i += 1
+    return stops
+
+
+def denoise_oracle(column, window):
+    """Centered moving average of one channel: the window is cut at the
+    edges, NaN entries are skipped and stay NaN."""
+    half = window // 2
+    out = []
+    for i, value in enumerate(column):
+        if math.isnan(value):
+            out.append(math.nan)
+            continue
+        near = [v for v in column[max(0, i - half) : i + half + 1] if not math.isnan(v)]
+        out.append(sum(near) / len(near))
+    return out

@@ -1,7 +1,11 @@
 import io
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driverid.ingest import (
     LOG_HEADER,
@@ -12,6 +16,7 @@ from driverid.ingest import (
     write_log,
     read_log,
 )
+from oracles import parse_log_oracle
 
 
 def make_log(rows):
@@ -98,6 +103,86 @@ class TestRoundTrip:
 
     def test_serialization_is_deterministic(self, quiet_trip):
         assert serialize_log(quiet_trip) == serialize_log(quiet_trip)
+
+
+# Field texts that float() reads, besides repr of a float: odd spellings,
+# non-finite values, and a few it rejects.
+ODD_FIELDS = (
+    "NaN", "nan", "inf", "-Infinity", "1_0", "1e-400", " 1.5 ", "\u0663.5", "-0.0",
+    "zzz", "", "1,5", "0x10",
+)
+MALFORMED_ROWS = (
+    "six_fields", "eight_fields", "blank", "bad_timestamp",
+    "duplicate_timestamp", "decreasing_timestamp", "negative_timestamp",
+)
+
+
+@st.composite
+def trips(draw):
+    """Trips with finite, nonnegative, strictly increasing timestamps and
+    finite or NaN channel values."""
+    times = draw(st.sets(st.floats(0.0, 1e12), min_size=1, max_size=30))
+    t = np.array(sorted(times))
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(math.nan))
+    data = np.array(draw(st.lists(values, min_size=6 * t.size, max_size=6 * t.size)))
+    return Trip("h", t, data.reshape(t.size, 6), 2.0)
+
+
+@st.composite
+def log_texts(draw):
+    """Logs whose body mixes clean rows with up to two kinds of malformed ones."""
+    fields = st.one_of(st.floats(allow_nan=False).map(repr), st.sampled_from(ODD_FIELDS))
+    kinds = ("good",) * 8 + tuple(draw(st.sets(st.sampled_from(MALFORMED_ROWS), max_size=2)))
+    lines = [LOG_HEADER]
+    last = t = 0.0
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=25)):
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        t += draw(st.sampled_from([0.5, 0.25, 3.0, 1e-3]))
+        stamp = {
+            "bad_timestamp": draw(st.sampled_from(["oops", "inf", "nan", "-Infinity", ""])),
+            "duplicate_timestamp": repr(last),
+            "decreasing_timestamp": repr(last - draw(st.sampled_from([0.25, 1e-3]))),
+            "negative_timestamp": repr(-t),
+        }.get(kind, repr(t))
+        last = t
+        width = {"six_fields": 5, "eight_fields": 7}.get(kind, 6)
+        row = ",".join([stamp, *draw(st.lists(fields, min_size=width, max_size=width))])
+        lines.append(draw(st.sampled_from(["", " "])) + row + draw(st.sampled_from(["", "  "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+def outcome(parse):
+    """(result or error text, warning texts) of one parse."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse()
+        except ValueError as err:
+            result = f"error: {err}"
+    return result, [str(w.message) for w in caught]
+
+
+class TestParseLogProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(trips())
+    def test_parse_inverts_serialize(self, trip):
+        assert parse_log(serialize_log(trip), "h", 2.0) == trip
+
+    @settings(max_examples=400, deadline=None)
+    @given(log_texts())
+    def test_agrees_with_line_oracle(self, text):
+        got, got_warnings = outcome(lambda: parse_log(text, "h", 2.0))
+        want, want_warnings = outcome(lambda: parse_log_oracle(text, LOG_HEADER))
+        assert got_warnings == want_warnings
+        if isinstance(want, str):
+            assert got == want
+            return
+        ts, rows = want
+        assert np.array_equal(got.t, np.array(ts))
+        assert np.array_equal(got.data, np.array(rows).reshape(-1, 6), equal_nan=True)
 
 
 class TestTripInvariants:

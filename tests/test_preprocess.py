@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driverid as d
 from driverid.ingest import Trip
@@ -16,6 +18,7 @@ from driverid.preprocess import (
     remove_stops,
     reorient,
 )
+from oracles import denoise_oracle, stop_runs_oracle
 
 
 def trip_from_channel(values, rate=2.0, column=0, base=None):
@@ -74,6 +77,24 @@ class TestDenoise:
         for c in range(6):
             assert out.data[:, c].min() >= quiet_trip.data[:, c].min() - 1e-12
             assert out.data[:, c].max() <= quiet_trip.data[:, c].max() + 1e-12
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        column=st.lists(
+            st.one_of(st.integers(-2**20, 2**20).map(lambda k: k / 8.0), st.just(np.nan)),
+            min_size=1,
+            max_size=40,
+        ),
+        window=st.integers(0, 20).map(lambda h: 2 * h + 1),
+    )
+    def test_matches_naive_oracle(self, column, window):
+        # Values are multiples of 1/8 well inside float64's exact range, so
+        # every partial sum is exact and the results must agree bit for bit.
+        if window > len(column):
+            window = 1 + 2 * ((len(column) - 1) // 2)
+        out = denoise(trip_from_channel(column), window)
+        assert np.array_equal(out.data[:, 0], denoise_oracle(column, window), equal_nan=True)
 
 
 class TestReorient:
@@ -251,6 +272,39 @@ class TestDetectStops:
         trip = self.constant_trip(12.0)
         stops = detect_stops(trip, 0.5, 6.0, aggregate="sum")
         assert len(stops) == 1
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_run_enumeration_oracle(self, data):
+        rate = data.draw(st.sampled_from([1.0, 2.0, 4.0]))
+        period = 1.0 / rate
+        # steps of one or two periods stay inside a block; longer ones split it
+        steps = data.draw(
+            st.lists(st.sampled_from([1, 1, 1, 1, 1, 1, 2, 2.5, 3, 7]), min_size=0, max_size=59)
+        )
+        t = np.concatenate([[0.0], np.cumsum(steps) * period]) + data.draw(
+            st.sampled_from([0.0, 0.5, 100.25])
+        )
+        # planted bands: magnitudes on a 1/4 grid, so max - min hits the
+        # threshold exactly; free vectors in between
+        level = st.integers(36, 42).map(lambda k: k / 4.0)
+        planted = st.tuples(level, st.integers(0, 2), st.sampled_from([1.0, -1.0])).map(
+            lambda p: tuple(p[0] * p[2] if axis == p[1] else 0.0 for axis in range(3))
+        )
+        free = st.tuples(*[st.floats(-12.0, 12.0)] * 3)
+        accel = data.draw(
+            st.lists(st.one_of(planted, planted, free), min_size=t.size, max_size=t.size)
+        )
+        rows = np.zeros((t.size, 6))
+        rows[:, :3] = accel
+        trip = Trip("s", t, rows, rate)
+        threshold = data.draw(st.sampled_from([0.25, 0.5, 1.0, 3.0]))
+        min_seconds = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.5, 6.0]))
+        for aggregate in ("magnitude", "sum"):
+            stops = detect_stops(trip, threshold, min_seconds, aggregate)
+            expected = stop_runs_oracle(t, accel, rate, threshold, min_seconds, aggregate)
+            assert [(s.start_t, s.end_t) for s in stops] == expected
 
 
 class TestRemoveStops:
