@@ -7,7 +7,9 @@ schema: any unknown section or key is rejected, because a silently ignored
 typo is the main way a run stops being reproducible. Each section sets the
 fields of one dataclass, each value is parsed after the type of its
 field's default, and a key the file leaves out keeps that default. Every
-``[model.<kind>]`` section present is parsed, into ``model_params[kind]``.
+``[model.<kind>]`` section present is parsed, into ``model_params[kind]``,
+and checked by its registry entry, so an out-of-range model parameter is a
+ConfigError before any log is read.
 """
 from __future__ import annotations
 
@@ -188,7 +190,12 @@ def _build_config(parser: configparser.ConfigParser) -> RunConfig:
     for kind, entry in REGISTRY.items():
         if parser.has_section(f"model.{kind}"):
             values = parser[f"model.{kind}"]
-            cfg.model_params[kind] = {key: _parse(values, key, entry.defaults[key]) for key in values}
+            params = {key: _parse(values, key, entry.defaults[key]) for key in values}
+            try:
+                entry.check({**entry.defaults, **params})
+            except ValueError as err:
+                raise ValueError(f"[model.{kind}] {err}") from None
+            cfg.model_params[kind] = params
     return cfg
 
 

@@ -87,10 +87,11 @@ def evaluate(
 
     c = len(model.class_list)
     index = {label: i for i, label in enumerate(model.class_list)}
-    predictions = predict(model, test.features)
+    truth = np.array([index.get(label, -1) for label in test.class_list], dtype=np.int64)
+    guessed, inverse = np.unique(predict(model, test.features), return_inverse=True)
+    guess = np.array([index[label] for label in guessed], dtype=np.int64)
     confusion = np.zeros((c, c), dtype=np.int64)
-    for truth, guess in zip(test.labels, predictions):
-        confusion[index[truth], index[guess]] += 1
+    np.add.at(confusion, (truth[test.label_indices], guess[inverse]), 1)
 
     row_sums = confusion.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -84,6 +84,13 @@ def parse_log(source, driver_id: str, rate_hz: float = 2.0) -> Trip:
     numbers keep the row with those channels flagged missing; rows whose
     timestamp does not parse are dropped and counted in a single summary
     warning. Non-monotonic timestamps abort with an error naming the line.
+
+    A log that can be proved clean is read in bulk: every nonblank line has
+    7 fields, every field converts to a float, and the timestamps are
+    finite, nonnegative and strictly increasing. numpy's str-to-float cast
+    calls Python's ``float``, so bulk and line-by-line reading accept the
+    same strings. Any other log is read one line at a time, which gives the
+    warning and the line-numbered errors; the result is the same either way.
     """
     text = _read_text(source)
     lines = text.splitlines()
@@ -93,7 +100,32 @@ def parse_log(source, driver_id: str, rate_hz: float = 2.0) -> Trip:
     if header != LOG_HEADER:
         raise ValueError(f"malformed header: expected {LOG_HEADER!r}, got {header!r}")
 
-    ts: list[float] = []
+    table = _clean_table(lines)
+    if table is None:
+        table = _table_by_line(lines)
+    data = np.ascontiguousarray(table[:, 1:])
+    data[~np.isfinite(data)] = np.nan
+    return Trip(driver_id, np.ascontiguousarray(table[:, 0]), data, rate_hz)
+
+
+def _clean_table(lines: list[str]) -> np.ndarray | None:
+    """The (n, 7) table of a log whose body is provably clean, else None."""
+    body = [line for line in lines[1:] if line.strip()]
+    if not body or any(line.count(",") != 6 for line in body):
+        return None
+    try:
+        table = np.array(",".join(body).split(","), dtype=np.float64).reshape(-1, 7)
+    except ValueError:  # a field that does not parse
+        return None
+    t = table[:, 0]
+    if not (np.isfinite(t).all() and t[0] >= 0 and (np.diff(t) > 0).all()):
+        return None
+    return table
+
+
+def _table_by_line(lines: list[str]) -> np.ndarray:
+    """The (n, 7) table of any log body, with a summary warning for dropped
+    rows and an error naming the line of a bad timestamp."""
     rows: list[list[float]] = []
     rejected = 0
     prev_t = -np.inf
@@ -118,33 +150,26 @@ def parse_log(source, driver_id: str, rate_hz: float = 2.0) -> Trip:
         if t <= prev_t:
             raise ValueError(f"non-monotonic timestamp at line {lineno}")
         prev_t = t
-        row = []
-        for field in fields[1:]:
-            try:
-                value = float(field)
-            except ValueError:
-                value = np.nan
-            if not np.isfinite(value):
-                value = np.nan
-            row.append(value)
-        ts.append(t)
-        rows.append(row)
+        rows.append([t, *map(_float_or_nan, fields[1:])])
 
     if rejected:
         warnings.warn(f"rejected {rejected} rows with unparseable timestamps or field counts")
-    if not ts:
+    if not rows:
         raise ValueError("empty log")
-    return Trip(driver_id, np.array(ts), np.array(rows), rate_hz)
+    return np.array(rows)
 
 
 def serialize_log(trip: Trip) -> str:
-    """Render a trip in the canonical log format. parse_log inverts this exactly."""
-    out = [LOG_HEADER]
-    for ti, row in zip(trip.t, trip.data):
-        fields = [_format_value(ti)]
-        fields.extend(_format_value(v) for v in row)
-        out.append(",".join(fields))
-    return "\n".join(out) + "\n"
+    """Render a trip in the canonical log format. parse_log inverts this exactly.
+
+    Values are written with ``repr`` (the shortest string that reads back
+    as the same float); NaN and infinities are written as ``NaN``.
+    """
+    table = np.column_stack((trip.t, trip.data))
+    text = "\n".join([LOG_HEADER, *(",".join(map(repr, row)) for row in table.tolist())]) + "\n"
+    if not np.isfinite(table).all():  # no finite repr holds these letters
+        text = text.replace("-inf", "NaN").replace("inf", "NaN").replace("nan", "NaN")
+    return text
 
 
 def write_log(trip: Trip, path) -> None:
@@ -163,11 +188,11 @@ def validate_trip(trip: Trip) -> ValidationReport:
     return ValidationReport(n_samples=len(trip), n_missing=missing, n_gaps=gaps)
 
 
-def _format_value(value: float) -> str:
-    value = float(value)
-    if not np.isfinite(value):
-        return "NaN"
-    return repr(value)
+def _float_or_nan(field: str) -> float:
+    try:
+        return float(field)
+    except ValueError:
+        return np.nan
 
 
 def _read_text(source) -> str:

@@ -7,7 +7,7 @@ carried on the model so persisted models can transform fresh raw features.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ class LabeledDataset:
     labels: np.ndarray            # (n,) driver ids
     class_list: tuple[str, ...]   # sorted distinct driver ids
     schema_labels: Optional[tuple[str, ...]] = None
+    label_indices: np.ndarray = field(init=False, repr=False)  # (n,) int64 positions in class_list
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
@@ -32,12 +33,16 @@ class LabeledDataset:
             raise ValueError("features must be finite")
         if tuple(sorted(set(self.class_list))) != tuple(self.class_list):
             raise ValueError("class_list must be sorted and distinct")
-        unknown = set(labels) - set(self.class_list)
+        lookup = {c: i for i, c in enumerate(self.class_list)}
+        unknown = set(labels) - lookup.keys()
         if unknown:
             raise ValueError(f"labels outside class_list: {sorted(unknown)}")
-        features.setflags(write=False)
+        indices = np.array([lookup[label] for label in labels], dtype=np.int64)
+        for arr in (features, indices):
+            arr.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "label_indices", indices)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -45,11 +50,6 @@ class LabeledDataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def label_indices(self) -> np.ndarray:
-        lookup = {c: i for i, c in enumerate(self.class_list)}
-        return np.array([lookup[label] for label in self.labels], dtype=np.int64)
 
 
 @dataclass

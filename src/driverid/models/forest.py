@@ -18,6 +18,11 @@ class ForestParams:
     seed: int
 
 
+def check(params: dict) -> None:
+    if int(params["n_trees"]) < 1:
+        raise ValueError("n_trees must be >= 1")
+
+
 def fit(data: LabeledDataset, params: dict, seed: int) -> ForestParams:
     """Train a seeded, fully reproducible forest.
 
@@ -26,8 +31,6 @@ def fit(data: LabeledDataset, params: dict, seed: int) -> ForestParams:
     per-tree RNGs derive from the master seed.
     """
     n_trees = int(params["n_trees"])
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
     d = data.n_features
     features_per_split = params["features_per_split"]
     if features_per_split is None:

@@ -20,10 +20,13 @@ class KnnParams:
     train_y: np.ndarray       # (n,) class indices
 
 
+def check(params: dict) -> None:
+    if int(params["k"]) < 1:
+        raise ValueError("k must be >= 1")
+
+
 def fit(data: LabeledDataset, params: dict, seed: int) -> KnnParams:
     k = int(params["k"])
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if k > len(data):
         raise InsufficientData(f"k={k} exceeds {len(data)} training rows")
     return KnnParams(k=k, train_x=data.features.copy(), train_y=data.label_indices)

@@ -108,6 +108,10 @@ def loss_and_grads(params: MlpParams, x: np.ndarray, y_onehot: np.ndarray):
     return loss, grads_w, grads_b
 
 
+def check(params: dict) -> None:
+    MlpConfig(**params)
+
+
 def fit(data: LabeledDataset, params: dict, seed: int) -> MlpParams:
     """Train with mini-batch gradient descent and patience-based early stopping.
 

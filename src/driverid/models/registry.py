@@ -1,11 +1,14 @@
 """The model-kind registry, the one dispatch point on model kind.
 
 Each entry holds the kind's parameter defaults (the only place they are
-written; mlp's come from ``MlpConfig``'s fields) and four functions from
-the kind's module: ``fit`` gets the defaults merged with the caller's
-params and returns the kind's params object, ``predict`` maps a checked
-(m, d) matrix to class indices, ``to_doc``/``from_doc`` convert the params
-to and from JSON. ``pipeline.train_model``, ``models.predict``,
+written; mlp's come from ``MlpConfig``'s fields) and five functions from
+the kind's module: ``check`` raises ValueError on out-of-range params
+(the defaults merged with the caller's), ``fit`` gets such checked params
+and returns the kind's params object, ``predict`` maps a checked (m, d)
+matrix to class indices, ``to_doc``/``from_doc`` convert the params to and
+from JSON. The run config checks every ``[model.<kind>]`` section with
+``check`` when it is read, and ``pipeline.train_model`` checks again for
+library callers. ``pipeline.train_model``, ``models.predict``,
 ``models.io``, the run config's ``[model.<kind>]`` keys and the grid's
 default model list all read this table.
 """
@@ -23,6 +26,7 @@ from .base import LabeledDataset, TrainedModel
 @dataclass(frozen=True)
 class ModelKind:
     defaults: dict[str, Any]                                  # parameter -> default
+    check: Callable[[dict], None]                             # merged params -> None or ValueError
     fit: Callable[[LabeledDataset, dict, int], Any]           # (data, params, seed) -> params object
     predict: Callable[[TrainedModel, np.ndarray], np.ndarray]  # (model, (m, d)) -> class indices
     to_doc: Callable[[Any], dict]                             # params -> JSON object
@@ -30,18 +34,18 @@ class ModelKind:
 
 
 REGISTRY: dict[str, ModelKind] = {
-    "knn": ModelKind({"k": 5}, knn.fit, knn.predict, knn.to_doc, knn.from_doc),
+    "knn": ModelKind({"k": 5}, knn.check, knn.fit, knn.predict, knn.to_doc, knn.from_doc),
     "dtree": ModelKind(
         {"max_depth": None, "min_leaf": 1},
-        tree.fit, tree.predict, tree.to_doc, tree.from_doc,
+        tree.check, tree.fit, tree.predict, tree.to_doc, tree.from_doc,
     ),
     "rforest": ModelKind(
         {"n_trees": 25, "max_depth": None, "features_per_split": None},
-        forest.fit, forest.predict, forest.to_doc, forest.from_doc,
+        forest.check, forest.fit, forest.predict, forest.to_doc, forest.from_doc,
     ),
     "mlp": ModelKind(
         {f.name: f.default for f in fields(mlp.MlpConfig) if f.name != "seed"},
-        mlp.fit, mlp.predict, mlp.to_doc, mlp.from_doc,
+        mlp.check, mlp.fit, mlp.predict, mlp.to_doc, mlp.from_doc,
     ),
 }
 

@@ -26,10 +26,13 @@ class Tree:
     leaf_class: np.ndarray  # class index at a leaf; -1 at a split
 
 
+def check(params: dict) -> None:
+    if int(params["min_leaf"]) < 1:
+        raise ValueError("min_leaf must be >= 1")
+
+
 def fit(data: LabeledDataset, params: dict, seed: int) -> Tree:
     min_leaf = int(params["min_leaf"])
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
     return grow_tree(
         data.features, data.label_indices, len(data.class_list), params["max_depth"], min_leaf
     )

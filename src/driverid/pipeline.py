@@ -97,10 +97,12 @@ def train_model(
     unknown = set(params) - set(entry.defaults)
     if unknown:
         raise ValueError(f"unknown parameters for {kind}: {sorted(unknown)}")
+    params = {**entry.defaults, **params}
+    entry.check(params)
     check_training_data(train)
     return TrainedModel(
         kind=kind,
-        params=entry.fit(train, {**entry.defaults, **params}, seed),
+        params=entry.fit(train, params, seed),
         class_list=train.class_list,
         n_features=train.n_features,
         standardizer=standardizer,

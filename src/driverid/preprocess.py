@@ -8,7 +8,6 @@ removed data time.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -256,10 +255,20 @@ def detect_stops(
     whose half-open duration reaches min_stop_seconds. Runs never bridge a
     sampling discontinuity longer than two sample periods. Returned
     intervals are disjoint and sorted.
+
+    For every sample i, r(i) is the end of the longest in-band run [i, r(i))
+    inside i's contiguous block (see ``_run_ends``). Stops are picked
+    greedily from the left: the first i at or after the cursor whose run is
+    long enough gives the stop [t[i], t[r(i) - 1] + period), and the cursor
+    moves to r(i). This equals a scan that grows a run sample by sample and,
+    when the run ends, either records it and restarts at its end or retries
+    from the next start, because r is monotone: [i + 1, r(i)) lies inside
+    the in-band run [i, r(i)), so r(i + 1) >= r(i) and the scan never has to
+    look back.
     """
     accel = trip.data[:, ACCEL_COLUMNS]
-    if np.isnan(accel).any():
-        raise ValueError("detect_stops requires gap-filled accelerometer channels")
+    if not np.isfinite(accel).all():
+        raise ValueError("detect_stops requires gap-filled, finite accelerometer channels")
     if aggregate == "magnitude":
         m = np.sqrt((accel**2).sum(axis=1))
     elif aggregate == "sum":
@@ -269,53 +278,48 @@ def detect_stops(
 
     period = 1.0 / trip.nominal_rate_hz
     t = trip.t
+    starts = np.arange(len(trip))
+    breaks = np.flatnonzero(np.diff(t) > 2.0 * period) + 1  # first sample of each later block
+    block_end = np.append(breaks, len(trip))[np.searchsorted(breaks, starts, side="right")]
+    run_end = _run_ends(m, block_end, threshold)
+    long_enough = np.flatnonzero((run_end > starts) & (t[run_end - 1] - t + period >= min_stop_seconds))
+
     stops: list[StopInterval] = []
-    contiguous = np.diff(t) <= 2.0 * period if len(trip) > 1 else np.array([], dtype=bool)
-    block_start = 0
-    for block_end in list(np.nonzero(~contiguous)[0] + 1) + [len(trip)]:
-        stops.extend(
-            _stops_in_block(m, t, block_start, block_end, threshold, min_stop_seconds, period)
-        )
-        block_start = block_end
+    k = 0
+    while k < long_enough.size:
+        i = long_enough[k]
+        stops.append(StopInterval(float(t[i]), float(t[run_end[i] - 1] + period)))
+        k = np.searchsorted(long_enough, run_end[i])  # first start at or after the cursor
     return stops
 
 
-def _stops_in_block(m, t, start, end, threshold, min_stop_seconds, period):
-    """Greedy left-to-right maximal in-band runs within one contiguous block."""
-    stops = []
-    maxq: deque[int] = deque()  # indices, decreasing m
-    minq: deque[int] = deque()  # indices, increasing m
-    i = start
-    j = start  # next sample to absorb
-    while i < end:
-        if j < i:
-            j = i
-        while j < end:
-            # try to extend the run [i, j] by sample j
-            while maxq and maxq[0] < i:
-                maxq.popleft()
-            while minq and minq[0] < i:
-                minq.popleft()
-            hi = m[maxq[0]] if maxq else -np.inf
-            lo = m[minq[0]] if minq else np.inf
-            if max(hi, m[j]) - min(lo, m[j]) > threshold:
-                break
-            while maxq and m[maxq[-1]] <= m[j]:
-                maxq.pop()
-            maxq.append(j)
-            while minq and m[minq[-1]] >= m[j]:
-                minq.pop()
-            minq.append(j)
-            j += 1
-        # maximal run is [i, j)
-        if j > i and (t[j - 1] - t[i] + period) >= min_stop_seconds:
-            stops.append(StopInterval(float(t[i]), float(t[j - 1] + period)))
-            i = j
-            maxq.clear()
-            minq.clear()
-        else:
-            i += 1
-    return stops
+def _run_ends(m: np.ndarray, block_end: np.ndarray, threshold: float) -> np.ndarray:
+    """For every i, the largest r <= block_end[i] with max(m[i:r]) - min(m[i:r]) <= threshold.
+
+    Sparse tables hold the max and min of m over every [p, p + 2**k); each
+    run grows by 2**k for k from the largest power down whenever the grown
+    run stays in band (binary lifting). A run's range only grows with its
+    length, so this finds the longest run in O(n log n).
+    """
+    tables = [(m, m)]  # level k: max and min over [p, p + 2**k), p < n - 2**k + 1
+    while 2 ** len(tables) <= m.size:
+        half = 2 ** (len(tables) - 1)
+        top, bottom = tables[-1]
+        tables.append((np.maximum(top[:-half], top[half:]), np.minimum(bottom[:-half], bottom[half:])))
+
+    end = np.arange(m.size)
+    hi = np.full(m.size, -np.inf)
+    lo = np.full(m.size, np.inf)
+    for k in reversed(range(len(tables))):
+        top, bottom = tables[k]
+        at = np.minimum(end, top.size - 1)  # clipped where the step overruns anyway
+        grown_hi = np.maximum(hi, top[at])
+        grown_lo = np.minimum(lo, bottom[at])
+        grow = (end + 2**k <= block_end) & ~(grown_hi - grown_lo > threshold)
+        end = np.where(grow, end + 2**k, end)
+        hi = np.where(grow, grown_hi, hi)
+        lo = np.where(grow, grown_lo, lo)
+    return end
 
 
 def remove_stops(trip: Trip, stops: Sequence[StopInterval]) -> CleanTrip:

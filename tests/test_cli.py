@@ -430,6 +430,36 @@ class TestConfigParsing:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    @pytest.mark.parametrize(
+        "kind, key, value, message",
+        [
+            ("knn", "k", "0", "k must be >= 1"),
+            ("dtree", "min_leaf", "0", "min_leaf must be >= 1"),
+            ("rforest", "n_trees", "0", "n_trees must be >= 1"),
+            ("mlp", "activation", "junk", "activation must be one of"),
+        ],
+    )
+    def test_out_of_range_model_param_fails_before_any_log_is_read(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, command, kind, key, value, message
+    ):
+        from driverid import ingest
+
+        reads = []
+        monkeypatch.setattr(ingest, "read_log", lambda *args: reads.append(args))
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[run]\nmodel = knn\n[model.{kind}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"\[model.{kind}\] {message}"):
+            read_run_config(path)
+        code = main(
+            [command, "--manifest", str(corpus_dir / "manifest.csv"),
+             "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert reads == []
+        assert not (tmp_path / "out").exists()
+        assert f"[model.{kind}] {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["[DEFAULT]\nsede = 3\n", "[DEFAULT]\nseed = 3\n[run]\nmodel = knn\n"])
     def test_default_section_keys_rejected(self, tmp_path, text):
         path = tmp_path / "bad.ini"

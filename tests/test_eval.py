@@ -106,6 +106,14 @@ class TestEvaluate:
         assert np.isnan(report.per_class_recall[2])
         assert report.to_dict()["per_class_recall"][2] is None
 
+    def test_test_classes_a_subset_of_model_classes(self, patched_predict):
+        # test rows index their own class list; the confusion indexes the model's
+        truth = ["c", "b", "c", "c"]
+        preds = ["c", "a", "b", "c"]
+        report = evaluate(FixedModel(preds, ("a", "b", "c")), dataset_from(truth))
+        assert report.confusion.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 2]]
+        assert report.accuracy == 0.5
+
     def test_empty_test_set_rejected(self):
         rng = np.random.default_rng(1)
         data = dataset_from(["a", "b"], x=rng.standard_normal((2, 3)))

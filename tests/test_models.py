@@ -28,6 +28,17 @@ def make_dataset(rng, n=60, dim=5, classes=("a", "b", "c")):
     return LabeledDataset(features=x, labels=labels, class_list=tuple(sorted(classes)))
 
 
+class TestLabeledDataset:
+    def test_label_indices_are_read_only_class_positions(self):
+        labels = np.array(["b", "a", "c", "b"], dtype=object)
+        data = LabeledDataset(features=np.zeros((4, 2)), labels=labels, class_list=("a", "b", "c"))
+        assert data.label_indices.tolist() == [1, 0, 2, 1]
+        assert data.label_indices.dtype == np.int64
+        assert data.label_indices is data.label_indices
+        with pytest.raises(ValueError):
+            data.label_indices[0] = 0
+
+
 class TestKnn:
     def test_exact_match_with_k1(self):
         rng = np.random.default_rng(0)
@@ -319,6 +330,22 @@ class TestPredictContract:
         data = LabeledDataset(features=x, labels=labels, class_list=("only",))
         with pytest.raises(InsufficientData, match="at least 2 classes"):
             train_model(kind, data)
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("knn", {"k": 0}, "k must be >= 1"),
+            ("dtree", {"min_leaf": 0}, "min_leaf must be >= 1"),
+            ("rforest", {"n_trees": 0}, "n_trees must be >= 1"),
+            ("mlp", {"activation": "junk"}, "activation must be one of"),
+        ],
+    )
+    def test_out_of_range_params_rejected_before_data_checks(self, kind, params, message):
+        x = np.random.default_rng(0).standard_normal((10, 3))
+        data = LabeledDataset(features=x, labels=np.array(["only"] * 10, dtype=object), class_list=("only",))
+        with pytest.raises(ValueError, match=message) as caught:
+            train_model(kind, data, params)
+        assert caught.type is ValueError  # not the single-class InsufficientData
 
     def test_all_kinds_return_known_labels(self):
         rng = np.random.default_rng(16)
