@@ -6,11 +6,11 @@ the kind's module: ``check`` raises ValueError on out-of-range params
 (the defaults merged with the caller's), ``fit`` gets such checked params
 and returns the kind's params object, ``predict`` maps a checked (m, d)
 matrix to class indices, ``to_doc``/``from_doc`` convert the params to and
-from JSON. The run config checks every ``[model.<kind>]`` section with
-``check`` when it is read, and ``pipeline.train_model`` checks again for
-library callers. ``pipeline.train_model``, ``models.predict``,
-``models.io``, the run config's ``[model.<kind>]`` keys and the grid's
-default model list all read this table.
+from JSON. ``check`` runs on every ``[model.<kind>]`` section when the run
+config is read, and again in ``pipeline.train_model`` for library callers.
+``pipeline.train_model``, ``models.predict``, ``models.io``, the run
+config's ``[model.<kind>]`` keys and the grid's default model list all
+read this table.
 """
 from __future__ import annotations
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from driverid import config
+from driverid import config, ingest
 from driverid.cli import main
 from driverid.config import ConfigError, RunConfig, read_manifest, read_run_config, write_manifest
 from driverid.models import MODEL_KINDS, load_model, save_model
@@ -443,8 +443,6 @@ class TestConfigParsing:
     def test_out_of_range_model_param_fails_before_any_log_is_read(
         self, corpus_dir, tmp_path, monkeypatch, capsys, command, kind, key, value, message
     ):
-        from driverid import ingest
-
         reads = []
         monkeypatch.setattr(ingest, "read_log", lambda *args: reads.append(args))
         path = tmp_path / "bad.ini"

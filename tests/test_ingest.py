@@ -68,6 +68,20 @@ class TestParseLog:
             trip = parse_log(log, "d1", 2.0)
         assert len(trip) == 2
 
+    @pytest.mark.parametrize("stamp", ["inf", "Infinity", "nan"])
+    def test_non_finite_last_timestamp_drops_row_with_warning(self, stamp):
+        log = make_log(["0.0,1,2,3,4,5,6", f"{stamp},1,2,3,4,5,6"])
+        with pytest.warns(UserWarning, match="rejected 1 rows"):
+            trip = parse_log(log, "d1", 2.0)
+        assert len(trip) == 1
+
+    def test_six_and_eight_field_rows_rejected_when_fields_add_up(self):
+        # 6 + 8 + 7 fields would fill three 7-field rows with increasing timestamps
+        log = make_log(["0.0,1,2,3,4,5", "5.0,6,7,8,9,10,11,12", "20.0,1,2,3,4,5,6"])
+        with pytest.warns(UserWarning, match="rejected 2 rows"):
+            trip = parse_log(log, "d1", 2.0)
+        assert trip.t.tolist() == [20.0]
+
     def test_sample_count_is_rows_minus_rejected(self):
         rows = [f"{i * 0.5},1,2,3,4,5,6" for i in range(10)]
         rows.insert(4, "bad,1,2,3,4,5,6")
@@ -79,6 +93,11 @@ class TestParseLog:
     def test_non_monotonic_timestamp_names_line(self):
         log = make_log(["0.0,1,2,3,4,5,6", "0.5,1,2,3,4,5,6", "0.4,1,2,3,4,5,6"])
         with pytest.raises(ValueError, match="line 4"):
+            parse_log(log, "d1", 2.0)
+
+    def test_negative_first_timestamp_names_line(self):
+        log = make_log(["-0.5,1,2,3,4,5,6", "0.0,1,2,3,4,5,6"])
+        with pytest.raises(ValueError, match="negative timestamp at line 2"):
             parse_log(log, "d1", 2.0)
 
     def test_reads_bytes_and_file_objects(self):
@@ -105,14 +124,12 @@ class TestRoundTrip:
         assert serialize_log(quiet_trip) == serialize_log(quiet_trip)
 
 
-# Field texts that float() reads, besides repr of a float: odd spellings,
-# non-finite values, and a few it rejects.
-ODD_FIELDS = (
-    "NaN", "nan", "inf", "-Infinity", "1_0", "1e-400", " 1.5 ", "\u0663.5", "-0.0",
-    "zzz", "", "1,5", "0x10",
-)
+# Field texts that float() reads besides repr of a float (odd spellings and
+# non-finite values), and some it rejects.
+ODD_FIELDS = ("NaN", "nan", "inf", "-Infinity", "1_0", "1e-400", " 1.5 ", "\u0663.5", "-0.0")
+BAD_FIELDS = ("zzz", "", "0x10", "1.5.2")
 MALFORMED_ROWS = (
-    "six_fields", "eight_fields", "blank", "bad_timestamp",
+    "six_fields", "eight_fields", "blank", "bad_timestamp", "bad_channel",
     "duplicate_timestamp", "decreasing_timestamp", "negative_timestamp",
 )
 
@@ -148,7 +165,10 @@ def log_texts(draw):
         }.get(kind, repr(t))
         last = t
         width = {"six_fields": 5, "eight_fields": 7}.get(kind, 6)
-        row = ",".join([stamp, *draw(st.lists(fields, min_size=width, max_size=width))])
+        values = draw(st.lists(fields, min_size=width, max_size=width))
+        if kind == "bad_channel":
+            values[draw(st.integers(0, width - 1))] = draw(st.sampled_from(BAD_FIELDS))
+        row = ",".join([stamp, *values])
         lines.append(draw(st.sampled_from(["", " "])) + row + draw(st.sampled_from(["", "  "])))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + newline
@@ -170,6 +190,19 @@ class TestParseLogProperties:
     @given(trips())
     def test_parse_inverts_serialize(self, trip):
         assert parse_log(serialize_log(trip), "h", 2.0) == trip
+
+    @settings(max_examples=100, deadline=None)
+    @given(trips(), st.lists(st.tuples(st.integers(0, 29), st.integers(0, 5), st.sampled_from([np.inf, -np.inf]))))
+    def test_serialize_writes_repr_or_nan_per_value(self, trip, infinities):
+        data = trip.data.copy()
+        for row, col, value in infinities:
+            data[row % len(trip), col] = value
+        trip = Trip("h", trip.t, data, 2.0)
+        rows = [
+            ",".join(repr(float(v)) if math.isfinite(v) else "NaN" for v in (t, *values))
+            for t, values in zip(trip.t, trip.data)
+        ]
+        assert serialize_log(trip) == "\n".join([LOG_HEADER, *rows]) + "\n"
 
     @settings(max_examples=400, deadline=None)
     @given(log_texts())
