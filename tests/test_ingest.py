@@ -192,7 +192,10 @@ class TestParseLogProperties:
         assert parse_log(serialize_log(trip), "h", 2.0) == trip
 
     @settings(max_examples=100, deadline=None)
-    @given(trips(), st.lists(st.tuples(st.integers(0, 29), st.integers(0, 5), st.sampled_from([np.inf, -np.inf]))))
+    @given(
+        trips(),
+        st.lists(st.tuples(st.integers(0, 29), st.integers(0, 5), st.sampled_from([np.inf, -np.inf]))),
+    )
     def test_serialize_writes_repr_or_nan_per_value(self, trip, infinities):
         data = trip.data.copy()
         for row, col, value in infinities:

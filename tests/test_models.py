@@ -342,7 +342,8 @@ class TestPredictContract:
     )
     def test_out_of_range_params_rejected_before_data_checks(self, kind, params, message):
         x = np.random.default_rng(0).standard_normal((10, 3))
-        data = LabeledDataset(features=x, labels=np.array(["only"] * 10, dtype=object), class_list=("only",))
+        labels = np.array(["only"] * 10, dtype=object)
+        data = LabeledDataset(features=x, labels=labels, class_list=("only",))
         with pytest.raises(ValueError, match=message) as caught:
             train_model(kind, data, params)
         assert caught.type is ValueError  # not the single-class InsufficientData
