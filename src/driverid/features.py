@@ -6,8 +6,9 @@ Pearson correlation. With all families on and 100 bins a window yields
 6*100 + 6 + 6 + 6 + 15 = 633 values. `FeatureConfig.families` holds the
 enabled families; `subset_families` reads a subset string such as
 "mean+variance" or "all". `extract_sequence` featurizes a whole
-`WindowBatch` at once into one `FeatureBlock` of rows; every family except
-the histogram is a reduction over the batch's sample axis.
+`WindowBatch` at once into one `FeatureBlock` of rows; every family is
+computed for all of the batch's windows at once over its sample axis,
+the histogram included (`trimmed_histograms`).
 """
 from __future__ import annotations
 
@@ -97,26 +98,60 @@ def trimmed_histogram(signal, bins: int, keep: float) -> np.ndarray:
     empirical quantiles (linear interpolation). In-range samples are counted
     into `bins` equal-width bins over that range (last bin right-closed) and
     counts are normalized to sum to one. A constant signal puts all mass in
-    bin 0. A signal with no sample inside the range (too few samples for
-    `keep`) raises `ValueError`.
+    bin 0. A signal with a NaN or infinite sample, or with no sample inside
+    the range (too few samples for `keep`), raises `ValueError`.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("signal must be 1-D with at least 2 samples")
+    return trimmed_histograms(x[None], bins, keep)[0]
+
+
+def trimmed_histograms(x: np.ndarray, bins: int, keep: float) -> np.ndarray:
+    """`trimmed_histogram` of every row of an (m, w) array, w >= 2, as (m, bins).
+
+    Each row equals ``np.histogram(row[in_range], bins, range=(q_lo, q_hi))``
+    normalized, bit for bit: samples are scaled to a bin index, the index
+    `bins` (a sample on q_hi) moves down one, and the index is corrected
+    by one against the row's ``np.linspace(q_lo, q_hi, bins + 1)`` edges,
+    as `np.histogram` does for uniform bins. One `bincount` counts all
+    rows. Like `np.histogram`, a range too narrow for `bins` distinct edges
+    raises `ValueError`.
+    """
+    m, w = x.shape
+    if not np.isfinite(x).all():
+        raise ValueError(f"a {w}-sample signal has a non-finite sample, so its trimmed range is not finite")
     tail = (1.0 - keep) / 2.0
-    q_lo, q_hi = np.quantile(x, [tail, 1.0 - tail])
-    out = np.zeros(bins)
-    if q_lo == q_hi:
-        out[0] = 1.0
-        return out
-    counts, _ = np.histogram(x[(x >= q_lo) & (x <= q_hi)], bins=bins, range=(q_lo, q_hi))
-    total = counts.sum()
-    if total == 0:
+    lo, hi = (q[:, None] for q in np.quantile(x, [tail, 1.0 - tail], axis=-1))
+    constant = lo == hi
+    delta = np.where(constant, 1.0, hi - lo)  # constant rows are set below
+    step = delta / bins
+
+    k = np.arange(bins + 1.0)
+    edges = np.where(step == 0, k / bins * delta, k * step) + lo  # np.linspace's arithmetic, row by row
+    edges[:, -1:] = hi
+    if (edges[:, :-1] >= edges[:, 1:])[~constant[:, 0]].any():
         raise ValueError(
-            f"no sample of a {x.size}-sample signal lies inside its trimmed range "
+            f"the trimmed range of a {w}-sample signal is too narrow for {bins} finite-sized bins"
+        )
+    z = np.clip(x, lo, hi)
+    index = (((z - lo) / delta) * bins).astype(np.intp)
+    index[index == bins] -= 1
+    index[z < np.take_along_axis(edges, index, axis=1)] -= 1
+    index[(z >= np.take_along_axis(edges, index + 1, axis=1)) & (index != bins - 1)] += 1
+    index[z != x] = bins  # samples outside the trimmed range go to a spare bin, dropped below
+    index += np.arange(m)[:, None] * (bins + 1)
+    counts = np.bincount(index.ravel(), minlength=m * (bins + 1)).reshape(m, bins + 1)[:, :bins]
+    total = counts.sum(axis=1, keepdims=True)
+    if (total[~constant] == 0).any():
+        raise ValueError(
+            f"no sample of a {w}-sample signal lies inside its trimmed range "
             f"at trim_keep_fraction {keep}"
         )
-    return counts / total
+    out = np.zeros(counts.shape)
+    np.divide(counts, total, out=out, where=~constant)
+    out[constant[:, 0], 0] = 1.0
+    return out
 
 
 def extract_sequence(batch: WindowBatch, cfg: FeatureConfig) -> FeatureBlock:
@@ -132,10 +167,8 @@ def extract_sequence(batch: WindowBatch, cfg: FeatureConfig) -> FeatureBlock:
     parts = []
     for family in cfg.families:
         if family == "histogram":
-            hist = np.empty((n, 6, cfg.histogram_bins))
-            for i in range(n):
-                for c in range(6):
-                    hist[i, c] = trimmed_histogram(x[i, c], cfg.histogram_bins, cfg.trim_keep_fraction)
+            rows = x.reshape(n * 6, x.shape[-1])
+            hist = trimmed_histograms(rows, cfg.histogram_bins, cfg.trim_keep_fraction)
             parts.append(hist.reshape(n, 6 * cfg.histogram_bins))
         elif family == "mean":
             parts.append(mean)

@@ -25,9 +25,10 @@ LOG_HEADER = "t," + ",".join(CHANNELS)
 class Trip:
     """An ordered, labeled 6-channel recording for one driver.
 
-    `t` has shape (n,), strictly increasing, seconds. `data` has shape
-    (n, 6) in CHANNELS order; NaN entries are missing values. Arrays are
-    frozen read-only so trips can be shared across threads.
+    `t` has shape (n,), finite, strictly increasing, seconds. `data` has
+    shape (n, 6) in CHANNELS order; NaN entries are missing values and
+    infinite ones are rejected. Arrays are frozen read-only so trips can be
+    shared across threads.
     """
 
     driver_id: str
@@ -44,6 +45,10 @@ class Trip:
         data = np.asarray(self.data, dtype=np.float64)
         if t.ndim != 1 or data.shape != (t.size, 6):
             raise ValueError(f"expected t (n,) and data (n, 6), got {t.shape} and {data.shape}")
+        if not np.isfinite(t).all():
+            raise ValueError("timestamps must be finite")
+        if np.isinf(data).any():
+            raise ValueError("channel values must be finite or NaN (missing)")
         if t.size and t[0] < 0:
             raise ValueError("timestamps must be nonnegative")
         if t.size > 1 and not np.all(np.diff(t) > 0):
@@ -163,12 +168,12 @@ def serialize_log(trip: Trip) -> str:
     """Render a trip in the canonical log format. parse_log inverts this exactly.
 
     Values are written with ``repr`` (the shortest string that reads back
-    as the same float); NaN and infinities are written as ``NaN``.
+    as the same float); missing values are written as ``NaN``.
     """
     table = np.column_stack((trip.t, trip.data))
     text = "\n".join([LOG_HEADER, *(",".join(map(repr, row)) for row in table.tolist())]) + "\n"
-    if not np.isfinite(table).all():  # no finite repr holds these letters
-        text = text.replace("-inf", "NaN").replace("inf", "NaN").replace("nan", "NaN")
+    if np.isnan(trip.data).any():  # no finite repr holds these letters
+        text = text.replace("nan", "NaN")
     return text
 
 

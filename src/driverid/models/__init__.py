@@ -21,13 +21,18 @@ from .registry import MODEL_KINDS, lookup
 
 
 def predict(model: TrainedModel, x):
-    """The label of one vector, or an object array of labels for an (m, d) matrix."""
+    """The label of one vector, or an object array of labels for an (m, d) matrix.
+
+    A query with a NaN or infinite value raises `ValueError`.
+    """
     arr = np.asarray(x, dtype=np.float64)
     matrix = np.atleast_2d(arr)
     if matrix.shape[1] != model.n_features:
         raise ValueError(
             f"dimension mismatch: query has {matrix.shape[1]} features, model expects {model.n_features}"
         )
+    if not np.isfinite(matrix).all():
+        raise ValueError("query has a non-finite value")
     labels = np.array(model.class_list, dtype=object)[lookup(model.kind).predict(model, matrix)]
     return labels[0] if arr.ndim == 1 else labels
 

@@ -12,6 +12,16 @@ import numpy as np
 
 
 def histogram_oracle(signal, bins, keep):
+    """Trimmed histogram by sorting and scanning bin edges.
+
+    Quantiles interpolate linearly between neighbouring order statistics,
+    rounded as numpy's linear method rounds them. The bin edges are
+    ``np.linspace(q_lo, q_hi, bins + 1)``'s values (``q_lo + k * step``,
+    the last one ``q_hi``), and a sample falls in the last bin whose lower
+    edge it reaches. So a sample that sits exactly on a rounded edge is
+    counted where ``np.histogram`` counts it, and results compare bit for
+    bit. An empty trimmed range divides by zero.
+    """
     xs = sorted(float(v) for v in signal)
     n = len(xs)
 
@@ -20,7 +30,8 @@ def histogram_oracle(signal, bins, keep):
         lo = int(np.floor(pos))
         hi = min(lo + 1, n - 1)
         frac = pos - lo
-        return xs[lo] * (1 - frac) + xs[hi] * frac
+        a, b = xs[lo], xs[hi]
+        return a + (b - a) * frac if frac < 0.5 else b - (b - a) * (1 - frac)
 
     tail = (1.0 - keep) / 2.0
     q_lo, q_hi = quantile(tail), quantile(1.0 - tail)
@@ -28,15 +39,14 @@ def histogram_oracle(signal, bins, keep):
         out = [0.0] * bins
         out[0] = 1.0
         return out
-    width = (q_hi - q_lo) / bins
+    step = (q_hi - q_lo) / bins
+    edges = [q_lo + k * step for k in range(bins)]
     counts = [0] * bins
     total = 0
     for v in xs:
         if v < q_lo or v > q_hi:
             continue
-        b = int((v - q_lo) / width)
-        b = min(b, bins - 1)  # right edge closes the last bin
-        counts[b] += 1
+        counts[max(k for k in range(bins) if edges[k] <= v)] += 1
         total += 1
     return [c / total for c in counts]
 

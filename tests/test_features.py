@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driverid.features import (
     FeatureConfig,
@@ -91,6 +92,40 @@ class TestTrimmedHistogram:
         # no sample lies between the two quantiles, so there is nothing to normalize
         with pytest.raises(ValueError, match=rf"{len(signal)}-sample .* trim_keep_fraction {keep}$"):
             trimmed_histogram(np.array(signal), 10, keep)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_extract_matches_oracle_bit_for_bit(self, data):
+        # values on a quarter grid, so samples sit exactly on quantiles and bin edges
+        n, w = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 50))
+        bins, keep = data.draw(st.integers(1, 120)), data.draw(st.sampled_from([0.5, 0.9, 0.95, 1.0]))
+        channels = data.draw(arrays(np.int8, (n * 6, w), elements=st.integers(-8, 8), fill=st.nothing())) / 4
+        for row in data.draw(st.sets(st.integers(0, n * 6 - 1))):
+            channels[row] = channels[row, 0]  # constant rows mixed into the batch
+        channels = channels.reshape(n, 6, w)
+        cfg = FeatureConfig(families=("histogram",), histogram_bins=bins, trim_keep_fraction=keep)
+        try:
+            rows = extract_sequence(window_batch(*channels), cfg).values.reshape(n, 6, bins)
+        except ValueError as err:
+            assert "no sample" in str(err)
+            with pytest.raises(ZeroDivisionError):  # the oracle's empty trimmed range
+                for window in channels:
+                    for signal in window:
+                        histogram_oracle(signal, bins, keep)
+            return
+        for i in range(n):
+            for c in range(6):
+                assert rows[i, c].tolist() == histogram_oracle(channels[i, c], bins, keep)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, value):
+        signal = np.arange(600.0)
+        signal[3] = value  # trimmed away at keep 0.95, yet still rejected
+        with pytest.raises(ValueError, match="non-finite"):
+            trimmed_histogram(signal, 100, 0.95)
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_sequence(window_batch(np.tile(signal, (6, 1))), FeatureConfig())
 
 
 class TestMeanVariance:

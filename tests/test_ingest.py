@@ -194,18 +194,40 @@ class TestParseLogProperties:
     @settings(max_examples=100, deadline=None)
     @given(
         trips(),
-        st.lists(st.tuples(st.integers(0, 29), st.integers(0, 5), st.sampled_from([np.inf, -np.inf]))),
+        st.lists(
+            st.tuples(st.integers(0, 29), st.integers(0, 5), st.sampled_from([np.inf, -np.inf])), min_size=1
+        ),
     )
     def test_serialize_writes_repr_or_nan_per_value(self, trip, infinities):
-        data = trip.data.copy()
-        for row, col, value in infinities:
-            data[row % len(trip), col] = value
-        trip = Trip("h", trip.t, data, 2.0)
         rows = [
             ",".join(repr(float(v)) if math.isfinite(v) else "NaN" for v in (t, *values))
             for t, values in zip(trip.t, trip.data)
         ]
         assert serialize_log(trip) == "\n".join([LOG_HEADER, *rows]) + "\n"
+        data = trip.data.copy()
+        for row, col, value in infinities:
+            data[row % len(trip), col] = value
+        with pytest.raises(ValueError, match="finite or NaN"):
+            Trip("h", trip.t, data, 2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        trips(),
+        st.lists(st.tuples(st.integers(0, 29), st.integers(-1, 5), st.sampled_from([np.inf, -np.inf, np.nan]))),
+    )
+    def test_every_trip_accepted_round_trips(self, trip, plants):
+        t, data = trip.t.copy(), trip.data.copy()
+        for row, col, value in plants:  # column -1 plants into the timestamps
+            if col < 0:
+                t[row % len(t)] = value
+            else:
+                data[row % len(t), col] = value
+        try:
+            planted = Trip("h", t, data, 2.0)
+        except ValueError:
+            assert not np.isfinite(t).all() or np.isinf(data).any()
+            return
+        assert parse_log(serialize_log(planted), "h", 2.0) == planted
 
     @settings(max_examples=400, deadline=None)
     @given(log_texts())
@@ -225,6 +247,21 @@ class TestTripInvariants:
     def test_rejects_decreasing_timestamps(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             Trip("d", np.array([0.0, 1.0, 1.0]), np.zeros((3, 6)), 2.0)
+
+    @pytest.mark.parametrize(
+        "stamp, value, message",
+        [
+            (np.inf, 0.0, "timestamps must be finite"),
+            (np.nan, 0.0, "timestamps must be finite"),
+            (1.0, np.inf, "finite or NaN"),
+            (1.0, -np.inf, "finite or NaN"),
+        ],
+    )
+    def test_rejects_non_finite_timestamps_and_infinite_values(self, stamp, value, message):
+        data = np.zeros((2, 6))
+        data[1, 3] = value
+        with pytest.raises(ValueError, match=message):
+            Trip("d", np.array([0.0, stamp]), data, 2.0)
 
     def test_rejects_empty_driver_id(self):
         with pytest.raises(ValueError, match="driver_id"):

@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driverid.models import LabeledDataset, MlpConfig, TrainedModel, load_model, predict, save_model
+from driverid.models.knn import QUERY_BLOCK
 from driverid.models.mlp import forward, init_params, loss_and_grads
 from driverid.models.tree import tree_depth, tree_from_nodes, tree_to_nodes
 from driverid.pipeline import train_model
@@ -65,6 +68,40 @@ class TestKnn:
             q = rng.standard_normal(4) * rng.uniform(0.2, 3.0)
             expected = knn_oracle(x, labels, data.class_list, q, 5)
             assert predict(model, q) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_on_ties_and_offsets(self, data):
+        n, d = data.draw(st.integers(2, 30)), data.draw(st.integers(1, 6))
+        grid = st.integers(-4, 4).map(lambda v: v / 2)
+        x = np.array(data.draw(st.lists(grid, min_size=n * d, max_size=n * d))).reshape(n, d)
+        for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)):
+            x[dst] = x[src]  # exact ties: duplicated training rows
+        x += data.draw(st.sampled_from([0.0, 1e4]))  # a large offset makes the screen's cancellation worst
+        for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+            x[dst] = x[src]
+            x[dst, 0] = np.nextafter(x[src, 0], np.inf)  # near-ties: one ulp apart
+        labels = np.array(data.draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n)), dtype=object)
+        labels[:2] = ["a", "b"]
+        model = train_model("knn", LabeledDataset(x, labels, ("a", "b", "c")), {"k": data.draw(st.integers(1, n))})
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=8))
+        queries = np.vstack(
+            [
+                x[[i for i, _ in pairs]],                         # on a training row
+                np.nextafter(x[[i for i, _ in pairs]], -np.inf),  # one ulp off it
+                (x[[i for i, _ in pairs]] + x[[j for _, j in pairs]]) / 2,  # midway between two rows
+            ]
+        )
+        expected = [knn_oracle(x, labels, ("a", "b", "c"), q, model.params.k) for q in queries]
+        assert predict(model, queries).tolist() == expected
+
+    def test_query_blocks_match_oracle(self):
+        rng = np.random.default_rng(6)
+        data = make_dataset(rng, n=80)
+        model = train_model("knn", data, {"k": 4})
+        queries = rng.standard_normal((2 * QUERY_BLOCK + 3, data.n_features)) * 3
+        expected = [knn_oracle(data.features, data.labels, data.class_list, q, 4) for q in queries]
+        assert predict(model, queries).tolist() == expected
 
     def test_k_zero_rejected(self):
         rng = np.random.default_rng(3)
@@ -361,6 +398,17 @@ class TestPredictContract:
         for model in models:
             out = predict(model, queries)
             assert set(out) <= set(data.class_list)
+
+    @pytest.mark.parametrize("kind", ["knn", "dtree", "rforest", "mlp"])
+    @pytest.mark.parametrize("shape", ["vector", "matrix"])
+    def test_non_finite_query_rejected(self, kind, shape):
+        data = make_dataset(np.random.default_rng(18), classes=("a", "b"))
+        model = train_kind(kind, data)
+        for value in (np.nan, np.inf, -np.inf):
+            query = np.zeros(data.n_features) if shape == "vector" else np.zeros((3, data.n_features))
+            query[..., -1] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                predict(model, query)
 
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(17)
