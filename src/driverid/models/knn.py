@@ -39,7 +39,7 @@ import numpy as np
 from ..segment import InsufficientData
 from .base import LabeledDataset, TrainedModel
 
-QUERY_BLOCK = 256  # queries screened per matrix product: a 256 x 3,000-row block is 6 MB
+QUERY_BLOCK = 64  # queries screened per matrix product: a 64 x 3,000-row block is 1.5 MB
 
 
 @dataclass
@@ -69,15 +69,17 @@ def predict(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:
     kth = min(p.k, n_rows) - 1
     eps = np.finfo(np.float64).eps / 2
     margin = 4 * (d + 4) * eps / (1 - (d + 4) * eps)
-    x_norms = (p.train_x**2).sum(axis=1)
+    x_norms = np.einsum("ij,ij->i", p.train_x, p.train_x)
     out = np.empty(matrix.shape[0], dtype=np.int64)
     for start in range(0, matrix.shape[0], QUERY_BLOCK):
         q = matrix[start : start + QUERY_BLOCK]
-        q_norms = (q**2).sum(axis=1)[:, None]
-        screen = q_norms + x_norms - 2 * (q @ p.train_x.T)
-        error = margin * (q_norms + x_norms)
-        bound = np.partition(screen + error, kth, axis=1)[:, kth, None]
-        query, row = np.nonzero(~(screen - error > bound))  # NaN or inf bounds keep the row
+        norms = np.einsum("ij,ij->i", q, q)[:, None] + x_norms
+        screen = norms - 2 * (q @ p.train_x.T)
+        error = np.multiply(norms, margin, out=norms)  # in place, like the bounds below
+        upper = screen + error
+        upper.partition(kth, axis=1)
+        lower = np.subtract(screen, error, out=screen)
+        query, row = np.nonzero(~(lower > upper[:, kth, None]))  # NaN or inf bounds keep the row
         dist = ((p.train_x[row] - q[query]) ** 2).sum(axis=1)
         order = np.lexsort((row, dist, query))  # by query, then distance, then row index
         query, row = query[order], row[order]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driverid.models import LabeledDataset, MlpConfig, TrainedModel, load_model, predict, save_model
 from driverid.models.knn import QUERY_BLOCK
@@ -72,12 +73,11 @@ class TestKnn:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_oracle_on_ties_and_offsets(self, data):
-        n, d = data.draw(st.integers(2, 30)), data.draw(st.integers(1, 6))
-        grid = st.integers(-4, 4).map(lambda v: v / 2)
-        x = np.array(data.draw(st.lists(grid, min_size=n * d, max_size=n * d))).reshape(n, d)
+        n, d = data.draw(st.integers(2, 30)), data.draw(st.integers(1, 40))
+        x = data.draw(arrays(np.int8, (n, d), elements=st.integers(-4, 4), fill=st.nothing())) / 2
         for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)):
             x[dst] = x[src]  # exact ties: duplicated training rows
-        x += data.draw(st.sampled_from([0.0, 1e4]))  # a large offset makes the screen's cancellation worst
+        x += data.draw(st.sampled_from([0.0, 1e4 + 1 / 3]))  # a large, inexact offset: the screen cancels most
         for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
             x[dst] = x[src]
             x[dst, 0] = np.nextafter(x[src, 0], np.inf)  # near-ties: one ulp apart
