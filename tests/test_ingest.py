@@ -213,7 +213,9 @@ class TestParseLogProperties:
     @settings(max_examples=200, deadline=None)
     @given(
         trips(),
-        st.lists(st.tuples(st.integers(0, 29), st.integers(-1, 5), st.sampled_from([np.inf, -np.inf, np.nan]))),
+        st.lists(
+            st.tuples(st.integers(0, 29), st.integers(-1, 5), st.sampled_from([np.inf, -np.inf, np.nan]))
+        ),
     )
     def test_every_trip_accepted_round_trips(self, trip, plants):
         t, data = trip.t.copy(), trip.data.copy()

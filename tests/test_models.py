@@ -74,25 +74,27 @@ class TestKnn:
     @given(st.data())
     def test_matches_oracle_on_ties_and_offsets(self, data):
         n, d = data.draw(st.integers(2, 30)), data.draw(st.integers(1, 40))
+        row_pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)
         x = data.draw(arrays(np.int8, (n, d), elements=st.integers(-4, 4), fill=st.nothing())) / 2
-        for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)):
+        for src, dst in data.draw(row_pairs):
             x[dst] = x[src]  # exact ties: duplicated training rows
-        x += data.draw(st.sampled_from([0.0, 1e4 + 1 / 3]))  # a large, inexact offset: the screen cancels most
-        for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+        x += data.draw(st.sampled_from([0.0, 1e4 + 1 / 3]))  # large and inexact: the screen cancels most
+        for src, dst in data.draw(row_pairs):
             x[dst] = x[src]
             x[dst, 0] = np.nextafter(x[src, 0], np.inf)  # near-ties: one ulp apart
         labels = np.array(data.draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n)), dtype=object)
         labels[:2] = ["a", "b"]
-        model = train_model("knn", LabeledDataset(x, labels, ("a", "b", "c")), {"k": data.draw(st.integers(1, n))})
-        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=8))
+        k = data.draw(st.integers(1, n))
+        model = train_model("knn", LabeledDataset(x, labels, ("a", "b", "c")), {"k": k})
+        at, to = (list(side) for side in zip(*data.draw(row_pairs.filter(len))))
         queries = np.vstack(
             [
-                x[[i for i, _ in pairs]],                         # on a training row
-                np.nextafter(x[[i for i, _ in pairs]], -np.inf),  # one ulp off it
-                (x[[i for i, _ in pairs]] + x[[j for _, j in pairs]]) / 2,  # midway between two rows
+                x[at],                         # on a training row
+                np.nextafter(x[at], -np.inf),  # one ulp off it
+                (x[at] + x[to]) / 2,           # midway between two rows
             ]
         )
-        expected = [knn_oracle(x, labels, ("a", "b", "c"), q, model.params.k) for q in queries]
+        expected = [knn_oracle(x, labels, ("a", "b", "c"), q, k) for q in queries]
         assert predict(model, queries).tolist() == expected
 
     def test_query_blocks_match_oracle(self):
