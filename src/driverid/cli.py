@@ -193,7 +193,10 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
     manifest = read_manifest(args.manifest)
-    model = load_model(args.model)
+    try:
+        model = load_model(args.model)
+    except ValueError as err:  # a version, schema or syntax mismatch: the user's input
+        raise ConfigError(f"{args.model}: {err}") from None
     _check_pipeline_record(cfg, model, args.model)
     trips = _load_trips(manifest)
     cleaned = _clean_all(trips, cfg)

@@ -4,9 +4,14 @@
 rows into a TrainedModel, whatever the kind. Predictions always take vectors in the same
 (standardized) space the model was trained in; the fitted Standardizer is
 carried on the model so persisted models can transform fresh raw features.
+
+``encode_array``/``decode_array`` are the one conversion between a numeric
+array and its JSON form in a model file.
 """
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -66,6 +71,40 @@ class TrainedModel:
     def __post_init__(self):
         if len(self.class_list) < 1:
             raise ValueError("class_list must be nonempty")
+
+
+def encode_array(a, dtype: str) -> dict:
+    """``{"dtype", "shape", "data"}``: the array as C-order little-endian
+    ``dtype`` ("<f8" or "<i8") bytes in base64, which keeps every bit."""
+    arr = np.asarray(a, dtype=dtype)
+    return {
+        "dtype": dtype,
+        "shape": list(arr.shape),
+        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+    }
+
+
+def decode_array(doc, name: str, dtype: str) -> np.ndarray:
+    """Inverse of encode_array, as a native-order, C-contiguous, writable array.
+
+    Raises ValueError naming ``name`` when the object is not an array of
+    ``dtype``, its base64 is bad or its byte count does not match its shape.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name}: expected an array object, got {type(doc).__name__}")
+    if doc["dtype"] != dtype:
+        raise ValueError(f"{name}: dtype {doc['dtype']!r}, expected {dtype!r}")
+    shape = doc["shape"]
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise ValueError(f"{name}: shape {shape!r} is not a list of sizes")
+    try:
+        raw = base64.b64decode(doc["data"], validate=True)
+    except (ValueError, TypeError) as err:  # binascii.Error is a ValueError
+        raise ValueError(f"{name}: bad base64 data ({err})") from None
+    itemsize = np.dtype(dtype).itemsize
+    if len(raw) != math.prod(shape) * itemsize:
+        raise ValueError(f"{name}: {len(raw)} bytes of data for shape {shape}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.dtype(dtype).newbyteorder("="))
 
 
 def check_training_data(data: LabeledDataset) -> None:

@@ -1,21 +1,30 @@
 """Versioned JSON persistence for trained models.
 
-Floats are written with full repr precision so a save/load round trip
-reproduces predictions bit for bit. This module writes the envelope; the
-kind's registry entry converts its params.
+A model file is one JSON object: ``format_version``, ``kind``,
+``class_list``, ``n_features``, the ``pipeline`` record, ``schema_labels``,
+the ``standardizer`` and the kind's ``params``. Every numeric array in it
+(knn ``train_x``/``train_y``, the standardizer's ``mean``/``std``, mlp
+``weights``/``biases``) is one ``{"dtype", "shape", "data"}`` object:
+"<f8" or "<i8" values in C order, little-endian, base64-encoded (see
+``base.encode_array``). That keeps every bit, so a save/load round trip
+reproduces predictions exactly, and is about a third of the bytes of
+decimal text. Tree and forest node lists stay plain JSON objects.
+
+Only the current ``FORMAT_VERSION`` is read. A version-1 file, which wrote
+arrays as decimal lists, is refused: retrain it with ``driverid train``.
+This module writes the envelope; the kind's registry entry converts its
+params.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-import numpy as np
-
 from ..features import Standardizer
-from .base import TrainedModel
+from .base import TrainedModel, decode_array, encode_array
 from .registry import lookup
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_model(model: TrainedModel, sink) -> None:
@@ -27,7 +36,10 @@ def save_model(model: TrainedModel, sink) -> None:
         "pipeline": model.pipeline,
         "schema_labels": list(model.schema_labels) if model.schema_labels else None,
         "standardizer": (
-            {"mean": model.standardizer.mean.tolist(), "std": model.standardizer.std.tolist()}
+            {
+                "mean": encode_array(model.standardizer.mean, "<f8"),
+                "std": encode_array(model.standardizer.std, "<f8"),
+            }
             if model.standardizer is not None
             else None
         ),
@@ -54,7 +66,10 @@ def load_model(source) -> TrainedModel:
 
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
+        raise ValueError(
+            f"unsupported model format version {version!r}, this driverid reads version "
+            f"{FORMAT_VERSION}; retrain the model with `driverid train`"
+        )
     try:
         entry = lookup(doc["kind"])
         n_features = int(doc["n_features"])
@@ -67,12 +82,21 @@ def load_model(source) -> TrainedModel:
             class_list=class_list,
             n_features=n_features,
             standardizer=(
-                Standardizer(np.array(std_doc["mean"]), np.array(std_doc["std"]))
-                if std_doc is not None
-                else None
+                _standardizer_from_doc(std_doc, n_features) if std_doc is not None else None
             ),
             schema_labels=tuple(schema) if schema else None,
             pipeline=doc.get("pipeline"),
         )
     except KeyError as err:
         raise ValueError(f"malformed model file: missing key {err.args[0]!r}") from None
+
+
+def _standardizer_from_doc(doc: dict, n_features: int) -> Standardizer:
+    mean = decode_array(doc["mean"], "standardizer.mean", "<f8")
+    std = decode_array(doc["std"], "standardizer.std", "<f8")
+    if mean.shape != (n_features,) or std.shape != (n_features,):
+        raise ValueError(
+            f"schema mismatch: standardizer mean {mean.shape} and std {std.shape}, "
+            f"header says {n_features} features"
+        )
+    return Standardizer(mean, std)

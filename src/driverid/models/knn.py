@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..segment import InsufficientData
-from .base import LabeledDataset, TrainedModel
+from .base import LabeledDataset, TrainedModel, decode_array, encode_array
 
 QUERY_BLOCK = 64  # queries screened per matrix product: a 64 x 3,000-row block is 1.5 MB
 
@@ -91,21 +91,26 @@ def predict(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:
 
 
 def to_doc(p: KnnParams) -> dict:
-    return {"k": p.k, "train_x": p.train_x.tolist(), "train_y": p.train_y.tolist()}
+    return {
+        "k": p.k,
+        "train_x": encode_array(p.train_x, "<f8"),
+        "train_y": encode_array(p.train_y, "<i8"),
+    }
 
 
 def from_doc(doc: dict, n_features: int, n_classes: int) -> KnnParams:
-    try:
-        train_x = np.array(doc["train_x"], dtype=np.float64)
-    except ValueError as err:
-        raise ValueError(f"schema mismatch: ragged training rows ({err})") from None
+    train_x = decode_array(doc["train_x"], "train_x", "<f8")
+    train_y = decode_array(doc["train_y"], "train_y", "<i8")
     if train_x.ndim != 2 or train_x.shape[1] != n_features:
         raise ValueError(
-            f"schema mismatch: stored rows have {train_x.shape[-1] if train_x.ndim == 2 else '?'} "
-            f"features, header says {n_features}"
+            f"schema mismatch: stored rows have shape {train_x.shape}, "
+            f"header says {n_features} features"
         )
-    return KnnParams(
-        k=int(doc["k"]),
-        train_x=train_x,
-        train_y=np.array(doc["train_y"], dtype=np.int64),
-    )
+    n_rows = train_x.shape[0]
+    if train_y.shape != (n_rows,) or not ((0 <= train_y) & (train_y < n_classes)).all():
+        raise ValueError(f"train_y must hold one class index in [0, {n_classes}) per stored row")
+    k = int(doc["k"])
+    check({"k": k})
+    if k > n_rows:
+        raise ValueError(f"k={k} exceeds {n_rows} stored rows")
+    return KnnParams(k=k, train_x=train_x, train_y=train_y)

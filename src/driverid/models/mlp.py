@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..segment import InsufficientData
-from .base import LabeledDataset, TrainedModel
+from .base import LabeledDataset, TrainedModel, decode_array, encode_array
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -178,21 +178,32 @@ def predict(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:
 def to_doc(p: MlpParams) -> dict:
     return {
         "activation": p.activation,
-        "weights": [w.tolist() for w in p.weights],
-        "biases": [b.tolist() for b in p.biases],
+        "weights": [encode_array(w, "<f8") for w in p.weights],
+        "biases": [encode_array(b, "<f8") for b in p.biases],
         "epochs_run": p.epochs_run,
         "config": asdict(p.config) if p.config is not None else None,
     }
 
 
 def from_doc(doc: dict, n_features: int, n_classes: int) -> MlpParams:
-    weights = [np.array(w, dtype=np.float64) for w in doc["weights"]]
-    biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
-    if weights and weights[0].shape[0] != n_features:
+    weights = [decode_array(w, f"weights[{i}]", "<f8") for i, w in enumerate(doc["weights"])]
+    biases = [decode_array(b, f"biases[{i}]", "<f8") for i, b in enumerate(doc["biases"])]
+    if not weights or len(biases) != len(weights):
+        raise ValueError(f"{len(weights)} weight and {len(biases)} bias layers stored")
+    width = n_features
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+            raise ValueError(
+                f"schema mismatch: layer {i} has weights {w.shape} and biases {b.shape}, "
+                f"its input is {width} wide"
+            )
+        width = w.shape[1]
+    if width != n_classes:
         raise ValueError(
-            f"schema mismatch: stored weights expect {weights[0].shape[0]} features, "
-            f"header says {n_features}"
+            f"schema mismatch: output layer is {width} wide, header has {n_classes} classes"
         )
+    if doc["activation"] not in ACTIVATIONS:
+        raise ValueError(f"activation must be one of {ACTIVATIONS}")
     cfg_doc = doc.get("config")
     cfg = MlpConfig(**{f.name: cfg_doc[f.name] for f in fields(MlpConfig)}) if cfg_doc else None
     return MlpParams(

@@ -5,7 +5,9 @@ the implementations under test.
 """
 from __future__ import annotations
 
+import base64
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -78,6 +80,17 @@ def knn_oracle(train_x, train_y, class_list, query, k):
     for label in class_list:  # class order breaks vote ties
         if votes.get(label) == best:
             return label
+
+
+def array_doc_oracle(doc):
+    """(shape, flat values in C order) of a model file's array object,
+    unpacked as little-endian float64 ("<f8") or int64 ("<i8")."""
+    shape = tuple(doc["shape"])
+    raw = base64.b64decode(doc["data"])
+    code = {"<f8": "d", "<i8": "q"}[doc["dtype"]]
+    count = math.prod(shape)
+    assert len(raw) == 8 * count
+    return shape, struct.unpack(f"<{count}{code}", raw)
 
 
 def tree_walk_oracle(nodes, query):

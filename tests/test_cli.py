@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from driverid import config, ingest
 from driverid.cli import main
 from driverid.config import ConfigError, RunConfig, read_manifest, read_run_config, write_manifest
 from driverid.models import MODEL_KINDS, load_model, save_model
+from driverid.models.io import FORMAT_VERSION
 from driverid.models.registry import REGISTRY
 
 RUN_CONFIG = """
@@ -191,6 +193,59 @@ class TestEvaluateCommand:
              "--config", str(config_path), "--out", str(tmp_path / "eval")]
         )
         assert code == 2
+
+
+def _version_1(doc):
+    doc["format_version"] = 1
+
+
+def _one_feature_more(doc):
+    doc["n_features"] += 1
+
+
+@pytest.fixture(scope="module")
+def trained_model_json(corpus_dir, tmp_path_factory):
+    model_dir = tmp_path_factory.mktemp("model")
+    config_file = model_dir / "run.ini"
+    config_file.write_text(RUN_CONFIG)
+    assert main(
+        ["train", "--manifest", str(corpus_dir / "manifest.csv"),
+         "--config", str(config_file), "--out", str(model_dir)]
+    ) == 0
+    return (model_dir / "model.json").read_text()
+
+
+class TestRejectedModelFile:
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (_version_1, "version 1, .*retrain"),
+            (None, "could not parse"),   # truncated
+            (_one_feature_more, "schema mismatch"),
+        ],
+    )
+    def test_exits_2_before_writing_anything(
+        self, corpus_dir, config_path, trained_model_json, tmp_path, capsys, damage, message
+    ):
+        model_file = tmp_path / "model.json"
+        if damage is None:
+            model_file.write_text(trained_model_json[: len(trained_model_json) // 2])
+        else:
+            doc = json.loads(trained_model_json)
+            assert doc["format_version"] == FORMAT_VERSION
+            damage(doc)
+            model_file.write_text(json.dumps(doc))
+        out = tmp_path / "eval"
+        code = main(
+            ["evaluate", "--model", str(model_file),
+             "--manifest", str(corpus_dir / "manifest.csv"),
+             "--config", str(config_path), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model_file) in err
+        assert re.search(message, err)
+        assert not out.exists()
 
 
 class TestTrainDeterminism:

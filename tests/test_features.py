@@ -54,7 +54,7 @@ class TestTrimmedHistogram:
             keep = float(rng.choice([0.5, 0.9, 0.95, 1.0]))
             ours = trimmed_histogram(signal, bins, keep)
             oracle = histogram_oracle(signal, bins, keep)
-            assert np.allclose(ours, oracle, atol=0), f"n={n} bins={bins} keep={keep}"
+            assert np.array_equal(ours, oracle), f"n={n} bins={bins} keep={keep}"
 
     def test_sums_to_one_and_nonnegative(self):
         rng = np.random.default_rng(3)

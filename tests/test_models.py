@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from driverid.features import Standardizer
 from driverid.models import LabeledDataset, MlpConfig, TrainedModel, load_model, predict, save_model
+from driverid.models.base import decode_array, encode_array
+from driverid.models.io import FORMAT_VERSION
 from driverid.models.knn import QUERY_BLOCK
 from driverid.models.mlp import forward, init_params, loss_and_grads
 from driverid.models.tree import tree_depth, tree_from_nodes, tree_to_nodes
 from driverid.pipeline import train_model
 from driverid.segment import InsufficientData
-from oracles import knn_oracle, tree_walk_oracle
+from oracles import array_doc_oracle, knn_oracle, tree_walk_oracle
 
 
 KIND_PARAMS = {"knn": {"k": 3}, "dtree": {"max_depth": 4}, "rforest": {"n_trees": 5}, "mlp": {"max_epochs": 15}}
@@ -508,14 +511,76 @@ class TestSaveLoad:
         model = train_model("knn", make_dataset(rng), {"k": 1})
         path = tmp_path / "model.json"
         save_model(model, path)
-        doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        text = path.read_text()
+        doc = text.replace(f'"format_version": {FORMAT_VERSION}', '"format_version": 99')
+        assert doc != text
         path.write_text(doc)
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
-    def test_standardizer_round_trips(self, tmp_path):
-        from driverid.features import Standardizer
+    def test_version_1_refused_with_retrain_hint(self, tmp_path):
+        path = tmp_path / "model.json"
+        version = f'"format_version": {FORMAT_VERSION}'
+        path.write_text(GOLDEN_KNN_V2.replace(version, '"format_version": 1'))
+        with pytest.raises(ValueError, match="version 1, .*retrain the model with `driverid train`"):
+            load_model(path)
 
+    def test_golden_v2_file_pins_little_endian_layout(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(GOLDEN_KNN_V2)
+        model = load_model(path)
+        assert np.array_equal(model.params.train_x, [[1.0, -2.0], [0.5, 3.0]])
+        assert model.params.train_y.tolist() == [0, 1]
+        assert model.standardizer.mean.tolist() == [0.0, 1.0]
+        assert model.standardizer.std.tolist() == [1.0, 2.0]
+        assert predict(model, np.array([[0.4, 2.0], [1.2, -1.0]])).tolist() == ["b", "a"]
+        resaved = tmp_path / "resaved.json"
+        save_model(model, resaved)
+        assert resaved.read_text() == GOLDEN_KNN_V2
+
+    @pytest.mark.parametrize(
+        "kind, edits, message",
+        [
+            ("knn", {("params", "k"): 0}, "k must be >= 1"),
+            ("knn", {("params", "k"): 51}, "k=51 exceeds 50 stored rows"),
+            ("knn", {("params", "train_y"): encode_array(np.full(50, 3), "<i8")}, "class index in"),
+            ("knn", {("standardizer", "mean"): encode_array(np.zeros(4), "<f8")}, "standardizer"),
+            ("knn", {("params", "train_x", "dtype"): "<f4"}, "train_x: dtype '<f4'"),
+            ("knn", {("params", "train_y", "dtype"): "<f8"}, "train_y: dtype '<f8'"),
+            ("knn", {("params", "train_x", "shape"): [49, 5]}, "train_x: 2000 bytes of data"),
+            ("knn", {("params", "train_x", "shape"): [50, -5]}, "train_x: shape"),
+            ("knn", {("params", "train_x", "data"): "AAAA AAAA"}, "train_x: bad base64"),
+            ("knn", {("params", "train_x"): [[0.0] * 5] * 50}, "train_x: expected an array object"),
+            (
+                "mlp",
+                {
+                    ("params", "weights", 1): encode_array(np.zeros((100, 4)), "<f8"),
+                    ("params", "biases", 1): encode_array(np.zeros(4), "<f8"),
+                },
+                "output layer is 4 wide, header has 3 classes",
+            ),
+            ("mlp", {("params", "biases", 0): encode_array(np.zeros(99), "<f8")}, "layer 0 has"),
+            ("mlp", {("params", "weights", 1): encode_array(np.zeros((99, 3)), "<f8")}, "layer 1 has"),
+            ("mlp", {("params", "activation"): "sigmoid"}, "activation must be one of"),
+        ],
+    )
+    def test_bad_stored_values_rejected(self, kind, edits, message, tmp_path):
+        rng = np.random.default_rng(25)
+        model = train_kind(kind, make_dataset(rng, n=50))
+        model.standardizer = Standardizer(mean=np.zeros(5), std=np.ones(5))
+        file = tmp_path / "model.json"
+        save_model(model, file)
+        doc = json.loads(file.read_text())
+        for path, value in edits.items():
+            holder = doc
+            for step in path[:-1]:
+                holder = holder[step]
+            holder[path[-1]] = value
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_model(file)
+
+    def test_standardizer_round_trips(self, tmp_path):
         rng = np.random.default_rng(21)
         data = make_dataset(rng)
         model = train_model("knn", data, {"k": 1})
@@ -528,3 +593,78 @@ class TestSaveLoad:
         loaded = load_model(path)
         assert np.array_equal(loaded.standardizer.mean, model.standardizer.mean)
         assert np.array_equal(loaded.standardizer.std, model.standardizer.std)
+
+
+class TestArrayDoc:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_round_trip_is_bit_identical_and_matches_oracle(self, data):
+        code = data.draw(st.sampled_from(["<f8", "<i8"]))
+        dtype = np.dtype(code).newbyteorder("=")
+        elements = (
+            st.floats(width=64)  # NaN payloads, +-inf, -0.0, subnormals, huge values
+            if code == "<f8"
+            else st.integers(-(2**63), 2**63 - 1)
+        )
+        shape = data.draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+        a = data.draw(arrays(dtype, shape, elements=elements))
+        for arr in (a, a.T):  # a transposed array is written in C order too
+            doc = encode_array(arr, code)
+            back = decode_array(json.loads(json.dumps(doc)), "x", code)
+            assert back.dtype == dtype and back.shape == arr.shape
+            assert back.flags.c_contiguous and back.flags.writeable
+            assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
+            oracle_shape, values = array_doc_oracle(doc)
+            assert oracle_shape == arr.shape
+            expected = np.array(values, dtype=dtype).reshape(oracle_shape)
+            assert np.array_equal(expected.view(np.uint64), arr.view(np.uint64))
+
+
+# a knn model, k = 1, rows (1, -2) and (0.5, 3) of classes a and b, standardizer
+# mean (0, 1) and std (1, 2): 1.0 is 00 00 00 00 00 00 f0 3f as "<f8", 1 is
+# 01 00 00 00 00 00 00 00 as "<i8"
+GOLDEN_KNN_V2 = """{
+ "format_version": 2,
+ "kind": "knn",
+ "class_list": [
+  "a",
+  "b"
+ ],
+ "n_features": 2,
+ "pipeline": null,
+ "schema_labels": null,
+ "standardizer": {
+  "mean": {
+   "dtype": "<f8",
+   "shape": [
+    2
+   ],
+   "data": "AAAAAAAAAAAAAAAAAADwPw=="
+  },
+  "std": {
+   "dtype": "<f8",
+   "shape": [
+    2
+   ],
+   "data": "AAAAAAAA8D8AAAAAAAAAQA=="
+  }
+ },
+ "params": {
+  "k": 1,
+  "train_x": {
+   "dtype": "<f8",
+   "shape": [
+    2,
+    2
+   ],
+   "data": "AAAAAAAA8D8AAAAAAAAAwAAAAAAAAOA/AAAAAAAACEA="
+  },
+  "train_y": {
+   "dtype": "<i8",
+   "shape": [
+    2
+   ],
+   "data": "AAAAAAAAAAABAAAAAAAAAA=="
+  }
+ }
+}"""
