@@ -93,6 +93,75 @@ def array_doc_oracle(doc):
     return shape, struct.unpack(f"<{count}{code}", raw)
 
 
+def cart_oracle(x, y, n_classes, max_depth, min_leaf, rng=None, features_per_split=None):
+    """Preorder node list (as ``tree_to_nodes`` writes it) of a Gini CART
+    tree grown by brute force.
+
+    Each node scans its dims in order; for each it sorts the rows by value,
+    then by row, and walks every split position keeping integer class counts.
+    A position is valid with at least ``min_leaf`` rows on each side and
+    distinct neighbouring values; its score is ``ls / nl + rs / nr`` (sums of
+    squared counts over sizes, in Python floats). The best score wins, a
+    strictly better one only, so ties go to the lower dim and then the lower
+    threshold, the midpoint of the neighbours. A node is a leaf when it is
+    pure, at ``max_depth``, smaller than ``2 * min_leaf`` or has no valid
+    split; a leaf holds its most common class, the lower one on ties. With
+    ``features_per_split`` below the dim count, each split node first draws
+    that many dims from ``rng``, in preorder, as the tree grower does.
+    """
+    rows_x = [[float(v) for v in row] for row in np.asarray(x)]
+    labels = [int(v) for v in y]
+    d = len(rows_x[0]) if rows_x else 0
+    nodes = []
+
+    def grow(rows, depth):
+        slot = len(nodes)
+        nodes.append(None)
+        counts = [0] * n_classes
+        for r in rows:
+            counts[labels[r]] += 1
+        majority = counts.index(max(counts))
+        n = len(rows)
+        if (
+            max(counts) == n
+            or (max_depth is not None and depth >= max_depth)
+            or n < 2 * min_leaf
+        ):
+            nodes[slot] = {"leaf": majority}
+            return slot
+        if features_per_split is not None and features_per_split < d:
+            dims = sorted(int(v) for v in rng.choice(d, size=features_per_split, replace=False))
+        else:
+            dims = range(d)
+        best = None  # (score, dim, threshold)
+        for dim in dims:
+            ordered = sorted(rows, key=lambda r: (rows_x[r][dim], r))
+            left = [0] * n_classes
+            for p in range(1, n):
+                left[labels[ordered[p - 1]]] += 1
+                lo, hi = rows_x[ordered[p - 1]][dim], rows_x[ordered[p]][dim]
+                if p < min_leaf or n - p < min_leaf or not lo < hi:
+                    continue
+                ls = sum(c * c for c in left)
+                rs = sum((t - c) ** 2 for t, c in zip(counts, left))
+                score = ls / p + rs / (n - p)
+                if best is None or score > best[0]:
+                    best = (score, dim, (lo + hi) / 2.0)
+        if best is None:
+            nodes[slot] = {"leaf": majority}
+            return slot
+        _, dim, threshold = best
+        go_left = [r for r in rows if rows_x[r][dim] <= threshold]
+        go_right = [r for r in rows if rows_x[r][dim] > threshold]
+        left_slot = grow(go_left, depth + 1)
+        right_slot = grow(go_right, depth + 1)
+        nodes[slot] = {"feature": dim, "threshold": threshold, "left": left_slot, "right": right_slot}
+        return slot
+
+    grow(list(range(len(labels))), 0)
+    return nodes
+
+
 def tree_walk_oracle(nodes, query):
     """Class index reached by one query walking a saved CART node list."""
     node = nodes[0]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -13,10 +14,10 @@ from driverid.models.base import decode_array, encode_array
 from driverid.models.io import FORMAT_VERSION
 from driverid.models.knn import QUERY_BLOCK
 from driverid.models.mlp import forward, init_params, loss_and_grads
-from driverid.models.tree import tree_depth, tree_from_nodes, tree_to_nodes
+from driverid.models.tree import grow_tree, tree_depth, tree_from_nodes, tree_to_nodes
 from driverid.pipeline import train_model
 from driverid.segment import InsufficientData
-from oracles import array_doc_oracle, knn_oracle, tree_walk_oracle
+from oracles import array_doc_oracle, cart_oracle, knn_oracle, tree_walk_oracle
 
 
 KIND_PARAMS = {"knn": {"k": 3}, "dtree": {"max_depth": 4}, "rforest": {"n_trees": 5}, "mlp": {"max_epochs": 15}}
@@ -177,6 +178,45 @@ class TestDecisionTree:
         save_model(a, buf_a)
         save_model(b, buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
+
+
+class TestCartOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_grown_tree_matches_brute_force_oracle(self, data):
+        n, d = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
+        n_classes = data.draw(st.integers(2, 6))
+        # a quarter grid: many equal values within a dim
+        grid = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+                                  min_size=n, max_size=n))
+        x = np.array(grid, dtype=np.float64) / 4.0
+        for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                           max_size=4)):
+            x[dst] = x[src]  # duplicated rows
+        y = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)),
+                     dtype=np.int64)
+        min_leaf = data.draw(st.integers(1, 4))
+        max_depth = data.draw(st.none() | st.integers(0, 5))
+        features_per_split = data.draw(st.none() | st.integers(1, d))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        tree = grow_tree(x, y, n_classes, max_depth, min_leaf,
+                         np.random.default_rng(seed), features_per_split)
+        expected = cart_oracle(x, y, n_classes, max_depth, min_leaf,
+                               np.random.default_rng(seed), features_per_split)
+        assert tree_to_nodes(tree) == expected
+
+    def test_saved_trees_match_golden_digests(self):
+        """A dtree and a 7-tree forest on a fixed data set save to the same
+        bytes as when these digests were taken, so the split search still
+        grows the same trees."""
+        data = make_dataset(np.random.default_rng(40), n=120, dim=8, classes=("a", "b", "c", "d"))
+        for kind, params, digest in (
+            ("dtree", {}, GOLDEN_DTREE_SHA256),
+            ("rforest", {"n_trees": 7}, GOLDEN_RFOREST_SHA256),
+        ):
+            buf = io.StringIO()
+            save_model(train_model(kind, data, params, seed=5), buf)
+            assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, kind
 
 
 class TestTreeArrays:
@@ -619,6 +659,9 @@ class TestArrayDoc:
             expected = np.array(values, dtype=dtype).reshape(oracle_shape)
             assert np.array_equal(expected.view(np.uint64), arr.view(np.uint64))
 
+
+GOLDEN_DTREE_SHA256 = "1028714fa2b4d8a4d5394741ee05cef2a85b7a716e7bec4e44018f012b014013"
+GOLDEN_RFOREST_SHA256 = "e7add055691c9d90beb9750dfe21501188929a82c6354a469e1f6f811dd7050f"
 
 # a knn model, k = 1, rows (1, -2) and (0.5, 3) of classes a and b, standardizer
 # mean (0, 1) and std (1, 2): 1.0 is 00 00 00 00 00 00 f0 3f as "<f8", 1 is
