@@ -88,7 +88,8 @@ def decode_array(doc, name: str, dtype: str) -> np.ndarray:
     """Inverse of encode_array, as a native-order, C-contiguous, writable array.
 
     Raises ValueError naming ``name`` when the object is not an array of
-    ``dtype``, its base64 is bad or its byte count does not match its shape.
+    ``dtype``, its base64 is bad, its byte count does not match its shape
+    or a "<f8" value is NaN or infinite.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{name}: expected an array object, got {type(doc).__name__}")
@@ -104,7 +105,10 @@ def decode_array(doc, name: str, dtype: str) -> np.ndarray:
     itemsize = np.dtype(dtype).itemsize
     if len(raw) != math.prod(shape) * itemsize:
         raise ValueError(f"{name}: {len(raw)} bytes of data for shape {shape}")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.dtype(dtype).newbyteorder("="))
+    arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.dtype(dtype).newbyteorder("="))
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValueError(f"{name}: non-finite value")
+    return arr
 
 
 def check_training_data(data: LabeledDataset) -> None:

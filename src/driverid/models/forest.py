@@ -83,9 +83,12 @@ def to_doc(p: ForestParams) -> dict:
 
 
 def from_doc(doc: dict, n_features: int, n_classes: int) -> ForestParams:
+    n_trees = int(doc["n_trees"])
+    if n_trees != len(doc["trees"]):
+        raise ValueError(f"forest says n_trees={n_trees} but holds {len(doc['trees'])} trees")
     return ForestParams(
         trees=[tree_from_nodes(nodes, n_features, n_classes) for nodes in doc["trees"]],
-        n_trees=int(doc["n_trees"]),
+        n_trees=n_trees,
         max_depth=doc["max_depth"],
         features_per_split=int(doc["features_per_split"]),
         seed=int(doc["seed"]),

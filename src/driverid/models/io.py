@@ -9,6 +9,8 @@ the ``standardizer`` and the kind's ``params``. Every numeric array in it
 ``base.encode_array``). That keeps every bit, so a save/load round trip
 reproduces predictions exactly, and is about a third of the bytes of
 decimal text. Tree and forest node lists stay plain JSON objects.
+Loading refuses a NaN or infinite float, in an array or a tree threshold:
+training never stores one, so it means the file was edited or damaged.
 
 Only the current ``FORMAT_VERSION`` is read. A version-1 file, which wrote
 arrays as decimal lists, is refused: retrain it with ``driverid train``.
@@ -63,6 +65,8 @@ def load_model(source) -> TrainedModel:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"could not parse model file: {err}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("model file is not a JSON object")
 
     version = doc.get("format_version")
     if version != FORMAT_VERSION:

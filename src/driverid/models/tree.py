@@ -1,15 +1,21 @@
 """Binary CART decision tree with Gini impurity.
 
-Splits scan every candidate feature and every midpoint between consecutive
-distinct sorted values. Ties are broken toward the lower feature index and
-lower threshold, and leaves emit their majority class (earlier class on
-vote ties), so training is fully deterministic.
+A node searches all its candidate features in one batch, the exhaustive
+search of Breiman et al., *CART* (1984): it sorts its rows on every feature
+at once and scores each midpoint between distinct neighbouring values, with
+at least ``min_leaf`` rows per side, by ``sum_c left_c^2 / n_left +
+sum_c right_c^2 / n_right`` from one cumulative count per class present.
+The squared count sums are exact integers, so a score has the same bits
+however the rows are ordered or summed. Ties go to the lower feature index,
+then the lower threshold, and leaves emit their majority class (earlier
+class on vote ties), so training is fully deterministic.
 
 A fitted tree is a ``Tree`` of parallel arrays indexed by node, numbered in
 preorder (root 0, then the whole left subtree, then the right one).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +67,7 @@ def grow_tree(
 ) -> Tree:
     """Grow depth-first, left before right, so nodes are numbered in preorder
     and the RNG draws each split's feature subset in that order."""
+    xt = np.ascontiguousarray(x.T)  # one row per feature
     nodes: list[list] = []  # [feature, threshold, left, right, leaf_class]
     stack = [(np.arange(y.size), 0, -1)]  # (rows, depth, parent if a right child)
     while stack:
@@ -69,20 +76,20 @@ def grow_tree(
         if right_of >= 0:
             nodes[right_of][3] = slot
         majority, split = _find_split(
-            x, rows, y[rows], n_classes, max_depth, min_leaf, rng, features_per_split, depth
+            xt, rows, y[rows], n_classes, max_depth, min_leaf, rng, features_per_split, depth
         )
         if split is None:
             nodes.append([-1, 0.0, -1, -1, majority])
             continue
         dim, thr = split
         nodes.append([dim, thr, slot + 1, -1, -1])
-        go_left = x[rows, dim] <= thr
+        go_left = xt[dim, rows] <= thr
         stack.append((rows[~go_left], depth + 1, slot))
         stack.append((rows[go_left], depth + 1, -1))
     return _to_tree(nodes)
 
 
-def _find_split(x, rows, y, n_classes, max_depth, min_leaf, rng, features_per_split, depth):
+def _find_split(xt, rows, y, n_classes, max_depth, min_leaf, rng, features_per_split, depth):
     """(majority class, best (feature, threshold) or None) for the node
     holding ``rows``; None leaves the node a leaf."""
     counts = np.bincount(y, minlength=n_classes)
@@ -95,49 +102,38 @@ def _find_split(x, rows, y, n_classes, max_depth, min_leaf, rng, features_per_sp
     ):
         return majority, None
 
-    if features_per_split is not None and features_per_split < x.shape[1]:
-        dims = np.sort(rng.choice(x.shape[1], size=features_per_split, replace=False))
+    if features_per_split is not None and features_per_split < len(xt):
+        dims = np.sort(rng.choice(len(xt), size=features_per_split, replace=False))
     else:
-        dims = np.arange(x.shape[1])
+        dims = np.arange(len(xt))
 
-    best_score = -np.inf
-    best = None
-    x_node = x[rows]
-    for dim in dims:
-        found = _best_split_on_dim(x_node[:, dim], y, n_classes, min_leaf)
-        if found is not None and found[0] > best_score:
-            best_score, thr = found
-            best = (int(dim), float(thr))
-    return majority, best
-
-
-def _best_split_on_dim(values, y, n_classes, min_leaf):
-    """Best (score, threshold) on one feature, or None when no split is valid.
-
-    Score is the quantity maximized by minimum weighted Gini:
-    sum_sq_left/n_left + sum_sq_right/n_right over label count vectors.
-    """
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    xs = values[order]
+    # one row per candidate feature, each sorted; rows with equal values may
+    # sort in any order, as no valid position falls between them
+    block = xt[np.ix_(dims, rows)]
+    order = np.argsort(block, axis=1)
+    xs = np.take_along_axis(block, order, axis=1)
     ys = y[order]
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), ys] = 1.0
-    prefix = np.vstack([np.zeros(n_classes), np.cumsum(onehot, axis=0)])
-    total = prefix[-1]
-
-    positions = np.arange(min_leaf, n - min_leaf + 1)
-    positions = positions[xs[positions - 1] < xs[positions]]
-    if positions.size == 0:
-        return None
-    left = prefix[positions]
-    right = total - left
-    nl = positions.astype(np.float64)
-    nr = n - nl
-    score = (left**2).sum(axis=1) / nl + (right**2).sum(axis=1) / nr
-    best = int(np.argmax(score))  # first max = lowest threshold
-    p = positions[best]
-    return float(score[best]), (xs[p - 1] + xs[p]) / 2.0
+    # position i splits after sorted row i, so the left side holds i + 1 rows;
+    # every sum below lies strictly between -2 n^2 and 2 n^2
+    acc = np.min_scalar_type(-2 * n * n)
+    left_sq = np.zeros((dims.size, n - 1), dtype=acc)
+    cross = np.zeros((dims.size, n - 1), dtype=acc)
+    for c in np.flatnonzero(counts):
+        lc = np.cumsum(ys[:, :-1] == c, axis=1, dtype=acc)
+        left_sq += lc * lc
+        cross += int(counts[c]) * lc
+    nl = np.arange(1, n)
+    right_sq = int(counts @ counts) - 2 * cross + left_sq
+    score = left_sq / nl + right_sq / (n - nl)
+    valid = xs[:, :-1] < xs[:, 1:]
+    valid[:, : min_leaf - 1] = False
+    valid[:, n - min_leaf :] = False
+    score[~valid] = -np.inf
+    best = int(np.argmax(score))  # first maximum: lowest dim, then lowest threshold
+    col, i = divmod(best, n - 1)
+    if not valid[col, i]:
+        return majority, None
+    return majority, (int(dims[col]), float((xs[col, i] + xs[col, i + 1]) / 2.0))
 
 
 def predict_tree(tree: Tree, matrix: np.ndarray) -> np.ndarray:
@@ -169,8 +165,9 @@ def tree_to_nodes(tree: Tree) -> list[dict]:
 
 
 def tree_from_nodes(nodes: list[dict], n_features: int, n_classes: int) -> Tree:
-    """Inverse of tree_to_nodes. Rejects indices out of range and children
-    that do not follow their parent, which rules out cycles."""
+    """Inverse of tree_to_nodes. Rejects indices out of range, children
+    that do not follow their parent, which rules out cycles, and thresholds
+    that are NaN or infinite (JSON readers accept ``NaN`` and ``Infinity``)."""
     if not nodes:
         raise ValueError("empty tree serialization")
     rows = []
@@ -186,7 +183,10 @@ def tree_from_nodes(nodes: list[dict], n_features: int, n_classes: int) -> Tree:
             raise ValueError(f"tree node {i}: feature {dim} outside [0, {n_features})")
         if not (i < lo < len(nodes) and i < hi < len(nodes)):
             raise ValueError(f"tree node {i}: children {lo}, {hi} not in ({i}, {len(nodes)})")
-        rows.append((dim, float(spec["threshold"]), lo, hi, -1))
+        threshold = float(spec["threshold"])
+        if not math.isfinite(threshold):
+            raise ValueError(f"tree node {i}: threshold {threshold} is not finite")
+        rows.append((dim, threshold, lo, hi, -1))
     return _to_tree(rows)
 
 

@@ -222,6 +222,7 @@ class TestRejectedModelFile:
             (_version_1, "version 1, .*retrain"),
             (None, "could not parse"),   # truncated
             (_one_feature_more, "schema mismatch"),
+            ("[]", "not a JSON object"),   # the whole file
         ],
     )
     def test_exits_2_before_writing_anything(
@@ -230,6 +231,8 @@ class TestRejectedModelFile:
         model_file = tmp_path / "model.json"
         if damage is None:
             model_file.write_text(trained_model_json[: len(trained_model_json) // 2])
+        elif isinstance(damage, str):
+            model_file.write_text(damage)
         else:
             doc = json.loads(trained_model_json)
             assert doc["format_version"] == FORMAT_VERSION

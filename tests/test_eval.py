@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from driverid.evaluation import (
     write_reports,
 )
 from driverid.features import FeatureConfig
-from driverid.models import LabeledDataset
+from driverid.models import MODEL_KINDS, LabeledDataset
+from driverid.models.registry import REGISTRY
 from driverid.pipeline import build_datasets, train_model
 from driverid.preprocess import CleanTrip
 from driverid.segment import InsufficientData, SegmentationConfig
@@ -176,6 +179,9 @@ class TestSeparability:
         assert not separability_achieved(0.25, 10)
 
 
+FAST_PARAMS = {"rforest": {"n_trees": 3}, "mlp": {"max_epochs": 5}}
+
+
 class TestGrid:
     def small_trips(self):
         import driverid as d
@@ -265,6 +271,50 @@ class TestGrid:
         a = run_grid(trips, grid, master_seed=7)
         b = run_grid(trips, grid, master_seed=7)
         assert report_csv(a) == report_csv(b)
+
+    def counting_fits(self, monkeypatch, seeded=None):
+        """Count each kind's fit calls; ``seeded`` overrides every kind's flag."""
+        fits = dict.fromkeys(REGISTRY, 0)
+        for kind, entry in list(REGISTRY.items()):
+            def fit(data, params, seed, kind=kind, inner=entry.fit):
+                fits[kind] += 1
+                return inner(data, params, seed)
+            flag = entry.seeded if seeded is None else seeded
+            monkeypatch.setitem(REGISTRY, kind, dataclasses.replace(entry, fit=fit, seeded=flag))
+        return fits
+
+    def test_seedless_kinds_fit_once_per_cell(self, monkeypatch):
+        fits = self.counting_fits(monkeypatch)
+        grid = GridSpec(
+            window_minutes_list=(3.0,),
+            overlap_list=(0.5,),
+            feature_subset_list=("mean+variance",),
+            model_list=MODEL_KINDS,
+            repetitions=3,
+        )
+        rows = run_grid(self.small_trips(), grid, model_params=FAST_PARAMS, master_seed=7)
+        assert fits == {"knn": 1, "dtree": 1, "rforest": 3, "mlp": 3}
+        for row in rows:
+            assert len(row.accuracies) == 3
+            if not REGISTRY[row.model].seeded:
+                assert row.accuracies == (row.mean_accuracy,) * 3
+                assert row.std == 0.0
+
+    def test_seedless_rows_equal_fitting_every_repetition(self, monkeypatch):
+        trips = self.small_trips()
+        grid = GridSpec(
+            window_minutes_list=(3.0,),
+            overlap_list=(0.5,),
+            feature_subset_list=("mean+variance", "histogram"),
+            model_list=("knn", "dtree"),
+            repetitions=2,
+        )
+        once = run_grid(trips, grid, master_seed=7)
+        fits = self.counting_fits(monkeypatch, seeded=True)
+        every = run_grid(trips, grid, master_seed=7)
+        assert fits == {"knn": 4, "dtree": 4, "rforest": 0, "mlp": 0}  # 2 cells x 2
+        assert [row.accuracies for row in once] == [row.accuracies for row in every]
+        assert report_csv(once) == report_csv(every)
 
     def test_rows_sorted_by_mean_accuracy(self):
         rows = [

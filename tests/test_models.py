@@ -14,6 +14,7 @@ from driverid.models.base import decode_array, encode_array
 from driverid.models.io import FORMAT_VERSION
 from driverid.models.knn import QUERY_BLOCK
 from driverid.models.mlp import forward, init_params, loss_and_grads
+from driverid.models.registry import MODEL_KINDS, REGISTRY
 from driverid.models.tree import grow_tree, tree_depth, tree_from_nodes, tree_to_nodes
 from driverid.pipeline import train_model
 from driverid.segment import InsufficientData
@@ -204,6 +205,17 @@ class TestCartOracle:
         expected = cart_oracle(x, y, n_classes, max_depth, min_leaf,
                                np.random.default_rng(seed), features_per_split)
         assert tree_to_nodes(tree) == expected
+
+    @pytest.mark.parametrize("n", [200, 33_000])
+    def test_large_nodes_match_oracle(self, n):
+        """Nodes large enough that the squared class counts need 32- and
+        64-bit sums: 2 n^2 passes 2^15 at 200 rows and 2^31 at 33,000."""
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, 400, size=(n, 2)) / 4.0
+        y = (x[:, 1] > 60).astype(np.int64) + (rng.random(n) < 0.3)
+        tree = grow_tree(x, y, 3, 1, 1)
+        assert tree_to_nodes(tree) == cart_oracle(x, y, 3, 1, 1)
+        assert tree.feature[0] == 1
 
     def test_saved_trees_match_golden_digests(self):
         """A dtree and a 7-tree forest on a fixed data set save to the same
@@ -404,6 +416,22 @@ class TestMlp:
             MlpConfig(validation_fraction=0.6)
 
 
+class TestRegistry:
+    def test_every_kind_declares_seeded(self):
+        seeded = {kind: entry.seeded for kind, entry in REGISTRY.items()}
+        assert seeded == {"knn": False, "dtree": False, "rforest": True, "mlp": True}
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_only_seeded_kinds_depend_on_the_seed(self, kind):
+        data = make_dataset(np.random.default_rng(27), n=50)
+        saved = []
+        for seed in (1, 2):
+            buf = io.StringIO()
+            save_model(train_model(kind, data, KIND_PARAMS[kind], seed=seed), buf)
+            saved.append(buf.getvalue())
+        assert (saved[0] != saved[1]) == REGISTRY[kind].seeded
+
+
 class TestPredictContract:
     @pytest.mark.parametrize("kind", ["knn", "dtree", "rforest", "mlp"])
     def test_single_class_data_rejected(self, kind):
@@ -602,6 +630,13 @@ class TestSaveLoad:
             ("mlp", {("params", "biases", 0): encode_array(np.zeros(99), "<f8")}, "layer 0 has"),
             ("mlp", {("params", "weights", 1): encode_array(np.zeros((99, 3)), "<f8")}, "layer 1 has"),
             ("mlp", {("params", "activation"): "sigmoid"}, "activation must be one of"),
+            ("knn", {("params", "train_x"): encode_array(np.full((50, 5), np.nan), "<f8")},
+             "train_x: non-finite value"),
+            ("dtree", {("params", "nodes", 0, "threshold"): float("nan")},
+             "tree node 0: threshold nan is not finite"),
+            ("dtree", {("params", "nodes", 0, "threshold"): float("-inf")},
+             "tree node 0: threshold -inf is not finite"),
+            ("rforest", {("params", "n_trees"): 6}, "n_trees=6 but holds 5 trees"),
         ],
     )
     def test_bad_stored_values_rejected(self, kind, edits, message, tmp_path):
@@ -619,6 +654,11 @@ class TestSaveLoad:
         file.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             load_model(file)
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+    def test_non_object_file_rejected(self, text):
+        with pytest.raises(ValueError, match="model file is not a JSON object"):
+            load_model(io.StringIO(text))
 
     def test_standardizer_round_trips(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -650,14 +690,18 @@ class TestArrayDoc:
         a = data.draw(arrays(dtype, shape, elements=elements))
         for arr in (a, a.T):  # a transposed array is written in C order too
             doc = encode_array(arr, code)
-            back = decode_array(json.loads(json.dumps(doc)), "x", code)
-            assert back.dtype == dtype and back.shape == arr.shape
-            assert back.flags.c_contiguous and back.flags.writeable
-            assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
             oracle_shape, values = array_doc_oracle(doc)
             assert oracle_shape == arr.shape
             expected = np.array(values, dtype=dtype).reshape(oracle_shape)
             assert np.array_equal(expected.view(np.uint64), arr.view(np.uint64))
+            if code == "<f8" and not np.isfinite(arr).all():
+                with pytest.raises(ValueError, match="x: non-finite value"):
+                    decode_array(json.loads(json.dumps(doc)), "x", code)
+                continue
+            back = decode_array(json.loads(json.dumps(doc)), "x", code)
+            assert back.dtype == dtype and back.shape == arr.shape
+            assert back.flags.c_contiguous and back.flags.writeable
+            assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
 
 
 GOLDEN_DTREE_SHA256 = "1028714fa2b4d8a4d5394741ee05cef2a85b7a716e7bec4e44018f012b014013"
