@@ -15,6 +15,7 @@ from . import evaluation as ev
 from . import ingest, preprocess, synth
 from .config import ConfigError, Manifest, RunConfig, read_manifest, read_run_config, write_manifest
 from .models import load_model, save_model
+from .parallel import ordered_map
 from .pipeline import build_datasets, build_test_dataset, train_model
 from .seeds import derive_seed
 
@@ -122,34 +123,41 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_trips(manifest: Manifest) -> list[ingest.Trip]:
-    trips = []
-    for path, driver_id, rate in manifest.entries:
+def _log_tasks(manifest: Manifest, *args) -> list[tuple]:
+    """One work item per manifest log, after checking that every log exists."""
+    for path, _, _ in manifest.entries:
         if not Path(path).is_file():
             raise FileNotFoundError(f"manifest log not found: {path}")
-        trips.append(ingest.read_log(path, driver_id, rate))
-    return trips
+    return [(entry, *args) for entry in manifest.entries]
 
 
-def _clean_all(trips, cfg: RunConfig) -> list[preprocess.CleanTrip]:
-    return [preprocess.clean(trip, cfg.cleaning) for trip in trips]
+def _read_and_clean(task) -> preprocess.CleanTrip:
+    (path, driver_id, rate), cleaning = task
+    return preprocess.clean(ingest.read_log(path, driver_id, rate), cleaning)
+
+
+def _clean_all(manifest: Manifest, cfg: RunConfig) -> list[preprocess.CleanTrip]:
+    return list(ordered_map(_read_and_clean, _log_tasks(manifest, cfg.cleaning)))
+
+
+def _clean_to_disk(task) -> tuple:
+    """Clean one log into OUT: the log and its sidecar; returns its manifest entry."""
+    *log, out = task
+    cleaned = _read_and_clean(log)
+    log_path = out / f"{cleaned.driver_id}.clean.csv"
+    ingest.write_log(cleaned.to_trip(), log_path)
+    sidecar = out / f"{cleaned.driver_id}.clean.json"
+    sidecar.write_text(json.dumps(cleaned.sidecar(), indent=1), encoding="utf-8")
+    return log_path.name, cleaned.driver_id, cleaned.nominal_rate_hz
 
 
 def cmd_clean(args) -> int:
     cfg = _load_run_config(args)
     manifest = read_manifest(args.manifest)
-    trips = _load_trips(manifest)
-
     out = Path(args.out)
+    tasks = _log_tasks(manifest, cfg.cleaning, out)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for trip in trips:
-        cleaned = preprocess.clean(trip, cfg.cleaning)
-        log_path = out / f"{trip.driver_id}.clean.csv"
-        ingest.write_log(cleaned.to_trip(), log_path)
-        sidecar = out / f"{trip.driver_id}.clean.json"
-        sidecar.write_text(json.dumps(cleaned.sidecar(), indent=1), encoding="utf-8")
-        entries.append((log_path.name, trip.driver_id, trip.nominal_rate_hz))
+    entries = list(ordered_map(_clean_to_disk, tasks))
     write_manifest(entries, out / "manifest.csv")
     print(f"cleaned {len(entries)} trips into {out}")
     return 0
@@ -158,8 +166,7 @@ def cmd_clean(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     manifest = read_manifest(args.manifest)
-    trips = _load_trips(manifest)
-    cleaned = _clean_all(trips, cfg)
+    cleaned = _clean_all(manifest, cfg)
 
     bundle = build_datasets(cleaned, cfg.segmentation, cfg.features)
     sub_seed = derive_seed(cfg.master_seed, f"train:{cfg.model_kind}")
@@ -198,8 +205,7 @@ def cmd_evaluate(args) -> int:
     except ValueError as err:  # a version, schema or syntax mismatch: the user's input
         raise ConfigError(f"{args.model}: {err}") from None
     _check_pipeline_record(cfg, model, args.model)
-    trips = _load_trips(manifest)
-    cleaned = _clean_all(trips, cfg)
+    cleaned = _clean_all(manifest, cfg)
 
     test = build_test_dataset(cleaned, cfg.segmentation, cfg.features, model)
     report = ev.evaluate(model, test, config_snapshot=cfg.snapshot())
@@ -235,8 +241,7 @@ def _flatten(record: dict) -> dict:
 def cmd_grid(args) -> int:
     cfg = _load_run_config(args)
     manifest = read_manifest(args.manifest)
-    trips = _load_trips(manifest)
-    cleaned = _clean_all(trips, cfg)
+    cleaned = _clean_all(manifest, cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,7 @@ from .features import (
     subset_families,
 )
 from .models import MODEL_KINDS, LabeledDataset, TrainedModel, lookup, predict
+from .parallel import ordered_map
 from .pipeline import build_datasets, train_model
 from .preprocess import CleanTrip
 from .seeds import derive_seed
@@ -170,7 +171,8 @@ def iter_grid(
     error propagates. Features are extracted once per window/overlap cell
     with all families on, then sliced per named subset, which is equivalent
     to extracting each subset directly because the families are independent
-    columns.
+    columns. Each group's features are built here; its cells run across
+    processes (`parallel.ordered_map`) while the next group's are built.
     """
     if len({t.driver_id for t in trips}) < 2:
         raise ValueError("grid needs trips from at least 2 drivers")
@@ -178,6 +180,12 @@ def iter_grid(
     full_cfg = replace(feature_base, families=FAMILIES)
     model_params = model_params or {}
 
+    cells = _cells(trips, grid, train_fraction, full_cfg, model_params, master_seed)
+    yield from ordered_map(_run_cell, cells)
+
+
+def _cells(trips, grid, train_fraction, full_cfg, model_params, master_seed):
+    """Each cell's work item, built lazily: one bundle per window/overlap group."""
     for wm in grid.window_minutes_list:
         for ov in grid.overlap_list:
             seg_cfg = SegmentationConfig(
@@ -185,20 +193,12 @@ def iter_grid(
             )
             try:
                 bundle = build_datasets(trips, seg_cfg, full_cfg)
-                cell_error = None
             except InsufficientData as err:  # short trips, long windows
-                bundle = None
-                cell_error = str(err)
-
+                bundle = str(err)
             for subset in grid.feature_subset_list:
                 for kind in grid.model_list:
-                    if bundle is None:
-                        yield GridRow(wm, ov, subset, kind, error=cell_error)
-                        continue
-                    yield _run_cell(
-                        bundle, full_cfg, wm, ov, subset, kind,
-                        grid.repetitions, model_params.get(kind), master_seed,
-                    )
+                    yield (bundle, full_cfg, wm, ov, subset, kind,
+                           grid.repetitions, model_params.get(kind), master_seed)
 
 
 def run_grid(
@@ -227,7 +227,11 @@ def sort_rows(rows: Sequence[GridRow]) -> list[GridRow]:
     return [row for _, row in indexed]
 
 
-def _run_cell(bundle, full_cfg, wm, ov, subset, kind, repetitions, params, master_seed):
+def _run_cell(cell) -> GridRow:
+    """One grid row; `bundle` is the group's datasets or why it has none."""
+    bundle, full_cfg, wm, ov, subset, kind, repetitions, params, master_seed = cell
+    if isinstance(bundle, str):
+        return GridRow(wm, ov, subset, kind, error=bundle)
     try:
         columns = _subset_columns(full_cfg, subset)
         train = _slice_dataset(bundle.train, columns)
@@ -243,12 +247,12 @@ def _run_cell(bundle, full_cfg, wm, ov, subset, kind, repetitions, params, maste
             seed = derive_seed(master_seed, f"grid:{wm}:{ov}:{subset}:{kind}:rep{rep}")
             model = train_model(kind, train, params, seed=seed)
             accuracies.append(evaluate(model, test).accuracy)
-        acc = np.repeat(accuracies, repetitions // fits)
+        acc = np.array(accuracies)  # the distinct fits: a seedless cell's mean is exact
         return GridRow(
             wm, ov, subset, kind,
             mean_accuracy=float(acc.mean()),
             std=float(acc.std()),
-            accuracies=tuple(float(a) for a in acc),
+            accuracies=tuple(float(a) for a in np.repeat(acc, repetitions // fits)),
         )
     except InsufficientData as err:
         return GridRow(wm, ov, subset, kind, error=str(err))

@@ -166,11 +166,13 @@ def tree_to_nodes(tree: Tree) -> list[dict]:
 
 def tree_from_nodes(nodes: list[dict], n_features: int, n_classes: int) -> Tree:
     """Inverse of tree_to_nodes. Rejects indices out of range, children
-    that do not follow their parent, which rules out cycles, and thresholds
+    that do not follow their parent, which rules out cycles, a node other
+    than the root that is not exactly one split's child, and thresholds
     that are NaN or infinite (JSON readers accept ``NaN`` and ``Infinity``)."""
     if not nodes:
         raise ValueError("empty tree serialization")
     rows = []
+    parents = [0] * len(nodes)
     for i, spec in enumerate(nodes):
         if "leaf" in spec:
             cls = int(spec["leaf"])
@@ -181,12 +183,17 @@ def tree_from_nodes(nodes: list[dict], n_features: int, n_classes: int) -> Tree:
         dim, lo, hi = int(spec["feature"]), int(spec["left"]), int(spec["right"])
         if not 0 <= dim < n_features:
             raise ValueError(f"tree node {i}: feature {dim} outside [0, {n_features})")
-        if not (i < lo < len(nodes) and i < hi < len(nodes)):
-            raise ValueError(f"tree node {i}: children {lo}, {hi} not in ({i}, {len(nodes)})")
+        if lo == hi or not (i < lo < len(nodes) and i < hi < len(nodes)):
+            raise ValueError(f"tree node {i}: children {lo}, {hi} not two nodes in ({i}, {len(nodes)})")
+        parents[lo] += 1
+        parents[hi] += 1
         threshold = float(spec["threshold"])
         if not math.isfinite(threshold):
             raise ValueError(f"tree node {i}: threshold {threshold} is not finite")
         rows.append((dim, threshold, lo, hi, -1))
+    for i, count in enumerate(parents[1:], 1):
+        if count != 1:
+            raise ValueError(f"tree node {i} is the child of {count} splits, not 1")
     return _to_tree(rows)
 
 

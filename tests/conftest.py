@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import driverid as d
+from driverid import parallel
 from driverid.segment import WindowBatch
 
 BENCH_SEED = 1234
@@ -39,6 +40,18 @@ def bench_bundle(easy_corpus):
 
     seg = SegmentationConfig(window_minutes=15, overlap_fraction=0.75, train_fraction=0.7)
     return build_datasets(easy_corpus, seg, FeatureConfig())
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Call with n to let `parallel.ordered_map` use n CPUs (a test-only pin)."""
+    return lambda n: monkeypatch.setattr(parallel, "cpu_count", lambda: n)
+
+
+@pytest.fixture
+def one_worker(workers):
+    """Run `ordered_map` in this process, so spies and counters here see every call."""
+    workers(1)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import re
 
 import numpy as np
@@ -295,6 +296,7 @@ class TestGridCommand:
         assert len(csv_lines) == 5
 
 
+    @pytest.mark.usefixtures("one_worker")
     def test_grid_trains_each_kind_with_its_section(self, corpus_dir, tmp_path, monkeypatch):
         import driverid.evaluation as evaluation
 
@@ -317,6 +319,110 @@ class TestGridCommand:
         )
         assert code == 0
         assert seen == [("knn", {"k": 1})]
+
+    def test_reports_identical_at_one_and_two_workers(self, corpus_dir, tmp_path, workers):
+        path = tmp_path / "grid.ini"
+        path.write_text(  # a 60-minute window does not fit the 0.8 h trips
+            "[model.rforest]\nn_trees = 3\n"
+            "[grid]\nwindow_minutes = 3,60\noverlaps = 0.5\nfeatures = mean,histogram\n"
+            "models = knn,rforest\nrepetitions = 2\n"
+        )
+        reports = []
+        for n in (1, 2):
+            workers(n)
+            out = tmp_path / f"grid{n}"
+            assert main(
+                ["grid", "--manifest", str(corpus_dir / "manifest.csv"),
+                 "--config", str(path), "--out", str(out)]
+            ) == 0
+            reports.append([(out / name).read_bytes() for name in ("grid_report.csv", "grid_report.json")])
+        assert reports[0] == reports[1]
+        rows = json.loads(reports[0][1])["rows"]
+        assert len(rows) == 8
+        assert sum(row["error"] is None for row in rows) == 4
+        assert {row["window_minutes"] for row in rows if row["error"]} == {60.0}
+
+    def test_interrupt_writes_partial_report_and_stops_workers(
+        self, corpus_dir, config_path, tmp_path, monkeypatch, workers, capsys
+    ):
+        import driverid.evaluation as evaluation
+
+        workers(2)
+        real = evaluation.iter_grid
+        children = []
+
+        def interrupted_after_first_row(*args, **kwargs):
+            rows = real(*args, **kwargs)
+            yield next(rows)
+            children.extend(multiprocessing.active_children())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(evaluation, "iter_grid", interrupted_after_first_row)
+        out = tmp_path / "grid"
+        code = main(
+            ["grid", "--manifest", str(corpus_dir / "manifest.csv"),
+             "--config", str(config_path), "--out", str(out)]
+        )
+        assert code == 1
+        assert "interrupted" in capsys.readouterr().err
+        doc = json.loads((out / "grid_report.json").read_text())
+        assert doc["complete"] is False
+        assert [(row["window_minutes"], row["overlap"]) for row in doc["rows"]] == [(3.0, 0.0)]
+        assert len(children) == 2  # the sweep was running in workers
+        assert multiprocessing.active_children() == []
+
+
+class TestWorkerCount:
+    def manifest_plus(self, corpus_dir, tmp_path, name, text=None):
+        """The corpus manifest plus one more log, NAME; written only if TEXT is given."""
+        entries = list(read_manifest(corpus_dir / "manifest.csv").entries)
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        entries.append((tmp_path / name, "extra", 2.0))
+        write_manifest(entries, tmp_path / "manifest.csv")
+        return str(tmp_path / "manifest.csv")
+
+    @pytest.mark.parametrize("command", ["clean", "train", "grid"])
+    def test_missing_log_named_before_any_worker_starts(
+        self, corpus_dir, config_path, tmp_path, workers, capsys, command
+    ):
+        workers(2)
+        manifest = self.manifest_plus(corpus_dir, tmp_path, "nope.csv")
+        out = tmp_path / "out"
+        code = main([command, "--manifest", manifest, "--config", str(config_path), "--out", str(out)])
+        assert code == 1
+        assert f"error: manifest log not found: {tmp_path / 'nope.csv'}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_worker_error_keeps_its_type_and_message(self, corpus_dir, config_path, tmp_path, workers, capsys):
+        workers(2)
+        manifest = self.manifest_plus(corpus_dir, tmp_path, "bad.csv", "time,ax\n0,1\n")
+        code = main(["train", "--manifest", manifest, "--config", str(config_path), "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert "error: malformed header" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_clean_train_evaluate_identical_at_one_and_two_workers(
+        self, corpus_dir, config_path, tmp_path, workers
+    ):
+        common = ["--manifest", str(corpus_dir / "manifest.csv"), "--config", str(config_path)]
+        artifacts = []
+        for n in (1, 2):
+            workers(n)
+            out = tmp_path / f"w{n}"
+            assert main(["clean", *common, "--out", str(out / "clean")]) == 0
+            assert main(["train", *common, "--out", str(out / "model")]) == 0
+            assert main(
+                ["evaluate", *common, "--model", str(out / "model" / "model.json"),
+                 "--out", str(out / "eval")]
+            ) == 0
+            files = sorted(out.glob("clean/*")) + [
+                out / "model" / "model.json", out / "model" / "train_report.json",
+                out / "eval" / "report.json", out / "eval" / "report.csv",
+            ]
+            artifacts.append({f.relative_to(out): f.read_bytes() for f in files})
+        assert len(artifacts[0]) == 4 * 2 + 1 + 4  # logs, sidecars, manifest; model, reports
+        assert artifacts[0] == artifacts[1]
 
 
 class TestNoTestDataInTraining:
@@ -498,6 +604,7 @@ class TestConfigParsing:
             ("mlp", "activation", "junk", "activation must be one of"),
         ],
     )
+    @pytest.mark.usefixtures("one_worker")
     def test_out_of_range_model_param_fails_before_any_log_is_read(
         self, corpus_dir, tmp_path, monkeypatch, capsys, command, kind, key, value, message
     ):

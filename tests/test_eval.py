@@ -1,4 +1,6 @@
 import dataclasses
+import multiprocessing
+import types
 
 import numpy as np
 import pytest
@@ -235,7 +237,7 @@ class TestGrid:
         assert row.mean_accuracy is None
         assert row.error == "driver 'c' has test windows but no training windows"
 
-    def test_programming_errors_propagate(self, monkeypatch):
+    def test_programming_errors_propagate(self, monkeypatch, workers):
         import driverid.evaluation as evaluation
 
         def broken_train(*args, **kwargs):
@@ -246,11 +248,15 @@ class TestGrid:
             window_minutes_list=(2.0,),
             overlap_list=(0.0,),
             feature_subset_list=("mean",),
-            model_list=("knn",),
+            model_list=("knn", "dtree"),  # 2 cells: with 2 workers, each runs in a worker
             repetitions=1,
         )
-        with pytest.raises(TypeError, match="broken trainer"):
-            run_grid(self.small_trips(), grid, master_seed=5)
+        trips = self.small_trips()
+        for n in (1, 2):
+            workers(n)
+            with pytest.raises(TypeError, match="broken trainer"):
+                run_grid(trips, grid, master_seed=5)
+            assert multiprocessing.active_children() == []
 
     def test_unknown_feature_subset_rejected(self):
         with pytest.raises(ValueError, match="wavelet"):
@@ -280,6 +286,7 @@ class TestGrid:
             monkeypatch.setitem(REGISTRY, kind, dataclasses.replace(entry, fit=fit, seeded=flag))
         return fits
 
+    @pytest.mark.usefixtures("one_worker")
     def test_seedless_kinds_fit_once_per_cell(self, monkeypatch):
         fits = self.counting_fits(monkeypatch)
         grid = GridSpec(
@@ -298,6 +305,7 @@ class TestGrid:
                 assert row.accuracies == (row.mean_accuracy,) * 2
                 assert row.std == 0.0
 
+    @pytest.mark.usefixtures("one_worker")
     def test_seedless_rows_equal_fitting_every_repetition(self, monkeypatch):
         trips = self.small_trips()
         grid = GridSpec(
@@ -313,6 +321,43 @@ class TestGrid:
         assert fits == {"knn": 4, "dtree": 4, "rforest": 0, "mlp": 0}  # 2 cells x 2
         assert [row.accuracies for row in once] == [row.accuracies for row in every]
         assert report_csv(once) == report_csv(every)
+
+    @pytest.mark.parametrize("repetitions", [3, 5])
+    def test_repeated_accuracies_summarized_over_distinct_fits(self, repetitions):
+        grid = GridSpec(
+            window_minutes_list=(3.0,),
+            overlap_list=(0.5,),
+            feature_subset_list=("mean+variance", "histogram"),
+            model_list=MODEL_KINDS,
+            repetitions=repetitions,
+        )
+        fast = {"rforest": {"n_trees": 3}, "mlp": {"max_epochs": 5}}
+        rows = run_grid(self.small_trips(), grid, model_params=fast, master_seed=7)
+        for row in rows:
+            assert len(row.accuracies) == repetitions
+            if REGISTRY[row.model].seeded:
+                assert row.mean_accuracy == float(np.mean(row.accuracies))
+                assert row.std == float(np.std(row.accuracies))
+            else:  # one fit, reported exactly
+                assert row.accuracies == (row.mean_accuracy,) * repetitions
+                assert row.std == 0.0
+
+    # np.repeat(a, n).mean() is not a for these, and .std() is not 0.0
+    @pytest.mark.parametrize("repetitions, accuracy", [(3, 0.1), (5, 1 / 288)])
+    def test_seedless_cell_reports_its_accuracy_exactly(self, monkeypatch, repetitions, accuracy):
+        import driverid.evaluation as evaluation
+
+        monkeypatch.setattr(evaluation, "evaluate", lambda model, test: types.SimpleNamespace(accuracy=accuracy))
+        grid = GridSpec(
+            window_minutes_list=(3.0,),
+            overlap_list=(0.5,),
+            feature_subset_list=("mean",),
+            model_list=("knn", "dtree"),
+            repetitions=repetitions,
+        )
+        for row in run_grid(self.small_trips(), grid, master_seed=7):
+            assert (row.mean_accuracy, row.std) == (accuracy, 0.0)
+            assert row.accuracies == (accuracy,) * repetitions
 
     def test_rows_sorted_by_mean_accuracy(self):
         rows = [
@@ -349,6 +394,21 @@ class TestGrid:
         it = iter_grid(trips, grid, master_seed=1)
         first = next(it)
         assert first.window_minutes == 2.0
+
+    def test_closing_a_partly_consumed_grid_leaves_no_workers(self, workers):
+        workers(2)
+        grid = GridSpec(
+            window_minutes_list=(2.0, 3.0),
+            overlap_list=(0.0,),
+            feature_subset_list=("mean", "variance"),
+            model_list=("knn", "dtree"),
+            repetitions=1,
+        )
+        it = iter_grid(self.small_trips(), grid, master_seed=1)
+        assert next(it).window_minutes == 2.0
+        assert len(multiprocessing.active_children()) == 2
+        it.close()
+        assert multiprocessing.active_children() == []
 
 
 class TestRendering:

@@ -229,6 +229,9 @@ class TestCartOracle:
             buf = io.StringIO()
             save_model(train_model(kind, data, params, seed=5), buf)
             assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, kind
+            resaved = io.StringIO()  # and the saved trees load as trees
+            save_model(load_model(io.StringIO(buf.getvalue())), resaved)
+            assert resaved.getvalue() == buf.getvalue(), kind
 
 
 class TestTreeArrays:
@@ -554,6 +557,29 @@ class TestSaveLoad:
         file.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             load_model(file)
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            (   # both children are node 2, node 1 is no node's child
+                [{"feature": 0, "threshold": 0.5, "left": 2, "right": 2}, {"leaf": 1}, {"leaf": 0}],
+                "tree node 0: children 2, 2",
+            ),
+            (   # node 3 is no node's child
+                [{"feature": 0, "threshold": 0.5, "left": 1, "right": 2}, {"leaf": 1}, {"leaf": 0},
+                 {"leaf": 0}],
+                "tree node 3 is the child of 0 splits",
+            ),
+            (   # node 3 is the child of nodes 0 and 1
+                [{"feature": 0, "threshold": 0.5, "left": 1, "right": 3},
+                 {"feature": 1, "threshold": 0.5, "left": 2, "right": 3}, {"leaf": 1}, {"leaf": 0}],
+                "tree node 3 is the child of 2 splits",
+            ),
+        ],
+    )
+    def test_node_lists_that_are_not_trees_rejected(self, nodes, message):
+        with pytest.raises(ValueError, match=message):
+            tree_from_nodes(nodes, 2, 2)
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(19)
