@@ -124,10 +124,18 @@ def cmd_synth(args) -> int:
 
 
 def _log_tasks(manifest: Manifest, *args) -> list[tuple]:
-    """One work item per manifest log, after checking that every log exists."""
+    """One work item per manifest log, after checking that every log exists
+    and that none is the output of `clean`, which would be cleaned again."""
     for path, _, _ in manifest.entries:
-        if not Path(path).is_file():
+        path = Path(path)
+        if not path.is_file():
             raise FileNotFoundError(f"manifest log not found: {path}")
+        stem = path.name.removesuffix(".clean.csv")
+        if stem != path.name and path.with_name(f"{stem}.clean.json").is_file():
+            raise ConfigError(
+                f"manifest log {path} was written by `driverid clean`; "
+                "cleaning it again changes its windows, so list the raw log instead"
+            )
     return [(entry, *args) for entry in manifest.entries]
 
 

@@ -10,14 +10,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .features import (
-    FAMILIES,
-    FeatureConfig,
-    apply_standardizer,
-    feature_schema,
-    fit_standardizer,
-    subset_families,
-)
+from .features import FAMILIES, FeatureConfig, feature_schema, subset_families
 from .models import MODEL_KINDS, LabeledDataset, TrainedModel, lookup, predict
 from .parallel import ordered_map
 from .pipeline import build_datasets, train_model
@@ -168,23 +161,27 @@ def iter_grid(
 
     Every cell is emitted even when it has too little data
     (`InsufficientData`); the reason travels in the row, and any other
-    error propagates. Features are extracted once per window/overlap cell
-    with all families on, then sliced per named subset, which is equivalent
-    to extracting each subset directly because the families are independent
-    columns. Each group's features are built here; its cells run across
-    processes (`parallel.ordered_map`) while the next group's are built.
+    error propagates. Features are built and standardized once per
+    window/overlap group with all families on, then sliced per named
+    subset. The families are independent columns and standardization works
+    one column at a time, so a cell's train and test rows are bit-identical
+    to `build_datasets` with `families` set to its subset, and a seedless
+    row reproduces with `train_model` + `evaluate` on those rows (a seeded
+    one at the cell's `derive_seed`). Each group's features are built here;
+    its cells run across processes (`parallel.ordered_map`) while the next
+    group's are built.
     """
     if len({t.driver_id for t in trips}) < 2:
         raise ValueError("grid needs trips from at least 2 drivers")
-    feature_base = feature_base or FeatureConfig()
-    full_cfg = replace(feature_base, families=FAMILIES)
+    full_cfg = replace(feature_base or FeatureConfig(), families=FAMILIES)
     model_params = model_params or {}
+    columns = {subset: _subset_columns(full_cfg, subset) for subset in grid.feature_subset_list}
 
-    cells = _cells(trips, grid, train_fraction, full_cfg, model_params, master_seed)
+    cells = _cells(trips, grid, train_fraction, full_cfg, columns, model_params, master_seed)
     yield from ordered_map(_run_cell, cells)
 
 
-def _cells(trips, grid, train_fraction, full_cfg, model_params, master_seed):
+def _cells(trips, grid, train_fraction, full_cfg, columns, model_params, master_seed):
     """Each cell's work item, built lazily: one bundle per window/overlap group."""
     for wm in grid.window_minutes_list:
         for ov in grid.overlap_list:
@@ -197,7 +194,7 @@ def _cells(trips, grid, train_fraction, full_cfg, model_params, master_seed):
                 bundle = str(err)
             for subset in grid.feature_subset_list:
                 for kind in grid.model_list:
-                    yield (bundle, full_cfg, wm, ov, subset, kind,
+                    yield (bundle, columns[subset], wm, ov, subset, kind,
                            grid.repetitions, model_params.get(kind), master_seed)
 
 
@@ -229,17 +226,12 @@ def sort_rows(rows: Sequence[GridRow]) -> list[GridRow]:
 
 def _run_cell(cell) -> GridRow:
     """One grid row; `bundle` is the group's datasets or why it has none."""
-    bundle, full_cfg, wm, ov, subset, kind, repetitions, params, master_seed = cell
+    bundle, columns, wm, ov, subset, kind, repetitions, params, master_seed = cell
     if isinstance(bundle, str):
         return GridRow(wm, ov, subset, kind, error=bundle)
     try:
-        columns = _subset_columns(full_cfg, subset)
         train = _slice_dataset(bundle.train, columns)
         test = _slice_dataset(bundle.test, columns)
-        standardizer = fit_standardizer(train.features)
-        train = _restandardize(train, standardizer)
-        test = _restandardize(test, standardizer)
-
         # a seedless kind would fit the same model every repetition: fit it once
         fits = repetitions if lookup(kind).seeded else 1
         accuracies = []
@@ -272,15 +264,6 @@ def _slice_dataset(ds: LabeledDataset, columns: np.ndarray) -> LabeledDataset:
         labels=ds.labels,
         class_list=ds.class_list,
         schema_labels=labels,
-    )
-
-
-def _restandardize(ds: LabeledDataset, standardizer) -> LabeledDataset:
-    return LabeledDataset(
-        features=apply_standardizer(standardizer, ds.features),
-        labels=ds.labels,
-        class_list=ds.class_list,
-        schema_labels=ds.schema_labels,
     )
 
 

@@ -78,7 +78,7 @@ class ValidationReport:
 
     n_samples: int
     n_missing: int  # samples with at least one missing channel
-    n_gaps: int     # inter-sample intervals longer than 2 / nominal_rate_hz
+    n_gaps: int     # inter-sample intervals longer than two periods (continuity_breaks)
 
 
 def parse_log(source, driver_id: str, rate_hz: float = 2.0) -> Trip:
@@ -185,11 +185,16 @@ def read_log(path, driver_id: str, rate_hz: float = 2.0) -> Trip:
     return parse_log(Path(path), driver_id, rate_hz)
 
 
+def continuity_breaks(t: np.ndarray, rate_hz: float) -> np.ndarray:
+    """`out[i]` flags a sampling discontinuity between samples i and i+1:
+    they lie more than two sample periods apart."""
+    return np.diff(t) > 2.0 * (1.0 / rate_hz)
+
+
 def validate_trip(trip: Trip) -> ValidationReport:
     """Count samples, missing-channel samples and sampling gaps. Never mutates."""
     missing = int(np.isnan(trip.data).any(axis=1).sum())
-    gap_limit = 2.0 / trip.nominal_rate_hz
-    gaps = int((np.diff(trip.t) > gap_limit).sum()) if len(trip) > 1 else 0
+    gaps = int(continuity_breaks(trip.t, trip.nominal_rate_hz).sum())
     return ValidationReport(n_samples=len(trip), n_missing=missing, n_gaps=gaps)
 
 

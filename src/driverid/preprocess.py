@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import ACCEL_COLUMNS, Trip
+from .ingest import ACCEL_COLUMNS, Trip, continuity_breaks
 
 GRAVITY = 9.81
 
@@ -279,7 +279,8 @@ def detect_stops(
     period = 1.0 / trip.nominal_rate_hz
     t = trip.t
     starts = np.arange(len(trip))
-    breaks = np.flatnonzero(np.diff(t) > 2.0 * period) + 1  # first sample of each later block
+    # first sample of each later block
+    breaks = np.flatnonzero(continuity_breaks(t, trip.nominal_rate_hz)) + 1
     block_end = np.append(breaks, len(trip))[np.searchsorted(breaks, starts, side="right")]
     run_end = _run_ends(m, block_end, threshold)
     long_enough = np.flatnonzero((run_end > starts) & (t[run_end - 1] - t + period >= min_stop_seconds))
@@ -348,11 +349,8 @@ def remove_stops(trip: Trip, stops: Sequence[StopInterval]) -> CleanTrip:
 
     t = trip.t[keep]
     data = trip.data[keep]
-    period = 1.0 / trip.nominal_rate_hz
-    kept_idx = np.nonzero(keep)[0]
-    removed_between = np.diff(kept_idx) > 1
-    long_dt = np.diff(t) > 2.0 * period
-    breaks = removed_between | long_dt
+    removed_between = np.diff(np.nonzero(keep)[0]) > 1
+    breaks = removed_between | continuity_breaks(t, trip.nominal_rate_hz)
 
     return CleanTrip(
         driver_id=trip.driver_id,

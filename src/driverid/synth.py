@@ -13,7 +13,7 @@ the same trip, sample for sample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -83,22 +83,7 @@ class SyntheticTruth:
         return {
             "stop_intervals": [list(iv) for iv in self.stop_intervals],
             "gap_intervals": [list(iv) for iv in self.gap_intervals],
-            "profile": {
-                "accel_aggressiveness": self.profile.accel_aggressiveness,
-                "brake_harshness": self.profile.brake_harshness,
-                "turn_rate_scale": self.profile.turn_rate_scale,
-                "event_rate": self.profile.event_rate,
-                "noise_sigma": self.profile.noise_sigma,
-                "stop_frequency": self.profile.stop_frequency,
-                "stop_duration_range": list(self.profile.stop_duration_range),
-                "lateral_g_per_yaw": self.profile.lateral_g_per_yaw,
-                "pitch_coupling": self.profile.pitch_coupling,
-                "event_duration_scale": self.profile.event_duration_scale,
-                "ride_texture": self.profile.ride_texture,
-                "accel_bias": list(self.profile.accel_bias),
-                "gyro_bias": list(self.profile.gyro_bias),
-                "seed": self.profile.seed,
-            },
+            "profile": asdict(self.profile),
             "device_rotation": (
                 self.device_rotation.tolist() if self.device_rotation is not None else None
             ),

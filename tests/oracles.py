@@ -260,3 +260,12 @@ def denoise_oracle(column, window):
         near = [v for v in column[max(0, i - half) : i + half + 1] if not math.isnan(v)]
         out.append(sum(near) / len(near))
     return out
+
+
+def break_flags_oracle(t, stops, rate_hz):
+    """`break_after` of the samples that survive removing the half-open
+    stops [start, end): a kept pair breaks when a sample between them was
+    removed or when they lie more than two sample periods apart."""
+    kept = [i for i, ti in enumerate(t) if not any(a <= ti < b for a, b in stops)]
+    period = 1.0 / rate_hz
+    return [j - i > 1 or t[j] - t[i] > 2.0 * period for i, j in zip(kept, kept[1:])]

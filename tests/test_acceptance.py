@@ -21,11 +21,10 @@ from driverid.evaluation import (
     evaluate,
     run_grid,
 )
-from driverid.evaluation import _restandardize, _slice_dataset, _subset_columns
+from driverid.evaluation import _slice_dataset, _subset_columns
 from driverid.features import (
     FeatureConfig,
     extract_sequence,
-    fit_standardizer,
     trimmed_histogram,
 )
 from driverid.models import LabeledDataset, predict
@@ -296,10 +295,9 @@ class TestAblationOrdering:
         all_acc = evaluate(all_model, bench_bundle.test).accuracy
         lines = [f"all-features rforest accuracy {all_acc:.3f}"]
         for family in families:
-            cols = _subset_columns(full_cfg, family)
-            std = fit_standardizer(bench_bundle.train.features[:, cols])
-            train = _restandardize(_slice_dataset(bench_bundle.train, cols), std)
-            test = _restandardize(_slice_dataset(bench_bundle.test, cols), std)
+            cols = _subset_columns(full_cfg, family)  # the grid cell's own slicing
+            train = _slice_dataset(bench_bundle.train, cols)
+            test = _slice_dataset(bench_bundle.test, cols)
             model = train_model("rforest", train, seed=7)
             acc = evaluate(model, test).accuracy
             lines.append(f"{family}: {acc:.3f}")

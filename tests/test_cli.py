@@ -320,6 +320,25 @@ class TestGridCommand:
         assert code == 0
         assert seen == [("knn", {"k": 1})]
 
+    def test_knn_row_equals_train_then_evaluate(self, corpus_dir, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[run]\nmodel = knn\n[segmentation]\nwindow_minutes = 4\noverlap = 0.5\n"
+            "[features]\nfamilies = histogram+correlation\n[model.knn]\nk = 3\n"
+            "[grid]\nwindow_minutes = 4\noverlaps = 0.5\nfeatures = histogram+correlation\n"
+            "models = knn\nrepetitions = 1\n"
+        )
+        common = ["--manifest", str(corpus_dir / "manifest.csv"), "--config", str(path)]
+        assert main(["train", *common, "--out", str(tmp_path / "model")]) == 0
+        assert main(
+            ["evaluate", *common, "--model", str(tmp_path / "model" / "model.json"),
+             "--out", str(tmp_path / "eval")]
+        ) == 0
+        assert main(["grid", *common, "--out", str(tmp_path / "grid")]) == 0
+        [row] = json.loads((tmp_path / "grid" / "grid_report.json").read_text())["rows"]
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert row["mean_accuracy"] == report["accuracy"]
+
     def test_reports_identical_at_one_and_two_workers(self, corpus_dir, tmp_path, workers):
         path = tmp_path / "grid.ini"
         path.write_text(  # a 60-minute window does not fit the 0.8 h trips
@@ -423,6 +442,51 @@ class TestWorkerCount:
             artifacts.append({f.relative_to(out): f.read_bytes() for f in files})
         assert len(artifacts[0]) == 4 * 2 + 1 + 4  # logs, sidecars, manifest; model, reports
         assert artifacts[0] == artifacts[1]
+
+
+@pytest.fixture(scope="module")
+def cleaned_dir(corpus_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cleaned")
+    assert main(["clean", "--manifest", str(corpus_dir / "manifest.csv"), "--out", str(out)]) == 0
+    return out
+
+
+class TestCleanedLogsRefused:
+    @pytest.mark.parametrize("command", ["clean", "train", "evaluate", "grid"])
+    def test_exits_2_before_any_worker_starts(
+        self, cleaned_dir, config_path, trained_model_json, tmp_path, monkeypatch, workers, capsys,
+        command,
+    ):
+        import driverid.cli as cli
+
+        workers(2)
+        maps = []
+        monkeypatch.setattr(cli, "ordered_map", lambda fn, items: maps.append(fn) or iter(()))
+        model_file = tmp_path / "model.json"
+        model_file.write_text(trained_model_json)
+        extra = ["--model", str(model_file)] if command == "evaluate" else []
+        out = tmp_path / "out"
+        code = main(
+            [command, "--manifest", str(cleaned_dir / "manifest.csv"),
+             "--config", str(config_path), "--out", str(out), *extra]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        log = cleaned_dir / "driver01.clean.csv"
+        assert f"error: manifest log {log} was written by `driverid clean`" in err
+        assert maps == []
+        assert not out.exists()
+
+    def test_only_a_clean_log_with_its_sidecar_is_refused(self, cleaned_dir, tmp_path):
+        from driverid.cli import _log_tasks
+
+        log = tmp_path / "driver01.clean.csv"
+        log.write_bytes((cleaned_dir / "driver01.clean.csv").read_bytes())
+        manifest = config.Manifest(entries=((log, "driver01", 2.0),))
+        assert len(_log_tasks(manifest)) == 1
+        (tmp_path / "driver01.clean.json").write_text("{}")
+        with pytest.raises(ConfigError, match="written by `driverid clean`"):
+            _log_tasks(manifest)
 
 
 class TestNoTestDataInTraining:

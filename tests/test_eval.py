@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import multiprocessing
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driverid.evaluation import (
     DEFAULT_FEATURE_SUBSETS,
@@ -18,11 +21,13 @@ from driverid.evaluation import (
     sort_rows,
     write_reports,
 )
-from driverid.features import FeatureConfig
+from driverid.evaluation import _slice_dataset, _subset_columns
+from driverid.features import FAMILIES, FeatureConfig, subset_families
 from driverid.models import MODEL_KINDS, LabeledDataset
 from driverid.models.registry import REGISTRY
 from driverid.pipeline import build_datasets, train_model
 from driverid.preprocess import CleanTrip
+from driverid.seeds import derive_seed
 from driverid.segment import InsufficientData, SegmentationConfig
 
 
@@ -181,20 +186,23 @@ class TestSeparability:
         assert not separability_achieved(0.25, 10)
 
 
+@functools.cache
+def small_trips() -> tuple[CleanTrip, ...]:
+    """Three cleaned 25-minute trips without stops (immutable, so shared)."""
+    import driverid as d
+    from conftest import stoppy_profile
+
+    trips = []
+    for i in range(3):
+        profile = stoppy_profile(i, stops_per_hour=0.0)
+        trip, _ = d.generate_trip(profile, 1500.0, 2.0, driver_id=f"drv{i}")
+        trips.append(d.clean(trip))
+    return tuple(trips)
+
+
 class TestGrid:
-    def small_trips(self):
-        import driverid as d
-        from conftest import stoppy_profile
-
-        trips = []
-        for i in range(3):
-            profile = stoppy_profile(i, stops_per_hour=0.0)
-            trip, _ = d.generate_trip(profile, 1500.0, 2.0, driver_id=f"drv{i}")
-            trips.append(d.clean(trip))
-        return trips
-
     def test_cell_count_and_columns(self):
-        trips = self.small_trips()
+        trips = small_trips()
         grid = GridSpec(
             window_minutes_list=(2.0, 4.0),
             overlap_list=(0.0, 0.5),
@@ -210,7 +218,7 @@ class TestGrid:
         assert len(csv_text.splitlines()) == 5
 
     def test_failed_cells_annotated_not_fatal(self):
-        trips = self.small_trips()
+        trips = small_trips()
         grid = GridSpec(
             window_minutes_list=(2.0, 60.0),  # 60-minute window cannot fit
             overlap_list=(0.0,),
@@ -251,7 +259,7 @@ class TestGrid:
             model_list=("knn", "dtree"),  # 2 cells: with 2 workers, each runs in a worker
             repetitions=1,
         )
-        trips = self.small_trips()
+        trips = small_trips()
         for n in (1, 2):
             workers(n)
             with pytest.raises(TypeError, match="broken trainer"):
@@ -263,7 +271,7 @@ class TestGrid:
             GridSpec(feature_subset_list=("mean+wavelet",))
 
     def test_determinism_across_runs(self):
-        trips = self.small_trips()
+        trips = small_trips()
         grid = GridSpec(
             window_minutes_list=(3.0,),
             overlap_list=(0.5,),
@@ -297,7 +305,7 @@ class TestGrid:
             repetitions=2,  # the mean of 2 equal floats is exact, of 3 or 5 it may not be
         )
         fast = {"rforest": {"n_trees": 3}, "mlp": {"max_epochs": 5}}
-        rows = run_grid(self.small_trips(), grid, model_params=fast, master_seed=7)
+        rows = run_grid(small_trips(), grid, model_params=fast, master_seed=7)
         assert fits == {"knn": 1, "dtree": 1, "rforest": 2, "mlp": 2}
         for row in rows:
             assert len(row.accuracies) == 2
@@ -307,7 +315,7 @@ class TestGrid:
 
     @pytest.mark.usefixtures("one_worker")
     def test_seedless_rows_equal_fitting_every_repetition(self, monkeypatch):
-        trips = self.small_trips()
+        trips = small_trips()
         grid = GridSpec(
             window_minutes_list=(3.0,),
             overlap_list=(0.5,),
@@ -332,7 +340,7 @@ class TestGrid:
             repetitions=repetitions,
         )
         fast = {"rforest": {"n_trees": 3}, "mlp": {"max_epochs": 5}}
-        rows = run_grid(self.small_trips(), grid, model_params=fast, master_seed=7)
+        rows = run_grid(small_trips(), grid, model_params=fast, master_seed=7)
         for row in rows:
             assert len(row.accuracies) == repetitions
             if REGISTRY[row.model].seeded:
@@ -355,9 +363,62 @@ class TestGrid:
             model_list=("knn", "dtree"),
             repetitions=repetitions,
         )
-        for row in run_grid(self.small_trips(), grid, master_seed=7):
+        for row in run_grid(small_trips(), grid, master_seed=7):
             assert (row.mean_accuracy, row.std) == (accuracy, 0.0)
             assert row.accuracies == (accuracy,) * repetitions
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        families=st.sets(st.sampled_from(FAMILIES), min_size=1),
+        window=st.sampled_from([1.0, 2.0, 3.0]),
+        overlap=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+        bins=st.sampled_from([3, 100]),
+        summed=st.booleans(),
+    )
+    def test_sliced_bundle_equals_building_the_subset(self, families, window, overlap, bins, summed):
+        subset = "+".join(sorted(families))
+        base = FeatureConfig(histogram_bins=bins, difference_uses_sum=summed)
+        seg = SegmentationConfig(window_minutes=window, overlap_fraction=overlap)
+        full = build_datasets(small_trips(), seg, base)
+        own = build_datasets(small_trips(), seg, dataclasses.replace(base, families=subset_families(subset)))
+        columns = _subset_columns(base, subset)
+        for whole, direct in ((full.train, own.train), (full.test, own.test)):
+            sliced = _slice_dataset(whole, columns)
+            assert np.array_equal(sliced.features, direct.features)
+            assert np.array_equal(sliced.labels, direct.labels)
+            assert (sliced.class_list, sliced.schema_labels) == (direct.class_list, direct.schema_labels)
+
+    @pytest.mark.usefixtures("one_worker")
+    def test_each_row_is_train_and_evaluate_on_its_own_rows(self, monkeypatch):
+        import driverid.evaluation as evaluation
+
+        trained = {}  # seed -> the rows that fit trained on
+
+        def spy(kind, train, params=None, seed=0):
+            trained[seed] = train.features
+            return train_model(kind, train, params, seed=seed)
+
+        monkeypatch.setattr(evaluation, "train_model", spy)
+        grid = GridSpec(
+            window_minutes_list=(3.0,),
+            overlap_list=(0.5,),
+            feature_subset_list=("histogram", "mean+variance+difference+correlation"),
+            model_list=MODEL_KINDS,
+            repetitions=2,
+        )
+        fast = {"rforest": {"n_trees": 3}, "mlp": {"max_epochs": 5}}
+        rows = list(iter_grid(small_trips(), grid, model_params=fast, master_seed=7))
+        seg = SegmentationConfig(window_minutes=3.0, overlap_fraction=0.5)
+        for row in rows:
+            own = build_datasets(small_trips(), seg, FeatureConfig(families=subset_families(row.features)))
+            for rep in range(2 if REGISTRY[row.model].seeded else 1):
+                seed = derive_seed(7, f"grid:3.0:0.5:{row.features}:{row.model}:rep{rep}")
+                assert np.array_equal(trained.pop(seed), own.train.features)
+                model = train_model(row.model, own.train, fast.get(row.model), seed=seed)
+                assert row.accuracies[rep] == evaluate(model, own.test).accuracy
+            if not REGISTRY[row.model].seeded:  # seedless: the fit at any seed
+                assert row.mean_accuracy == evaluate(train_model(row.model, own.train), own.test).accuracy
+        assert trained == {}
 
     def test_rows_sorted_by_mean_accuracy(self):
         rows = [
@@ -383,7 +444,7 @@ class TestGrid:
             run_grid([d.clean(trip)], GridSpec())
 
     def test_iter_grid_supports_partial_consumption(self):
-        trips = self.small_trips()
+        trips = small_trips()
         grid = GridSpec(
             window_minutes_list=(2.0, 3.0),
             overlap_list=(0.0,),
@@ -404,7 +465,7 @@ class TestGrid:
             model_list=("knn", "dtree"),
             repetitions=1,
         )
-        it = iter_grid(self.small_trips(), grid, master_seed=1)
+        it = iter_grid(small_trips(), grid, master_seed=1)
         assert next(it).window_minutes == 2.0
         assert len(multiprocessing.active_children()) == 2
         it.close()

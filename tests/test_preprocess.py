@@ -18,7 +18,7 @@ from driverid.preprocess import (
     remove_stops,
     reorient,
 )
-from oracles import denoise_oracle, stop_runs_oracle
+from oracles import break_flags_oracle, denoise_oracle, stop_runs_oracle
 
 
 def trip_from_channel(values, rate=2.0, column=0, base=None):
@@ -347,6 +347,30 @@ class TestRemoveStops:
             for removed in stops:
                 inside = s.start_t >= removed.start_t and s.end_t <= removed.end_t
                 assert not inside
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_break_flags_match_oracle(self, data):
+        rate = data.draw(st.sampled_from([1.0, 2.0, 3.0, 4.0]))
+        period = 1.0 / rate
+        # steps of one or two periods are continuous; longer ones are sampling holes
+        steps = data.draw(st.lists(st.sampled_from([1, 1, 1, 1, 2, 2.5, 3, 7]), max_size=59))
+        t = np.concatenate([[0.0], np.cumsum(steps) * period]) + data.draw(
+            st.sampled_from([0.0, 0.5, 100.25])
+        )
+        # stop edges on a half-period grid that reaches past both ends of the trip
+        span = int(round((t[-1] - t[0]) / period)) * 2
+        cuts = data.draw(st.lists(st.integers(-4, span + 4), max_size=10, unique=True))
+        edges = [t[0] + k * period / 2.0 for k in sorted(cuts)]
+        stops = list(zip(edges[::2], edges[1::2]))
+        trip = Trip("s", t, np.zeros((t.size, 6)), rate)
+        removed = [StopInterval(a, b) for a, b in stops]
+        if all(any(a <= ti < b for a, b in stops) for ti in t):
+            with pytest.raises(ValueError, match="no movement data"):
+                remove_stops(trip, removed)
+        else:
+            expected = break_flags_oracle(t, stops, rate)
+            assert remove_stops(trip, removed).break_after.tolist() == expected
 
 
 class TestCleanChain:

@@ -116,6 +116,14 @@ class TestGenerateTrip:
         doc = json.dumps(truth.to_dict())
         assert "stop_intervals" in doc
 
+    def test_truth_profile_keys_are_the_profile_fields_in_order(self):
+        import dataclasses
+
+        profile = make_profiles(2, "hard", 2)[1]
+        _, truth = generate_trip(profile, 300.0, 2.0)
+        names = [f.name for f in dataclasses.fields(DriverProfile)]
+        assert list(truth.to_dict()["profile"]) == names
+
 
 class TestEndToEndSeparability:
     def test_small_corpus_beats_chance_widely(self):
