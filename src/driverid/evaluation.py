@@ -167,9 +167,10 @@ def iter_grid(
     one column at a time, so a cell's train and test rows are bit-identical
     to `build_datasets` with `families` set to its subset, and a seedless
     row reproduces with `train_model` + `evaluate` on those rows (a seeded
-    one at the cell's `derive_seed`). Each group's features are built here;
-    its cells run across processes (`parallel.ordered_map`) while the next
-    group's are built.
+    one at the cell's `derive_seed`). Each group's features are built here,
+    the first group's across processes, one trip per worker; the cells run
+    across processes (`parallel.ordered_map`) while each later group's
+    features are built in this process.
     """
     if len({t.driver_id for t in trips}) < 2:
         raise ValueError("grid needs trips from at least 2 drivers")

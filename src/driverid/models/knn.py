@@ -33,9 +33,11 @@ then bounds its k-th exact distance from above, and every row whose
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from ..parallel import ordered_map
 from ..segment import InsufficientData
 from .base import LabeledDataset, TrainedModel, decode_array, encode_array
 
@@ -62,32 +64,38 @@ def fit(data: LabeledDataset, params: dict, seed: int) -> KnnParams:
 
 
 def predict(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:
-    """Majority class among the k nearest training rows."""
+    """Majority class among the k nearest training rows.
+
+    Each block of `QUERY_BLOCK` queries is one `parallel.ordered_map` item.
+    """
     p = model.params
-    n_rows, d = p.train_x.shape
-    n_classes = len(model.class_list)
-    kth = min(p.k, n_rows) - 1
+    d = p.train_x.shape[1]
     eps = np.finfo(np.float64).eps / 2
     margin = 4 * (d + 4) * eps / (1 - (d + 4) * eps)
     x_norms = np.einsum("ij,ij->i", p.train_x, p.train_x)
-    out = np.empty(matrix.shape[0], dtype=np.int64)
-    for start in range(0, matrix.shape[0], QUERY_BLOCK):
-        q = matrix[start : start + QUERY_BLOCK]
-        norms = np.einsum("ij,ij->i", q, q)[:, None] + x_norms
-        screen = norms - 2 * (q @ p.train_x.T)
-        error = np.multiply(norms, margin, out=norms)  # in place, like the bounds below
-        upper = screen + error
-        upper.partition(kth, axis=1)
-        lower = np.subtract(screen, error, out=screen)
-        query, row = np.nonzero(~(lower > upper[:, kth, None]))  # NaN or inf bounds keep the row
-        dist = ((p.train_x[row] - q[query]) ** 2).sum(axis=1)
-        order = np.lexsort((row, dist, query))  # by query, then distance, then row index
-        query, row = query[order], row[order]
-        first = np.searchsorted(query, query)  # each pair's query's first position
-        near = np.arange(query.size) - first <= kth
-        votes = np.bincount(query[near] * n_classes + p.train_y[row[near]], minlength=len(q) * n_classes)
-        out[start : start + len(q)] = votes.reshape(len(q), n_classes).argmax(axis=1)
-    return out
+    score = partial(_predict_block, p, len(model.class_list), x_norms, margin, matrix)
+    blocks = ordered_map(score, range(0, matrix.shape[0], QUERY_BLOCK))
+    return np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+
+
+def _predict_block(p: KnnParams, n_classes: int, x_norms, margin: float, matrix, start: int) -> np.ndarray:
+    """Class indices of the queries `matrix[start : start + QUERY_BLOCK]`."""
+    kth = min(p.k, p.train_x.shape[0]) - 1
+    q = matrix[start : start + QUERY_BLOCK]
+    norms = np.einsum("ij,ij->i", q, q)[:, None] + x_norms
+    screen = norms - 2 * (q @ p.train_x.T)
+    error = np.multiply(norms, margin, out=norms)  # in place, like the bounds below
+    upper = screen + error
+    upper.partition(kth, axis=1)
+    lower = np.subtract(screen, error, out=screen)
+    query, row = np.nonzero(~(lower > upper[:, kth, None]))  # NaN or inf bounds keep the row
+    dist = ((p.train_x[row] - q[query]) ** 2).sum(axis=1)
+    order = np.lexsort((row, dist, query))  # by query, then distance, then row index
+    query, row = query[order], row[order]
+    first = np.searchsorted(query, query)  # each pair's query's first position
+    near = np.arange(query.size) - first <= kth
+    votes = np.bincount(query[near] * n_classes + p.train_y[row[near]], minlength=len(q) * n_classes)
+    return votes.reshape(len(q), n_classes).argmax(axis=1)
 
 
 def to_doc(p: KnnParams) -> dict:

@@ -5,11 +5,14 @@ Each trip's train and test spans become one window batch and one feature
 block each, tagged with their partition; the standardizer fit refuses any
 block tagged test, so training can never touch held-out data.
 `build_datasets` (train, grid) and `build_test_dataset` (evaluating a saved
-model) turn blocks into labelled rows through the same function.
+model) turn blocks into labelled rows through the same function. Each
+trip is windowed and featurized as one `parallel.ordered_map` item; the
+blocks are stacked, counted and standardized here, in trip order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +30,15 @@ from .features import (
 from .models import LabeledDataset, TrainedModel
 from .models.base import check_training_data
 from .models.registry import lookup
+from .parallel import ordered_map
 from .preprocess import CleanTrip
-from .segment import InsufficientData, SegmentationConfig, segment_trip
+from .segment import (
+    InsufficientData,
+    SegmentationConfig,
+    cut_windows,
+    segment_trip,
+    split_train_test,
+)
 
 NO_TEST_WINDOWS = "empty test set: no test windows were produced"
 
@@ -45,16 +55,14 @@ def build_datasets(
     trips: Sequence[CleanTrip], seg_cfg: SegmentationConfig, feat_cfg: FeatureConfig
 ) -> DatasetBundle:
     """Window and featurize every trip, then standardize on train statistics."""
-    train_blocks: list[FeatureBlock] = []
-    test_blocks: list[FeatureBlock] = []
+    blocks = list(ordered_map(partial(_trip_blocks, trips, seg_cfg, feat_cfg), range(len(trips))))
+    train_blocks = [train for train, _ in blocks]
+    test_blocks = [test for _, test in blocks]
     counts: dict = {}
-    for trip in trips:
-        train_windows, test_windows = segment_trip(trip, seg_cfg)
-        train_blocks.append(extract_sequence(train_windows, feat_cfg))
-        test_blocks.append(extract_sequence(test_windows, feat_cfg))
-        entry = counts.setdefault(trip.driver_id, {"train": 0, "test": 0})
-        entry["train"] += len(train_windows)
-        entry["test"] += len(test_windows)
+    for train_block, test_block in blocks:
+        entry = counts.setdefault(train_block.driver_id, {"train": 0, "test": 0})
+        entry["train"] += len(train_block)
+        entry["test"] += len(test_block)
 
     if not any(map(len, train_blocks)):
         raise InsufficientData("no training windows were produced")
@@ -77,11 +85,25 @@ def build_test_dataset(
     """Window and featurize only the test spans, standardized with the model's statistics."""
     if model.standardizer is None:
         raise ValueError("model carries no standardizer; cannot evaluate raw features")
-    blocks = [extract_sequence(segment_trip(trip, seg_cfg)[1], feat_cfg) for trip in trips]
+    blocks = list(ordered_map(partial(_test_block, trips, seg_cfg, feat_cfg), range(len(trips))))
     if not any(map(len, blocks)):
         raise InsufficientData(NO_TEST_WINDOWS)
     schema = schema_labels(feature_schema(feat_cfg))
     return _standardized_dataset(blocks, model.standardizer, model.class_list, schema)
+
+
+def _trip_blocks(trips, seg_cfg, feat_cfg, index: int) -> tuple[FeatureBlock, FeatureBlock]:
+    """The train and test feature blocks of `trips[index]`, one `ordered_map` item."""
+    train_windows, test_windows = segment_trip(trips[index], seg_cfg)
+    return extract_sequence(train_windows, feat_cfg), extract_sequence(test_windows, feat_cfg)
+
+
+def _test_block(trips, seg_cfg, feat_cfg, index: int) -> FeatureBlock:
+    """The test feature block of `trips[index]`; its train span is never cut."""
+    trip = trips[index]
+    rate = trip.nominal_rate_hz
+    test_span = split_train_test(trip, seg_cfg.train_fraction, seg_cfg.window_samples(rate))[1]
+    return extract_sequence(cut_windows(test_span, seg_cfg, rate), feat_cfg)
 
 
 def train_model(

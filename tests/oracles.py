@@ -1,7 +1,8 @@
 """Independent brute-force oracles the library code is checked against.
 
 Deliberately naive: plain Python loops and sorting, no shared code with
-the implementations under test.
+the implementations under test (`mlp_fit_oracle` reuses the MLP's
+arithmetic, and says why).
 """
 from __future__ import annotations
 
@@ -269,3 +270,62 @@ def break_flags_oracle(t, stops, rate_hz):
     kept = [i for i, ti in enumerate(t) if not any(a <= ti < b for a, b in stops)]
     period = 1.0 / rate_hz
     return [j - i > 1 or t[j] - t[i] > 2.0 * period for i, j in zip(kept, kept[1:])]
+
+
+def mlp_fit_oracle(x, y, n_classes, cfg):
+    """(weights, biases, epochs_run) of MLP training under `cfg` (an
+    `MlpConfig`), with the control flow spelled out.
+
+    Each class's last round(fraction * count) rows (at least one) validate;
+    the rest train, in mini-batches that follow one seeded permutation per
+    epoch. An epoch improves when its validation loss is below the best by
+    more than 1e-12; training stops after `early_stop_patience` epochs in a
+    row without one and restores the best weights. The initialization and
+    each loss and gradient come from the library's own `init_params` and
+    `loss_and_grads`, so the result can be compared bit for bit.
+    """
+    from driverid.models.mlp import init_params, loss_and_grads
+
+    n = len(y)
+    validate = [False] * n
+    for cls in range(n_classes):
+        rows = [i for i in range(n) if y[i] == cls]
+        if rows:
+            n_val = max(1, int(round(cfg.validation_fraction * len(rows))))
+            for i in rows[len(rows) - n_val :]:
+                validate[i] = True
+    train_rows = [i for i in range(n) if not validate[i]]
+    val_rows = [i for i in range(n) if validate[i]]
+    onehot = np.zeros((n, n_classes))
+    for i in range(n):
+        onehot[i, y[i]] = 1.0
+
+    rng = np.random.default_rng(cfg.seed)
+    net = init_params([x.shape[1], *cfg.hidden_layers, n_classes], cfg.activation, rng)
+    best_loss = math.inf
+    best = ([w.copy() for w in net.weights], [b.copy() for b in net.biases])
+    since_best = 0
+    epochs_run = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng.permutation(len(train_rows))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [train_rows[j] for j in order[start : start + cfg.batch_size]]
+            loss, grad_w, grad_b = loss_and_grads(net, x[batch], onehot[batch])
+            if not math.isfinite(loss):
+                raise ValueError(f"diverged at epoch {epoch}")
+            for layer in range(len(net.weights)):
+                net.weights[layer] = net.weights[layer] - cfg.learning_rate * grad_w[layer]
+                net.biases[layer] = net.biases[layer] - cfg.learning_rate * grad_b[layer]
+        epochs_run = epoch
+        val_loss = loss_and_grads(net, x[val_rows], onehot[val_rows])[0]
+        if not math.isfinite(val_loss):
+            raise ValueError(f"diverged at epoch {epoch}")
+        if val_loss < best_loss - 1e-12:
+            best_loss = val_loss
+            best = ([w.copy() for w in net.weights], [b.copy() for b in net.biases])
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best == cfg.early_stop_patience:
+                break
+    return best[0], best[1], epochs_run

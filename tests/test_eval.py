@@ -367,6 +367,7 @@ class TestGrid:
             assert (row.mean_accuracy, row.std) == (accuracy, 0.0)
             assert row.accuracies == (accuracy,) * repetitions
 
+    @pytest.mark.usefixtures("one_worker")
     @settings(max_examples=25, deadline=None)
     @given(
         families=st.sets(st.sampled_from(FAMILIES), min_size=1),

@@ -1,10 +1,11 @@
 import hashlib
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -18,7 +19,7 @@ from driverid.models.registry import MODEL_KINDS, REGISTRY
 from driverid.models.tree import grow_tree, tree_depth, tree_from_nodes, tree_to_nodes
 from driverid.pipeline import train_model
 from driverid.segment import InsufficientData
-from oracles import array_doc_oracle, cart_oracle, knn_oracle, tree_walk_oracle
+from oracles import array_doc_oracle, cart_oracle, knn_oracle, mlp_fit_oracle, tree_walk_oracle
 
 
 KIND_PARAMS = {"knn": {"k": 3}, "dtree": {"max_depth": 4}, "rforest": {"n_trees": 5}, "mlp": {"max_epochs": 15}}
@@ -75,6 +76,7 @@ class TestKnn:
             expected = knn_oracle(x, labels, data.class_list, q, 5)
             assert predict(model, q) == expected
 
+    @pytest.mark.usefixtures("one_worker")
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_oracle_on_ties_and_offsets(self, data):
@@ -412,6 +414,69 @@ class TestMlp:
         with pytest.raises(ValueError, match="diverged at epoch"):
             train_model("mlp", data, {"learning_rate": 1e12, "max_epochs": 50}, seed=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fit_matches_oracle(self, data):
+        """2-5 classes, 1-2 hidden layers, relu and tanh, a batch size that
+        does not divide the training rows, patience that may or may not fire;
+        a 1e-13 learning rate moves the validation loss by less than the
+        1e-12 an epoch must gain to count as better."""
+        n_classes = data.draw(st.integers(2, 5), "classes")
+        n = data.draw(st.integers(2 * n_classes + 2, 40), "rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "data seed"))
+        y = rng.integers(0, n_classes, n)
+        x = rng.standard_normal((n, data.draw(st.integers(1, 5), "dim"))) + y[:, None]
+        cfg = MlpConfig(
+            hidden_layers=data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=2), "hidden"),
+            activation=data.draw(st.sampled_from(["relu", "tanh"]), "activation"),
+            learning_rate=data.draw(st.sampled_from([1e-13, 0.01, 0.2, 1.0]), "learning rate"),
+            batch_size=data.draw(st.integers(2, 12), "batch"),
+            max_epochs=data.draw(st.integers(1, 12), "epochs"),
+            early_stop_patience=data.draw(st.integers(1, 4), "patience"),
+            validation_fraction=data.draw(st.sampled_from([0.15, 0.3, 0.5]), "validation"),
+            seed=data.draw(st.integers(0, 2**32 - 1), "seed"),
+        )
+        counts = np.bincount(y)
+        n_val = sum(max(1, round(cfg.validation_fraction * c)) for c in counts if c)
+        assume((n - n_val) % cfg.batch_size)
+        classes = tuple(f"c{i}" for i in range(n_classes))
+        dataset = LabeledDataset(x, np.array(classes, dtype=object)[y], classes)
+        params = {f.name: getattr(cfg, f.name) for f in fields(MlpConfig) if f.name != "seed"}
+        try:
+            weights, biases, epochs_run = mlp_fit_oracle(x, y, n_classes, cfg)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                train_model("mlp", dataset, params, seed=cfg.seed)
+            return
+        fitted = train_model("mlp", dataset, params, seed=cfg.seed).params
+        assert fitted.epochs_run == epochs_run
+        assert all(map(np.array_equal, fitted.weights, weights))
+        assert all(map(np.array_equal, fitted.biases, biases))
+
+    @pytest.mark.parametrize("patience, fires", [(1, True), (50, False)])
+    def test_early_stop_matches_oracle(self, patience, fires):
+        """39 training rows in batches of 8; patience 1 stops at epoch 3 of 30."""
+        data = make_dataset(np.random.default_rng(16), n=45, dim=4)
+        params = {"hidden_layers": (6, 5), "activation": "tanh", "learning_rate": 0.3,
+                  "batch_size": 8, "max_epochs": 30, "early_stop_patience": patience}
+        fitted = train_model("mlp", data, params, seed=3).params
+        weights, biases, epochs_run = mlp_fit_oracle(
+            data.features, data.label_indices, 3, MlpConfig(**params, seed=3)
+        )
+        assert (fitted.epochs_run < 30, fitted.epochs_run) == (fires, epochs_run)
+        assert all(map(np.array_equal, fitted.weights, weights))
+        assert all(map(np.array_equal, fitted.biases, biases))
+
+    def test_saved_model_matches_golden_digest(self):
+        """A two-layer MLP that stops early (epoch 23 of 60) saves to the same
+        bytes as when this digest was taken."""
+        data = make_dataset(np.random.default_rng(40), n=120, dim=8, classes=("a", "b", "c", "d"))
+        params = {"hidden_layers": (16, 8), "max_epochs": 60, "early_stop_patience": 4,
+                  "learning_rate": 0.1, "batch_size": 16}
+        buf = io.StringIO()
+        save_model(train_model("mlp", data, params, seed=5), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_MLP_SHA256
+
     def test_validation_fraction_bounds(self):
         with pytest.raises(ValueError):
             MlpConfig(validation_fraction=0.0)
@@ -732,6 +797,7 @@ class TestArrayDoc:
 
 GOLDEN_DTREE_SHA256 = "1028714fa2b4d8a4d5394741ee05cef2a85b7a716e7bec4e44018f012b014013"
 GOLDEN_RFOREST_SHA256 = "e7add055691c9d90beb9750dfe21501188929a82c6354a469e1f6f811dd7050f"
+GOLDEN_MLP_SHA256 = "f217092ea4b665a715fc1bdd1bd942888e7a94b5b2f39c93b00aec0be6cf076e"
 
 # a knn model, k = 1, rows (1, -2) and (0.5, 3) of classes a and b, standardizer
 # mean (0, 1) and std (1, 2): 1.0 is 00 00 00 00 00 00 f0 3f as "<f8", 1 is
