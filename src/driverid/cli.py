@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import evaluation as ev
@@ -123,9 +124,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _log_tasks(manifest: Manifest, *args) -> list[tuple]:
-    """One work item per manifest log, after checking that every log exists
-    and that none is the output of `clean`, which would be cleaned again."""
+def _log_tasks(manifest: Manifest) -> list[tuple]:
+    """The manifest's entries, after checking that every log exists and that
+    none is the output of `clean`, which would be cleaned again."""
     for path, _, _ in manifest.entries:
         path = Path(path)
         if not path.is_file():
@@ -136,22 +137,21 @@ def _log_tasks(manifest: Manifest, *args) -> list[tuple]:
                 f"manifest log {path} was written by `driverid clean`; "
                 "cleaning it again changes its windows, so list the raw log instead"
             )
-    return [(entry, *args) for entry in manifest.entries]
+    return list(manifest.entries)
 
 
-def _read_and_clean(task) -> preprocess.CleanTrip:
-    (path, driver_id, rate), cleaning = task
+def _read_and_clean(cleaning, entry) -> preprocess.CleanTrip:
+    path, driver_id, rate = entry
     return preprocess.clean(ingest.read_log(path, driver_id, rate), cleaning)
 
 
 def _clean_all(manifest: Manifest, cfg: RunConfig) -> list[preprocess.CleanTrip]:
-    return list(ordered_map(_read_and_clean, _log_tasks(manifest, cfg.cleaning)))
+    return list(ordered_map(partial(_read_and_clean, cfg.cleaning), _log_tasks(manifest)))
 
 
-def _clean_to_disk(task) -> tuple:
+def _clean_to_disk(cleaning, out, entry) -> tuple:
     """Clean one log into OUT: the log and its sidecar; returns its manifest entry."""
-    *log, out = task
-    cleaned = _read_and_clean(log)
+    cleaned = _read_and_clean(cleaning, entry)
     log_path = out / f"{cleaned.driver_id}.clean.csv"
     ingest.write_log(cleaned.to_trip(), log_path)
     sidecar = out / f"{cleaned.driver_id}.clean.json"
@@ -163,9 +163,9 @@ def cmd_clean(args) -> int:
     cfg = _load_run_config(args)
     manifest = read_manifest(args.manifest)
     out = Path(args.out)
-    tasks = _log_tasks(manifest, cfg.cleaning, out)
+    logs = _log_tasks(manifest)
     out.mkdir(parents=True, exist_ok=True)
-    entries = list(ordered_map(_clean_to_disk, tasks))
+    entries = list(ordered_map(partial(_clean_to_disk, cfg.cleaning, out), logs))
     write_manifest(entries, out / "manifest.csv")
     print(f"cleaned {len(entries)} trips into {out}")
     return 0

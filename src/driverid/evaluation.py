@@ -5,6 +5,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import product
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -124,6 +126,8 @@ class GridSpec:
             subset_families(subset)  # rejects unknown families
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        for wm, ov in product(self.window_minutes_list, self.overlap_list):
+            SegmentationConfig(window_minutes=wm, overlap_fraction=ov)  # rejects out-of-range values
 
 
 @dataclass
@@ -167,10 +171,10 @@ def iter_grid(
     one column at a time, so a cell's train and test rows are bit-identical
     to `build_datasets` with `families` set to its subset, and a seedless
     row reproduces with `train_model` + `evaluate` on those rows (a seeded
-    one at the cell's `derive_seed`). Each group's features are built here,
-    the first group's across processes, one trip per worker; the cells run
-    across processes (`parallel.ordered_map`) while each later group's
-    features are built in this process.
+    one at the cell's `derive_seed`). Every group's features are built
+    first, each across processes (one trip per worker); then the cells run
+    across processes (`parallel.ordered_map`), each item naming its window,
+    overlap, subset and kind.
     """
     if len({t.driver_id for t in trips}) < 2:
         raise ValueError("grid needs trips from at least 2 drivers")
@@ -178,25 +182,20 @@ def iter_grid(
     model_params = model_params or {}
     columns = {subset: _subset_columns(full_cfg, subset) for subset in grid.feature_subset_list}
 
-    cells = _cells(trips, grid, train_fraction, full_cfg, columns, model_params, master_seed)
-    yield from ordered_map(_run_cell, cells)
-
-
-def _cells(trips, grid, train_fraction, full_cfg, columns, model_params, master_seed):
-    """Each cell's work item, built lazily: one bundle per window/overlap group."""
-    for wm in grid.window_minutes_list:
-        for ov in grid.overlap_list:
-            seg_cfg = SegmentationConfig(
-                window_minutes=wm, overlap_fraction=ov, train_fraction=train_fraction
-            )
-            try:
-                bundle = build_datasets(trips, seg_cfg, full_cfg)
-            except InsufficientData as err:  # short trips, long windows
-                bundle = str(err)
-            for subset in grid.feature_subset_list:
-                for kind in grid.model_list:
-                    yield (bundle, columns[subset], wm, ov, subset, kind,
-                           grid.repetitions, model_params.get(kind), master_seed)
+    bundles = {}
+    for wm, ov in product(grid.window_minutes_list, grid.overlap_list):
+        seg_cfg = SegmentationConfig(
+            window_minutes=wm, overlap_fraction=ov, train_fraction=train_fraction
+        )
+        try:
+            bundles[wm, ov] = build_datasets(trips, seg_cfg, full_cfg)
+        except InsufficientData as err:  # short trips, long windows
+            bundles[wm, ov] = str(err)
+    cells = list(product(
+        grid.window_minutes_list, grid.overlap_list, grid.feature_subset_list, grid.model_list
+    ))
+    run = partial(_run_cell, bundles, columns, grid.repetitions, model_params, master_seed)
+    yield from ordered_map(run, cells)
 
 
 def run_grid(
@@ -225,20 +224,21 @@ def sort_rows(rows: Sequence[GridRow]) -> list[GridRow]:
     return [row for _, row in indexed]
 
 
-def _run_cell(cell) -> GridRow:
-    """One grid row; `bundle` is the group's datasets or why it has none."""
-    bundle, columns, wm, ov, subset, kind, repetitions, params, master_seed = cell
+def _run_cell(bundles, columns, repetitions, model_params, master_seed, cell) -> GridRow:
+    """One grid row; a group's bundle is its datasets or why it has none."""
+    wm, ov, subset, kind = cell
+    bundle = bundles[wm, ov]
     if isinstance(bundle, str):
         return GridRow(wm, ov, subset, kind, error=bundle)
     try:
-        train = _slice_dataset(bundle.train, columns)
-        test = _slice_dataset(bundle.test, columns)
+        train = _slice_dataset(bundle.train, columns[subset])
+        test = _slice_dataset(bundle.test, columns[subset])
         # a seedless kind would fit the same model every repetition: fit it once
         fits = repetitions if lookup(kind).seeded else 1
         accuracies = []
         for rep in range(fits):
             seed = derive_seed(master_seed, f"grid:{wm}:{ov}:{subset}:{kind}:rep{rep}")
-            model = train_model(kind, train, params, seed=seed)
+            model = train_model(kind, train, model_params.get(kind), seed=seed)
             accuracies.append(evaluate(model, test).accuracy)
         acc = np.array(accuracies)  # the distinct fits: a seedless cell's mean is exact
         return GridRow(

@@ -36,8 +36,7 @@ class LabeledDataset:
             raise ValueError("features must be (n, d) with one label per row")
         if not np.isfinite(features).all():
             raise ValueError("features must be finite")
-        if tuple(sorted(set(self.class_list))) != tuple(self.class_list):
-            raise ValueError("class_list must be sorted and distinct")
+        check_class_list(self.class_list)
         lookup = {c: i for i, c in enumerate(self.class_list)}
         unknown = set(labels) - lookup.keys()
         if unknown:
@@ -71,6 +70,12 @@ class TrainedModel:
     def __post_init__(self):
         if len(self.class_list) < 1:
             raise ValueError("class_list must be nonempty")
+        check_class_list(self.class_list)
+
+
+def check_class_list(class_list) -> None:
+    if tuple(sorted(set(class_list))) != tuple(class_list):
+        raise ValueError("class_list must be sorted and distinct")
 
 
 def encode_array(a, dtype: str) -> dict:

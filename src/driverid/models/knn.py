@@ -60,7 +60,7 @@ def fit(data: LabeledDataset, params: dict, seed: int) -> KnnParams:
     k = int(params["k"])
     if k > len(data):
         raise InsufficientData(f"k={k} exceeds {len(data)} training rows")
-    return KnnParams(k=k, train_x=data.features.copy(), train_y=data.label_indices)
+    return KnnParams(k=k, train_x=data.features, train_y=data.label_indices)
 
 
 def predict(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:

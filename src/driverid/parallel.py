@@ -1,31 +1,29 @@
 """Independent work items on every CPU this process may use, in input order.
 
-`ordered_map(fn, items)` forks `min(allowed CPUs, number of items)` worker
-processes (one worker means the builtin `map`, in-process). The workers
-inherit `fn` through the fork, so it may be a `functools.partial` over large
-inputs (trips, a model's training rows) that are never pickled; items and
-results must pickle. This process's main thread does all the pickling, so no
-helper thread holds memory of its own.
+`ordered_map(fn, items)` lists `items`, then forks `min(allowed CPUs,
+len(items))` worker processes (one worker means the builtin `map`,
+in-process). The workers inherit `fn` through the fork, so it may be a
+`functools.partial` over large inputs (trips, training rows, a grid's
+bundles) that are never pickled; items and results must pickle, so items
+stay small. This process's main thread does all the pickling, so no helper
+thread holds memory of its own.
 
 A worker's exception reaches the caller with its own type and message, at
 its item's position: items before it are yielded first, just as `map` would
-have yielded them, whichever worker failed first. A call made inside a
-worker, or while this process already has workers, runs in-process, so
-nested calls never start more processes than there are CPUs. Workers
-ignore SIGINT, so Ctrl-C interrupts only the caller, and they are
-terminated when the generator finishes, is closed or raises. Limit the
-CPUs with `taskset`.
+have yielded them, whichever worker failed first; no item behind a failed
+one is sent. A call made inside a worker, or while this process already
+has workers, runs in-process, so nested calls never start more processes
+than there are CPUs. Workers ignore SIGINT, so Ctrl-C interrupts only the
+caller, and they are terminated when the generator finishes, is closed or
+raises. Limit the CPUs with `taskset`.
 """
 from __future__ import annotations
 
 import collections
-import itertools
 import multiprocessing
 import os
 import signal
 from multiprocessing.connection import wait
-
-AHEAD = 4  # items queued or running per worker; finished results waiting their turn do not count
 
 _forked = False  # this process has workers, or is one
 
@@ -38,37 +36,30 @@ def cpu_count() -> int:
 def ordered_map(fn, items):
     """Yield `fn(item)` for each item, in input order (see the module docstring)."""
     global _forked
-    items = iter(items)
-    head = list(itertools.islice(items, 1 if _forked else cpu_count()))
-    if len(head) < 2:
-        yield from map(fn, itertools.chain(head, items))
+    items = list(items)
+    n_workers = 1 if _forked else min(cpu_count(), len(items))
+    if n_workers < 2:
+        yield from map(fn, items)
         return
     ctx = multiprocessing.get_context("fork")
     workers, idle = [], []
     _forked = True  # set before the fork: the workers inherit it
     try:
-        for _ in head:
+        for _ in range(n_workers):
             conn, theirs = ctx.Pipe()
             worker = ctx.Process(target=_serve, args=(fn, theirs), daemon=True)
             worker.start()
             workers.append(worker)
             theirs.close()
             idle.append(conn)
-        todo = enumerate(itertools.chain(head, items))
-        queued, busy, done, first, more = collections.deque(), {}, {}, 0, True
+        queued, busy, done, first = collections.deque(enumerate(items)), {}, {}, 0
         while True:
             while queued and idle:
                 conn = idle.pop()
                 index, item = queued.popleft()
                 conn.send(item)
                 busy[conn] = index
-            # take the next item (maybe building its inputs) while the workers run
-            if more and len(queued) + len(busy) < AHEAD * len(workers):
-                pulled = next(todo, None)
-                more = pulled is not None
-                if more:
-                    queued.append(pulled)
-            elif first in done:
+            if first in done:
                 ok, value = done.pop(first)
                 if not ok:
                     raise value
@@ -80,7 +71,8 @@ def ordered_map(fn, items):
                 for conn in wait(list(busy)):
                     ok, value = conn.recv()
                     done[busy.pop(conn)] = ok, value
-                    more = more and ok  # no item after a failed one is ever yielded
+                    if not ok:  # items go out in input order: none behind a failed one is ever sent
+                        queued.clear()
                     idle.append(conn)
     finally:
         _forked = False

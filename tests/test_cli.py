@@ -204,6 +204,14 @@ def _one_feature_more(doc):
     doc["n_features"] += 1
 
 
+def _classes_reversed(doc):
+    doc["class_list"].reverse()
+
+
+def _class_duplicated(doc):
+    doc["class_list"][1] = doc["class_list"][0]
+
+
 @pytest.fixture(scope="module")
 def trained_model_json(corpus_dir, tmp_path_factory):
     model_dir = tmp_path_factory.mktemp("model")
@@ -223,6 +231,8 @@ class TestRejectedModelFile:
             (_version_1, "version 1, .*retrain"),
             (None, "could not parse"),   # truncated
             (_one_feature_more, "schema mismatch"),
+            (_classes_reversed, "class_list must be sorted and distinct"),
+            (_class_duplicated, "class_list must be sorted and distinct"),
             ("[]", "not a JSON object"),   # the whole file
         ],
     )
@@ -637,9 +647,14 @@ class TestConfigParsing:
 
     def test_invalid_value_is_config_error(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[segmentation]\noverlap = 1.5\n")
-        with pytest.raises(ConfigError):
-            read_run_config(path)
+        for text, message in [
+            ("[segmentation]\noverlap = 1.5\n", "overlap_fraction"),
+            ("[grid]\noverlaps = 0.5,1.0\n", "overlap_fraction"),
+            ("[grid]\nwindow_minutes = 0\n", "window_minutes"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=message):
+                read_run_config(path)
 
     def test_unknown_grid_model_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"

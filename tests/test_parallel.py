@@ -8,7 +8,7 @@ import pytest
 
 from driverid.features import FeatureConfig
 from driverid.models import LabeledDataset, predict
-from driverid.parallel import AHEAD, ordered_map
+from driverid.parallel import ordered_map
 from driverid.pipeline import build_datasets, build_test_dataset, train_model
 from driverid.preprocess import CleanTrip
 from driverid.segment import InsufficientData, SegmentationConfig
@@ -62,33 +62,28 @@ class TestOrderedMap:
             next(results)
         assert multiprocessing.active_children() == []
 
-    def test_no_item_taken_after_a_failure(self, workers):
-        """Once item 1 has failed, the items behind it are never taken,
-        though item 0 still runs and finished results do not fill the window."""
+    def test_no_item_taken_after_a_failure(self, workers, tmp_path):
+        """Once item 1 has failed, the items behind it never run, though item 0 still does."""
         workers(2)
-        taken = []
-
-        def items():
-            for i in range(100):
-                taken.append(i)
-                yield i
 
         def fail_second(i):
+            (tmp_path / f"ran {i}").touch()
             if i == 0:
-                time.sleep(0.5)
+                assert wait_for(tmp_path / "ran 1")
+                time.sleep(0.5)  # item 1's failure reaches the caller first
             elif i == 1:
                 raise ValueError("item 1")
             return i
 
         with pytest.raises(ValueError, match="item 1"):
-            list(ordered_map(fail_second, items()))
-        assert len(taken) < 4 * AHEAD
+            list(ordered_map(fail_second, range(100)))
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["ran 0", "ran 1"]
 
     def test_long_head_item_does_not_stop_dispatch(self, workers, tmp_path):
-        """Finished results waiting behind item 0 leave room for more items."""
+        """Finished results waiting behind item 0 do not hold back later items."""
         workers(2)
         marker = tmp_path / "last item ran"
-        last = 2 * AHEAD + 1
+        last = 9
 
         def head_waits(i):
             if i == 0:
@@ -117,21 +112,14 @@ class TestOrderedMap:
         assert multiprocessing.active_children() == []
 
     def test_call_while_workers_run_stays_in_process(self, workers):
-        """Items pulled after the workers started build their inputs in this process."""
+        """A call made in the consumer's loop body, while the workers live, runs here."""
         workers(2)
-        seen = []
-
-        def items():
-            for i in range(6):
-                pids = {pid for pid in ordered_map(lambda _: os.getpid(), range(4))}
-                seen.append((len(multiprocessing.active_children()), pids))
-                yield i
-
-        assert list(ordered_map(square, items())) == [square(i) for i in range(6)]
-        # the first two items are taken before the workers start, and fan out themselves
-        for children, pids in seen[2:]:
-            assert (children, pids) == (2, {os.getpid()})
-        assert os.getpid() not in seen[0][1]
+        values = []
+        for value in ordered_map(square, range(6)):
+            pids = set(ordered_map(lambda _: os.getpid(), range(4)))
+            assert (len(multiprocessing.active_children()), pids) == (2, {os.getpid()})
+            values.append(value)
+        assert values == [square(i) for i in range(6)]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("ending", ["exhausted", "closed", "raised"])
