@@ -38,7 +38,7 @@ from .segment import (
     WindowBatch,
     cut_windows,
     segment_trip,
-    split_train_test,
+    split_index,
 )
 from .synth import DriverProfile, SyntheticTruth, generate_trip, make_profiles
 

@@ -153,7 +153,7 @@ def _clean_to_disk(cleaning, out, entry) -> tuple:
     """Clean one log into OUT: the log and its sidecar; returns its manifest entry."""
     cleaned = _read_and_clean(cleaning, entry)
     log_path = out / f"{cleaned.driver_id}.clean.csv"
-    ingest.write_log(cleaned.to_trip(), log_path)
+    ingest.write_log(cleaned, log_path)
     sidecar = out / f"{cleaned.driver_id}.clean.json"
     sidecar.write_text(json.dumps(cleaned.sidecar(), indent=1), encoding="utf-8")
     return log_path.name, cleaned.driver_id, cleaned.nominal_rate_hz

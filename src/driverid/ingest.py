@@ -8,7 +8,6 @@ file; they come from the manifest.
 """
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,13 +27,13 @@ class Trip:
     `t` has shape (n,), finite, strictly increasing, seconds. `data` has
     shape (n, 6) in CHANNELS order; NaN entries are missing values and
     infinite ones are rejected. Arrays are frozen read-only so trips can be
-    shared across threads.
+    shared across threads. A trip equals only a trip of its own type.
     """
 
     driver_id: str
     t: np.ndarray
     data: np.ndarray
-    nominal_rate_hz: float = 2.0
+    nominal_rate_hz: float
 
     def __post_init__(self):
         if not self.driver_id:
@@ -62,7 +61,7 @@ class Trip:
         return self.t.size
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Trip):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.driver_id == other.driver_id
@@ -81,14 +80,13 @@ class ValidationReport:
     n_gaps: int     # inter-sample intervals longer than two periods (continuity_breaks)
 
 
-def parse_log(source, driver_id: str, rate_hz: float = 2.0) -> Trip:
-    """Parse a trip log into a Trip.
+def parse_log(text: str, driver_id: str, rate_hz: float) -> Trip:
+    """Parse the text of a trip log into a Trip (`read_log` reads a file).
 
-    `source` may be a path, bytes, a text string containing the log, or an
-    open file object. Rows whose channel fields do not parse as finite
-    numbers keep the row with those channels flagged missing; rows whose
-    timestamp does not parse are dropped and counted in a single summary
-    warning. Non-monotonic timestamps abort with an error naming the line.
+    Rows whose channel fields do not parse as finite numbers keep the row
+    with those channels flagged missing; rows whose timestamp does not parse
+    are dropped and counted in a single summary warning. Non-monotonic
+    timestamps abort with an error naming the line.
 
     A log that can be proved clean is read in bulk: every nonblank line has
     7 fields, every field converts to a float, and the timestamps are
@@ -97,7 +95,6 @@ def parse_log(source, driver_id: str, rate_hz: float = 2.0) -> Trip:
     same strings. Any other log is read one line at a time, which gives the
     warning and the line-numbered errors; the result is the same either way.
     """
-    text = _read_text(source)
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ValueError("empty log")
@@ -181,8 +178,8 @@ def write_log(trip: Trip, path) -> None:
     Path(path).write_text(serialize_log(trip), encoding="utf-8")
 
 
-def read_log(path, driver_id: str, rate_hz: float = 2.0) -> Trip:
-    return parse_log(Path(path), driver_id, rate_hz)
+def read_log(path, driver_id: str, rate_hz: float) -> Trip:
+    return parse_log(Path(path).read_text(encoding="utf-8"), driver_id, rate_hz)
 
 
 def continuity_breaks(t: np.ndarray, rate_hz: float) -> np.ndarray:
@@ -204,20 +201,3 @@ def _float_or_nan(field: str) -> float:
     except ValueError:
         return np.nan
 
-
-def _read_text(source) -> str:
-    if isinstance(source, Path):
-        return source.read_text(encoding="utf-8")
-    if isinstance(source, str):
-        # A path if it points at an existing file, otherwise log content.
-        if "\n" not in source and Path(source).is_file():
-            return Path(source).read_text(encoding="utf-8")
-        return source
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, io.TextIOBase):
-        return source.read()
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data

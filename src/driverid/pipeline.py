@@ -1,13 +1,14 @@
 """Shared composition of the stages: ingest -> clean -> split -> segment ->
 featurize -> standardize -> train.
 
-Each trip's train and test spans become one window batch and one feature
-block each, tagged with their partition; the standardizer fit refuses any
-block tagged test, so training can never touch held-out data.
-`build_datasets` (train, grid) and `build_test_dataset` (evaluating a saved
-model) turn blocks into labelled rows through the same function. Each
-trip is windowed and featurized as one `parallel.ordered_map` item; the
-blocks are stacked, counted and standardized here, in trip order.
+Each trip's train and test spans, split at `segment.split_index`, become
+one window batch and one feature block each, tagged with their partition;
+the standardizer fit refuses any block tagged test, so training can never
+touch held-out data. `build_test_dataset` (evaluating a saved model) cuts
+only the test span, from the same split index, and turns blocks into
+labelled rows through the same function as `build_datasets` (train,
+grid). Each trip is windowed and featurized as one `parallel.ordered_map`
+item; the blocks are stacked, counted and standardized here, in trip order.
 """
 from __future__ import annotations
 
@@ -32,13 +33,7 @@ from .models.base import check_training_data
 from .models.registry import lookup
 from .parallel import ordered_map
 from .preprocess import CleanTrip
-from .segment import (
-    InsufficientData,
-    SegmentationConfig,
-    cut_windows,
-    segment_trip,
-    split_train_test,
-)
+from .segment import TEST, InsufficientData, SegmentationConfig, cut_windows, segment_trip, split_index
 
 NO_TEST_WINDOWS = "empty test set: no test windows were produced"
 
@@ -101,9 +96,8 @@ def _trip_blocks(trips, seg_cfg, feat_cfg, index: int) -> tuple[FeatureBlock, Fe
 def _test_block(trips, seg_cfg, feat_cfg, index: int) -> FeatureBlock:
     """The test feature block of `trips[index]`; its train span is never cut."""
     trip = trips[index]
-    rate = trip.nominal_rate_hz
-    test_span = split_train_test(trip, seg_cfg.train_fraction, seg_cfg.window_samples(rate))[1]
-    return extract_sequence(cut_windows(test_span, seg_cfg, rate), feat_cfg)
+    test_windows = cut_windows(trip, split_index(trip, seg_cfg), len(trip), TEST, seg_cfg)
+    return extract_sequence(test_windows, feat_cfg)
 
 
 def train_model(

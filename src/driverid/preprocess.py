@@ -50,20 +50,16 @@ class StopInterval:
 
 
 @dataclass(frozen=True, eq=False)
-class CleanTrip:
+class CleanTrip(Trip):
     """Analysis-ready trip: no missing channels, stop time deleted.
 
     Timestamps keep their original values (time is never re-compacted);
     `break_after[i]` flags a continuity break between samples i and i+1 so
     that windowing never bridges removed time. `stop_intervals` are the
     deleted spans; `removed_gap_seconds` counts samples dropped by gap
-    handling.
+    handling. The cleaning record takes no part in equality.
     """
 
-    driver_id: str
-    t: np.ndarray
-    data: np.ndarray
-    nominal_rate_hz: float
     removed_stop_seconds: float = 0.0
     removed_gap_seconds: float = 0.0
     stop_intervals: tuple[StopInterval, ...] = ()
@@ -71,47 +67,29 @@ class CleanTrip:
     break_after: np.ndarray = field(default=None)  # bool, shape (n-1,)
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.float64)
-        data = np.asarray(self.data, dtype=np.float64)
-        if t.size == 0:
+        super().__post_init__()
+        if self.t.size == 0:
             raise ValueError("no movement data")
-        if np.isnan(data).any():
+        if np.isnan(self.data).any():
             raise ValueError("CleanTrip may not contain missing channels")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("timestamps must be strictly increasing")
         breaks = self.break_after
         if breaks is None:
-            breaks = np.zeros(max(t.size - 1, 0), dtype=bool)
+            breaks = np.zeros(self.t.size - 1, dtype=bool)
         breaks = np.asarray(breaks, dtype=bool)
-        if breaks.shape != (max(t.size - 1, 0),):
+        if breaks.shape != (self.t.size - 1,):
             raise ValueError("break_after must have length n-1")
-        for arr in (t, data, breaks):
-            arr.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "data", data)
+        breaks.setflags(write=False)
         object.__setattr__(self, "break_after", breaks)
 
-    def __len__(self) -> int:
-        return self.t.size
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, CleanTrip):
+        if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.driver_id == other.driver_id
-            and self.nominal_rate_hz == other.nominal_rate_hz
-            and np.array_equal(self.t, other.t)
-            and np.array_equal(self.data, other.data)
-            and np.array_equal(self.break_after, other.break_after)
-        )
+        return super().__eq__(other) and np.array_equal(self.break_after, other.break_after)
 
     @property
     def duration_seconds(self) -> float:
         """Movement data time, counted as samples over the nominal rate."""
         return len(self) / self.nominal_rate_hz
-
-    def to_trip(self) -> Trip:
-        return Trip(self.driver_id, self.t.copy(), self.data.copy(), self.nominal_rate_hz)
 
     def sidecar(self) -> dict:
         return {

@@ -2,10 +2,13 @@
 
 The split is chronological over movement samples (earliest fraction trains,
 the remainder tests) so that no time span can contribute to both
-partitions. Windows are cut per partition; a window is emitted only when it
-lies fully inside its span and bridges no continuity break. The windows of
-one span travel together as one `WindowBatch`: a single `(n, 6, w)` channel
-array plus per-window start and end times.
+partitions. `split_index` is the one home of the split point and of the
+rule that each side has room for one window; `cut_windows` windows one
+sample range of a cleaned trip, and `segment_trip` composes the two. A
+window is emitted only when it lies fully inside its range and bridges no
+continuity break. The windows of one range travel together as one
+`WindowBatch`: a single `(n, 6, w)` channel array plus per-window start
+and end times.
 """
 from __future__ import annotations
 
@@ -51,23 +54,8 @@ class SegmentationConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Span:
-    """A contiguous chronological slice of a cleaned trip, tagged train or test."""
-
-    driver_id: str
-    t: np.ndarray
-    data: np.ndarray            # (n, 6)
-    break_after: np.ndarray     # (n-1,) bool
-    nominal_rate_hz: float
-    partition: str
-
-    def __len__(self) -> int:
-        return self.t.size
-
-
-@dataclass(frozen=True, eq=False)
 class WindowBatch:
-    """The windows of one span, in time order, with half-open time spans."""
+    """The windows of one sample range, in time order, with half-open time spans."""
 
     driver_id: str
     partition: str
@@ -86,77 +74,64 @@ class WindowBatch:
         return self.channels.shape[0]
 
 
-def split_train_test(
-    trip: CleanTrip, train_fraction: float, min_span_samples: int = 1
-) -> tuple[Span, Span]:
-    """Split a trip chronologically into train and test spans.
+def split_index(trip: CleanTrip, cfg: SegmentationConfig) -> int:
+    """The first test sample of a trip split chronologically.
 
     The earliest floor(train_fraction * n) samples train; the rest test.
-    `min_span_samples` lets callers demand room for at least one window on
-    each side; a short side raises "insufficient data for split".
+    Each side must have room for one window, or the split raises
+    "insufficient data for split".
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
     n = len(trip)
-    n_train = int(np.floor(train_fraction * n))
+    n_train = int(np.floor(cfg.train_fraction * n))
     n_test = n - n_train
-    if n_train < min_span_samples or n_test < min_span_samples:
+    w = cfg.window_samples(trip.nominal_rate_hz)
+    if n_train < w or n_test < w:
         raise InsufficientData(
             f"insufficient data for split: trip {trip.driver_id!r} has {n} samples, "
-            f"split gives {n_train}/{n_test}, need {min_span_samples} per side"
+            f"split gives {n_train}/{n_test}, need {w} per side"
         )
-    return (
-        _span(trip, 0, n_train, TRAIN),
-        _span(trip, n_train, n, TEST),
-    )
+    return n_train
 
 
-def cut_windows(span: Span, cfg: SegmentationConfig, rate_hz: float) -> WindowBatch:
-    """Cut fixed-length overlapping windows from a span.
+def cut_windows(
+    trip: CleanTrip, start: int, stop: int, partition: str, cfg: SegmentationConfig
+) -> WindowBatch:
+    """Cut fixed-length overlapping windows from samples [start, stop) of a trip.
 
-    Windows start every stride samples; only windows that fit entirely in
-    the span and cross no recorded continuity break are emitted, and a
-    trailing partial window is discarded. A span shorter than one window
-    yields an empty batch.
+    Windows start every stride samples from `start`; only windows that fit
+    entirely in the range and cross no recorded continuity break are
+    emitted, and a trailing partial window is discarded. A range shorter
+    than one window yields an empty batch.
     """
-    w = cfg.window_samples(rate_hz)
+    rate = trip.nominal_rate_hz
+    w = cfg.window_samples(rate)
     if w < 2:
-        raise ValueError(f"window of {cfg.window_minutes} min at {rate_hz} Hz has {w} samples")
-    stride = cfg.stride_samples(rate_hz)
-    n = len(span)
+        raise ValueError(f"window of {cfg.window_minutes} min at {rate} Hz has {w} samples")
+    stride = cfg.stride_samples(rate)
+    t = trip.t[start:stop]
+    data = trip.data[start:stop]
+    n = t.size
     starts = np.arange(0, max(n - w + 1, 0), stride)
 
     # prefix sum of break flags for O(1) "any break inside?" checks
-    break_cum = np.concatenate([[0], np.cumsum(span.break_after, dtype=np.int64)])
+    breaks = trip.break_after[start : max(stop - 1, start)]
+    break_cum = np.concatenate([[0], np.cumsum(breaks, dtype=np.int64)])
     starts = starts[break_cum[starts + w - 1] == break_cum[starts]]
     if n >= w:
         # view[i, c, k] == data[i + k, c]; fancy indexing copies the kept windows
-        channels = sliding_window_view(span.data, w, axis=0)[starts]
+        channels = sliding_window_view(data, w, axis=0)[starts]
     else:
         channels = np.empty((0, 6, w))
     return WindowBatch(
-        driver_id=span.driver_id,
-        partition=span.partition,
-        start_t=span.t[starts],
-        end_t=span.t[starts + w - 1] + 1.0 / rate_hz,
+        driver_id=trip.driver_id,
+        partition=partition,
+        start_t=t[starts],
+        end_t=t[starts + w - 1] + 1.0 / rate,
         channels=channels,
     )
 
 
 def segment_trip(trip: CleanTrip, cfg: SegmentationConfig) -> tuple[WindowBatch, WindowBatch]:
     """Split then window one cleaned trip; returns (train batch, test batch)."""
-    rate = trip.nominal_rate_hz
-    w = cfg.window_samples(rate)
-    train_span, test_span = split_train_test(trip, cfg.train_fraction, min_span_samples=w)
-    return cut_windows(train_span, cfg, rate), cut_windows(test_span, cfg, rate)
-
-
-def _span(trip: CleanTrip, start: int, stop: int, partition: str) -> Span:
-    return Span(
-        driver_id=trip.driver_id,
-        t=trip.t[start:stop],
-        data=trip.data[start:stop],
-        break_after=trip.break_after[start : max(stop - 1, start)],
-        nominal_rate_hz=trip.nominal_rate_hz,
-        partition=partition,
-    )
+    split = split_index(trip, cfg)
+    return cut_windows(trip, 0, split, TRAIN, cfg), cut_windows(trip, split, len(trip), TEST, cfg)

@@ -31,7 +31,7 @@ from driverid.models import LabeledDataset, predict
 from driverid.models.mlp import init_params, loss_and_grads
 from driverid.pipeline import train_model
 from driverid.preprocess import CleaningConfig, clean, detect_stops
-from driverid.segment import SegmentationConfig, cut_windows, split_train_test
+from driverid.segment import SegmentationConfig, segment_trip
 from oracles import corr_oracle, histogram_oracle, knn_oracle, mean_var_oracle
 
 # the benchmark MLP: architecture stated here because the training recipe
@@ -187,13 +187,10 @@ class TestPartitionPurity:
             overlap = float(rng.choice([0.0, 0.25, 0.5, 0.75]))
             fraction = float(rng.uniform(0.3, 0.8))
             cfg = SegmentationConfig(minutes, overlap, fraction)
-            w = cfg.window_samples(2.0)
             try:
-                train_span, test_span = split_train_test(cleaned, fraction, min_span_samples=w)
+                train_windows, test_windows = segment_trip(cleaned, cfg)
             except ValueError:
                 continue
-            train_windows = cut_windows(train_span, cfg, 2.0)
-            test_windows = cut_windows(test_span, cfg, 2.0)
             for a_start, a_end in zip(train_windows.start_t, train_windows.end_t):
                 for b_start, b_end in zip(test_windows.start_t, test_windows.end_t):
                     assert a_end <= b_start or b_end <= a_start

@@ -1,4 +1,3 @@
-import io
 import math
 import warnings
 
@@ -16,6 +15,7 @@ from driverid.ingest import (
     write_log,
     read_log,
 )
+from driverid.preprocess import CleanTrip
 from oracles import parse_log_oracle
 
 
@@ -99,11 +99,6 @@ class TestParseLog:
         log = make_log(["-0.5,1,2,3,4,5,6", "0.0,1,2,3,4,5,6"])
         with pytest.raises(ValueError, match="negative timestamp at line 2"):
             parse_log(log, "d1", 2.0)
-
-    def test_reads_bytes_and_file_objects(self):
-        log = make_log(["0.0,1,2,3,4,5,6"])
-        assert len(parse_log(log.encode(), "d1", 2.0)) == 1
-        assert len(parse_log(io.StringIO(log), "d1", 2.0)) == 1
 
 
 class TestRoundTrip:
@@ -246,9 +241,13 @@ class TestParseLogProperties:
 
 
 class TestTripInvariants:
+    """The checks every Trip makes; TestCleanTripInvariants runs them on CleanTrip."""
+
+    trip_type = Trip
+
     def test_rejects_decreasing_timestamps(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            Trip("d", np.array([0.0, 1.0, 1.0]), np.zeros((3, 6)), 2.0)
+            self.trip_type("d", np.array([0.0, 1.0, 1.0]), np.zeros((3, 6)), 2.0)
 
     @pytest.mark.parametrize(
         "stamp, value, message",
@@ -263,19 +262,48 @@ class TestTripInvariants:
         data = np.zeros((2, 6))
         data[1, 3] = value
         with pytest.raises(ValueError, match=message):
-            Trip("d", np.array([0.0, stamp]), data, 2.0)
+            self.trip_type("d", np.array([0.0, stamp]), data, 2.0)
 
     def test_rejects_empty_driver_id(self):
         with pytest.raises(ValueError, match="driver_id"):
-            Trip("", np.array([0.0]), np.zeros((1, 6)), 2.0)
+            self.trip_type("", np.array([0.0]), np.zeros((1, 6)), 2.0)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError, match="rate"):
-            Trip("d", np.array([0.0]), np.zeros((1, 6)), 0.0)
+            self.trip_type("d", np.array([0.0]), np.zeros((1, 6)), 0.0)
 
-    def test_arrays_are_read_only(self, quiet_trip):
+    def test_rejects_timestamps_and_rows_of_different_lengths(self):
+        with pytest.raises(ValueError, match="expected t"):
+            self.trip_type("d", np.arange(10) / 2.0, np.zeros((7, 6)), 2.0)
+
+    def test_arrays_are_read_only(self):
+        trip = self.trip_type("d", np.arange(3) / 2.0, np.zeros((3, 6)), 2.0)
         with pytest.raises(ValueError):
-            quiet_trip.data[0, 0] = 1.0
+            trip.data[0, 0] = 1.0
+
+
+class TestCleanTripInvariants(TestTripInvariants):
+    trip_type = CleanTrip
+
+    def test_never_equals_the_other_trip_type(self):
+        t, data = np.arange(3) / 2.0, np.zeros((3, 6))
+        trip, cleaned = Trip("d", t, data, 2.0), CleanTrip("d", t, data, 2.0)
+        assert trip == Trip("d", t, data, 2.0) and cleaned == CleanTrip("d", t, data, 2.0)
+        assert trip != cleaned and cleaned != trip
+
+    def test_rejects_missing_channels(self):
+        data = np.zeros((2, 6))
+        data[1, 4] = np.nan
+        with pytest.raises(ValueError, match="missing channels"):
+            CleanTrip("d", np.array([0.0, 0.5]), data, 2.0)
+
+    def test_rejects_no_samples(self):
+        with pytest.raises(ValueError, match="no movement data"):
+            CleanTrip("d", np.zeros(0), np.zeros((0, 6)), 2.0)
+
+    def test_rejects_break_flags_not_between_samples(self):
+        with pytest.raises(ValueError, match="length n-1"):
+            CleanTrip("d", np.arange(3) / 2.0, np.zeros((3, 6)), 2.0, break_after=np.zeros(3, dtype=bool))
 
 
 class TestValidateTrip:

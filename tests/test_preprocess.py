@@ -342,7 +342,7 @@ class TestRemoveStops:
         trip, _ = d.generate_trip(profile, 1800.0, 2.0, driver_id="x")
         stops = detect_stops(trip, 0.5, 6.0)
         cleaned = remove_stops(trip, stops)
-        again = detect_stops(cleaned.to_trip(), 0.5, 6.0)
+        again = detect_stops(cleaned, 0.5, 6.0)
         for s in again:
             for removed in stops:
                 inside = s.start_t >= removed.start_t and s.end_t <= removed.end_t

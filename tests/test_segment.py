@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import driverid as d
 from driverid.preprocess import CleanTrip
-from driverid.segment import SegmentationConfig, Span, cut_windows, segment_trip, split_train_test
+from driverid.segment import SegmentationConfig, cut_windows, segment_trip, split_index
 from oracles import window_starts_oracle
 
 
@@ -25,45 +25,44 @@ def make_clean_trip(n=2000, rate=2.0, breaks=(), driver="t"):
     )
 
 
-def make_span(trip, partition="train"):
-    return Span(
-        driver_id=trip.driver_id,
-        t=trip.t,
-        data=trip.data,
-        break_after=trip.break_after,
-        nominal_rate_hz=trip.nominal_rate_hz,
-        partition=partition,
-    )
+def cut_all(trip, cfg):
+    return cut_windows(trip, 0, len(trip), "train", cfg)
+
+
+def split_cfg(fraction, window_samples=2, rate=2.0):
+    return SegmentationConfig(window_minutes=window_samples / (60.0 * rate), train_fraction=fraction)
 
 
 class TestSplit:
     def test_1000_samples_at_07(self):
         trip = make_clean_trip(1000)
-        train, test = split_train_test(trip, 0.7)
-        assert len(train) == 700
-        assert len(test) == 300
-        assert train.t[-1] < test.t[0]
+        split = split_index(trip, split_cfg(0.7))
+        assert split == 700
+        assert len(trip) - split == 300
+        assert trip.t[split - 1] < trip.t[split]
 
     def test_even_split_of_ten(self):
         trip = make_clean_trip(10)
-        train, test = split_train_test(trip, 0.5)
-        assert len(train) == 5 and len(test) == 5
+        split = split_index(trip, split_cfg(0.5))
+        assert split == 5 and len(trip) - split == 5
 
     def test_disjoint_and_exhaustive(self):
+        # 2-sample windows at stride 1 start at every sample but the last of each side
         trip = make_clean_trip(777)
-        train, test = split_train_test(trip, 0.7)
-        assert len(train) + len(test) == len(trip)
-        assert set(train.t) & set(test.t) == set()
+        train, test = segment_trip(trip, split_cfg(0.7))
+        assert len(train) + len(test) == len(trip) - 2
+        assert set(train.start_t) & set(test.start_t) == set()
+        assert train.end_t[-1] <= test.start_t[0]
 
     def test_insufficient_data_raises(self):
         trip = make_clean_trip(100)
         with pytest.raises(ValueError, match="insufficient data for split"):
-            split_train_test(trip, 0.7, min_span_samples=50)
+            split_index(trip, split_cfg(0.7, window_samples=50))
 
     def test_bad_fraction_rejected(self):
         trip = make_clean_trip(100)
         with pytest.raises(ValueError):
-            split_train_test(trip, 1.0)
+            split_index(trip, split_cfg(1.0))
 
 
 class TestCutWindows:
@@ -71,14 +70,14 @@ class TestCutWindows:
         # 1200 samples, 10-minute window at 2 Hz = 1200 samples
         trip = make_clean_trip(1200)
         cfg = SegmentationConfig(window_minutes=10, overlap_fraction=0.0)
-        windows = cut_windows(make_span(trip), cfg, 2.0)
+        windows = cut_all(trip, cfg)
         assert len(windows) == 1
         assert windows.channels.shape[2] == 1200
 
     def test_half_overlap_offsets(self):
         trip = make_clean_trip(1800)
         cfg = SegmentationConfig(window_minutes=10, overlap_fraction=0.5)
-        windows = cut_windows(make_span(trip), cfg, 2.0)
+        windows = cut_all(trip, cfg)
         assert len(windows) == 2
         assert windows.start_t[0] == 0.0
         assert windows.start_t[1] == pytest.approx(300.0)
@@ -91,12 +90,12 @@ class TestCutWindows:
     def test_short_span_yields_empty_list(self):
         trip = make_clean_trip(100)
         cfg = SegmentationConfig(window_minutes=10, overlap_fraction=0.0)
-        assert len(cut_windows(make_span(trip), cfg, 2.0)) == 0
+        assert len(cut_all(trip, cfg)) == 0
 
     def test_windows_never_cross_breaks(self):
         trip = make_clean_trip(3000, breaks=(1500,))
         cfg = SegmentationConfig(window_minutes=10, overlap_fraction=0.75)
-        windows = cut_windows(make_span(trip), cfg, 2.0)
+        windows = cut_all(trip, cfg)
         assert len(windows), "expected some windows"
         for start_t, end_t in zip(windows.start_t, windows.end_t):
             inside = (start_t <= trip.t[1500]) and (trip.t[1501] < end_t)
@@ -112,15 +111,7 @@ class TestCutWindows:
             cfg = SegmentationConfig(window_minutes=w / (60.0 * 2.0), overlap_fraction=overlap)
             if cfg.window_samples(2.0) < 2:
                 continue
-            span = Span(
-                driver_id="t",
-                t=trip.t[:n],
-                data=trip.data[:n],
-                break_after=trip.break_after[: max(n - 1, 0)],
-                nominal_rate_hz=2.0,
-                partition="train",
-            )
-            windows = cut_windows(span, cfg, 2.0)
+            windows = cut_windows(trip, 0, n, "train", cfg)
             s = cfg.stride_samples(2.0)
             expected = max(0, (n - cfg.window_samples(2.0)) // s + 1)
             assert len(windows) == expected
@@ -134,14 +125,15 @@ class TestCutWindows:
     )
     def test_starts_match_enumeration_oracle(self, n, w, overlap, breaks):
         rate = 2.0
-        flags = np.zeros(max(n - 1, 0), dtype=bool)
+        # the trip runs one sample past the windowed range, so it exists at n = 0
+        flags = np.zeros(n, dtype=bool)
         flags[[b for b in breaks if b < n - 1]] = True
-        data = np.random.default_rng(n).standard_normal((n, 6))
-        span = Span("t", np.arange(n) / rate, data, flags, rate, "train")
+        data = np.random.default_rng(n).standard_normal((n + 1, 6))
+        trip = CleanTrip("t", np.arange(n + 1) / rate, data, rate, break_after=flags)
         cfg = SegmentationConfig(window_minutes=w / (60.0 * rate), overlap_fraction=overlap)
         assert cfg.window_samples(rate) == w
-        windows = cut_windows(span, cfg, rate)
-        expected = window_starts_oracle(span.t, flags, w, cfg.stride_samples(rate))
+        windows = cut_windows(trip, 0, n, "train", cfg)
+        expected = window_starts_oracle(trip.t[:n], flags[: max(n - 1, 0)], w, cfg.stride_samples(rate))
         assert windows.start_t.tolist() == expected
         assert windows.channels.shape == (len(expected), 6, w)
         for channels, start_t in zip(windows.channels, expected):
@@ -151,7 +143,7 @@ class TestCutWindows:
     def test_each_window_has_expected_duration(self):
         trip = make_clean_trip(4000)
         cfg = SegmentationConfig(window_minutes=5, overlap_fraction=0.25)
-        windows = cut_windows(make_span(trip), cfg, 2.0)
+        windows = cut_all(trip, cfg)
         for start_t, end_t in zip(windows.start_t, windows.end_t):
             assert end_t - start_t == pytest.approx(300.0, abs=0.5)
         assert windows.channels.shape[2] == cfg.window_samples(2.0)
@@ -166,13 +158,10 @@ class TestPartitionPurity:
             overlap = float(rng.choice([0.0, 0.25, 0.5, 0.75]))
             fraction = float(rng.uniform(0.3, 0.8))
             cfg = SegmentationConfig(minutes, overlap, fraction)
-            w = cfg.window_samples(2.0)
             try:
-                train_span, test_span = split_train_test(trip, fraction, min_span_samples=w)
+                train_windows, test_windows = segment_trip(trip, cfg)
             except ValueError:
                 continue
-            train_windows = cut_windows(train_span, cfg, 2.0)
-            test_windows = cut_windows(test_span, cfg, 2.0)
             for a_start, a_end in zip(train_windows.start_t, train_windows.end_t):
                 for b_start, b_end in zip(test_windows.start_t, test_windows.end_t):
                     assert a_end <= b_start or b_end <= a_start
