@@ -206,8 +206,8 @@ class Standardizer:
     std: np.ndarray  # floored at STD_FLOOR
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        std = np.asarray(self.std, dtype=np.float64)
+        mean = np.asarray(self.mean, dtype=np.float64).view()
+        std = np.asarray(self.std, dtype=np.float64).view()
         if mean.shape != std.shape or mean.ndim != 1:
             raise ValueError("mean and std must be matching 1-D arrays")
         if (std <= 0).any():

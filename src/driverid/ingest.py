@@ -26,8 +26,9 @@ class Trip:
 
     `t` has shape (n,), finite, strictly increasing, seconds. `data` has
     shape (n, 6) in CHANNELS order; NaN entries are missing values and
-    infinite ones are rejected. Arrays are frozen read-only so trips can be
-    shared across threads. A trip equals only a trip of its own type.
+    infinite ones are rejected. The trip holds read-only views, so trips can
+    be shared across threads while the caller's arrays stay writable. A
+    trip equals only a trip of its own type.
     """
 
     driver_id: str
@@ -40,8 +41,8 @@ class Trip:
             raise ValueError("driver_id must be nonempty")
         if self.nominal_rate_hz <= 0:
             raise ValueError("nominal_rate_hz must be positive")
-        t = np.asarray(self.t, dtype=np.float64)
-        data = np.asarray(self.data, dtype=np.float64)
+        t = np.asarray(self.t, dtype=np.float64).view()
+        data = np.asarray(self.data, dtype=np.float64).view()
         if t.ndim != 1 or data.shape != (t.size, 6):
             raise ValueError(f"expected t (n,) and data (n, 6), got {t.shape} and {data.shape}")
         if not np.isfinite(t).all():

@@ -5,10 +5,11 @@
 take a single feature vector or an (m, d) matrix in the standardized
 feature space the model was trained in and return driver-id labels.
 
-Each model kind has one ``registry.REGISTRY`` entry: its parameter
-defaults plus ``check``, ``fit``, ``predict``, ``to_doc`` and ``from_doc``
-from the kind's own module. ``pipeline.train_model``, ``predict`` below and
-``io.save_model``/``load_model`` dispatch only through that entry.
+Each model kind has one ``registry.REGISTRY`` entry, the kind's own
+module: its parameter ``defaults``, ``seeded``, and ``check``, ``fit``,
+``predict``, ``to_doc`` and ``from_doc``. ``pipeline.train_model``,
+``predict`` below and ``io.save_model``/``load_model`` dispatch only
+through that entry.
 """
 from __future__ import annotations
 

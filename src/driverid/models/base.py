@@ -30,7 +30,7 @@ class LabeledDataset:
     label_indices: np.ndarray = field(init=False, repr=False)  # (n,) int64 positions in class_list
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features, dtype=np.float64).view()
         labels = np.asarray(self.labels, dtype=object)
         if features.ndim != 2 or features.shape[0] != labels.shape[0]:
             raise ValueError("features must be (n, d) with one label per row")

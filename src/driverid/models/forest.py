@@ -8,6 +8,9 @@ import numpy as np
 from .base import LabeledDataset, TrainedModel
 from .tree import Tree, grow_tree, predict_tree, tree_from_nodes, tree_to_nodes
 
+defaults = {"n_trees": 25, "max_depth": None, "features_per_split": None}
+seeded = True
+
 
 @dataclass
 class ForestParams:

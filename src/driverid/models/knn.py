@@ -42,6 +42,8 @@ from ..segment import InsufficientData
 from .base import LabeledDataset, TrainedModel, decode_array, encode_array
 
 QUERY_BLOCK = 64  # queries screened per matrix product: a 64 x 3,000-row block is 1.5 MB
+defaults = {"k": 5}
+seeded = False
 
 
 @dataclass

@@ -108,6 +108,10 @@ def loss_and_grads(params: MlpParams, x: np.ndarray, y_onehot: np.ndarray):
     return loss, grads_w, grads_b
 
 
+defaults = {f.name: f.default for f in fields(MlpConfig) if f.name != "seed"}
+seeded = True
+
+
 def check(params: dict) -> None:
     MlpConfig(**params)
 

@@ -22,6 +22,9 @@ import numpy as np
 
 from .base import LabeledDataset, TrainedModel
 
+defaults = {"max_depth": None, "min_leaf": 1}
+seeded = False
+
 
 @dataclass(frozen=True, eq=False)
 class Tree:

@@ -53,18 +53,20 @@ class StopInterval:
 class CleanTrip(Trip):
     """Analysis-ready trip: no missing channels, stop time deleted.
 
-    Timestamps keep their original values (time is never re-compacted);
+    Timestamps keep their original values (time is never re-compacted).
+    `stop_intervals` are the deleted spans, each holding none of the trip's
+    samples; `removed_gap_seconds` counts samples dropped by gap handling.
     `break_after[i]` flags a continuity break between samples i and i+1 so
-    that windowing never bridges removed time. `stop_intervals` are the
-    deleted spans; `removed_gap_seconds` counts samples dropped by gap
-    handling. The cleaning record takes no part in equality.
+    that windowing never bridges removed time. It is derived, not passed:
+    a pair breaks when the samples lie more than two periods apart
+    (`continuity_breaks`) or when a recorded stop starts between them. The
+    cleaning record takes no part in equality.
     """
 
-    removed_stop_seconds: float = 0.0
     removed_gap_seconds: float = 0.0
     stop_intervals: tuple[StopInterval, ...] = ()
     provenance: tuple[str, ...] = ()
-    break_after: np.ndarray = field(default=None)  # bool, shape (n-1,)
+    break_after: np.ndarray = field(init=False)  # bool, shape (n-1,)
 
     def __post_init__(self):
         super().__post_init__()
@@ -72,13 +74,16 @@ class CleanTrip(Trip):
             raise ValueError("no movement data")
         if np.isnan(self.data).any():
             raise ValueError("CleanTrip may not contain missing channels")
-        breaks = self.break_after
-        if breaks is None:
-            breaks = np.zeros(self.t.size - 1, dtype=bool)
-        breaks = np.asarray(breaks, dtype=bool)
-        if breaks.shape != (self.t.size - 1,):
-            raise ValueError("break_after must have length n-1")
+        if not self.removed_gap_seconds >= 0:
+            raise ValueError("removed_gap_seconds must be nonnegative")
+        stops = _check_stops(self.stop_intervals)
+        at = np.searchsorted(self.t, [s.start_t for s in stops])  # first sample at or after each start
+        if (np.append(self.t, np.inf)[at] < [s.end_t for s in stops]).any():
+            raise ValueError("a recorded stop interval holds a sample of the trip")
+        breaks = continuity_breaks(self.t, self.nominal_rate_hz)
+        breaks[at[(at > 0) & (at < self.t.size)] - 1] = True
         breaks.setflags(write=False)
+        object.__setattr__(self, "stop_intervals", stops)
         object.__setattr__(self, "break_after", breaks)
 
     def __eq__(self, other) -> bool:
@@ -90,6 +95,10 @@ class CleanTrip(Trip):
     def duration_seconds(self) -> float:
         """Movement data time, counted as samples over the nominal rate."""
         return len(self) / self.nominal_rate_hz
+
+    @property
+    def removed_stop_seconds(self) -> float:
+        return float(sum(s.duration for s in self.stop_intervals))
 
     def sidecar(self) -> dict:
         return {
@@ -214,8 +223,6 @@ def fill_gaps(trip: Trip, max_gap_fill: float) -> Trip:
         keep = ~drop
         data = data[keep]
         t = t[keep]
-    if t.size == 0:
-        raise ValueError("no valid data")
     return Trip(trip.driver_id, np.array(t), data, trip.nominal_rate_hz)
 
 
@@ -304,64 +311,59 @@ def _run_ends(m: np.ndarray, block_end: np.ndarray, threshold: float) -> np.ndar
 def remove_stops(trip: Trip, stops: Sequence[StopInterval]) -> CleanTrip:
     """Delete all samples inside the stop intervals, keeping original timestamps.
 
-    Continuity breaks created by the removal (and any pre-existing sampling
-    holes longer than two periods) are recorded so downstream windowing can
-    refuse to span them.
+    The stops that held a sample are recorded on the CleanTrip, which
+    derives its continuity breaks from them: a kept sample never lies in a
+    stop, so a stop that removed samples between kept samples i and i+1
+    starts between them.
     """
-    stops = list(stops)
-    for a, b in zip(stops, stops[1:]):
-        if b.start_t < a.end_t:
-            raise ValueError("stop intervals must be sorted and disjoint")
-    for s in stops:
-        if s.end_t <= s.start_t:
-            raise ValueError("stop interval must have positive duration")
-
+    stops = _check_stops(stops)
     if np.isnan(trip.data).any():
         raise ValueError("remove_stops requires gap-filled channels")
 
+    # samples lo[k] .. hi[k] - 1 lie in stop k
+    lo = np.searchsorted(trip.t, [s.start_t for s in stops])
+    hi = np.searchsorted(trip.t, [s.end_t for s in stops])
     keep = np.ones(len(trip), dtype=bool)
-    for s in stops:
-        keep &= ~((trip.t >= s.start_t) & (trip.t < s.end_t))
+    for a, b in zip(lo, hi):
+        keep[a:b] = False
     if not keep.any():
         raise ValueError("no movement data")
-
-    t = trip.t[keep]
-    data = trip.data[keep]
-    removed_between = np.diff(np.nonzero(keep)[0]) > 1
-    breaks = removed_between | continuity_breaks(t, trip.nominal_rate_hz)
-
     return CleanTrip(
         driver_id=trip.driver_id,
-        t=t,
-        data=data,
+        t=trip.t[keep],
+        data=trip.data[keep],
         nominal_rate_hz=trip.nominal_rate_hz,
-        removed_stop_seconds=float(sum(s.duration for s in stops)),
-        stop_intervals=tuple(stops),
+        stop_intervals=tuple(s for s, a, b in zip(stops, lo, hi) if b > a),
         provenance=("remove_stops",),
-        break_after=breaks,
     )
+
+
+def _check_stops(stops: Sequence[StopInterval]) -> tuple[StopInterval, ...]:
+    """The stops as a tuple, once they are StopIntervals of positive duration,
+    sorted and disjoint."""
+    stops = tuple(stops)
+    if not all(isinstance(s, StopInterval) for s in stops):
+        raise ValueError("stop intervals must be StopInterval objects")
+    if not all(b.start_t >= a.end_t for a, b in zip(stops, stops[1:])):
+        raise ValueError("stop intervals must be sorted and disjoint")
+    if not all(s.end_t > s.start_t for s in stops):
+        raise ValueError("stop interval must have positive duration")
+    return stops
 
 
 def clean(trip: Trip, cfg: CleaningConfig = CleaningConfig()) -> CleanTrip:
     """Run the full cleaning chain and record its provenance."""
-    provenance = []
+    provenance = ("denoise", "reorient") if cfg.reorient else ("denoise",)
     stage = denoise(trip, cfg.denoise_window)
-    provenance.append("denoise")
     if cfg.reorient:
         stage = reorient(stage)
-        provenance.append("reorient")
     before_fill = len(stage)
-    stage = fill_gaps(stage, cfg.max_gap_fill)
-    provenance.append("fill_gaps")
-    removed_gap_seconds = (before_fill - len(stage)) / trip.nominal_rate_hz
-
+    stage = fill_gaps(stage, cfg.max_gap_fill)  # rebinding frees the unfilled trip
     stops = detect_stops(stage, cfg.stop_threshold, cfg.min_stop_seconds, cfg.stop_aggregate)
-    cleaned = remove_stops(stage, stops)
-    provenance.append("remove_stops")
     return replace(
-        cleaned,
-        removed_gap_seconds=removed_gap_seconds,
-        provenance=tuple(provenance),
+        remove_stops(stage, stops),
+        removed_gap_seconds=(before_fill - len(stage)) / trip.nominal_rate_hz,
+        provenance=(*provenance, "fill_gaps", "remove_stops"),
     )
 
 

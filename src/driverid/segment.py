@@ -64,7 +64,7 @@ class WindowBatch:
     channels: np.ndarray        # (n, 6, w), C-contiguous, channel order
 
     def __post_init__(self):
-        ch = np.ascontiguousarray(self.channels, dtype=np.float64)
+        ch = np.ascontiguousarray(self.channels, dtype=np.float64).view()
         if ch.ndim != 3 or ch.shape[1] != 6 or ch.shape[2] < 2:
             raise ValueError("channels must be an (n, 6, w) array with w >= 2")
         ch.setflags(write=False)

@@ -8,6 +8,7 @@ import pytest
 
 import driverid as d
 from driverid import parallel
+from driverid.preprocess import StopInterval
 from driverid.segment import WindowBatch
 
 BENCH_SEED = 1234
@@ -40,6 +41,15 @@ def bench_bundle(easy_corpus):
 
     seg = SegmentationConfig(window_minutes=15, overlap_fraction=0.75, train_fraction=0.7)
     return build_datasets(easy_corpus, seg, FeatureConfig())
+
+
+def stops_in_gaps(t, flags):
+    """Sample-free stop intervals, one inside each gap (t[i], t[i + 1]) with
+    `flags[i]` set, so a CleanTrip over `t` that records them breaks there."""
+    return tuple(
+        StopInterval(float(t[i] + (t[i + 1] - t[i]) / 4), float(t[i] + (t[i + 1] - t[i]) / 2))
+        for i in np.flatnonzero(flags)
+    )
 
 
 @pytest.fixture

@@ -263,6 +263,42 @@ def denoise_oracle(column, window):
     return out
 
 
+def fill_gaps_oracle(t, rows, max_gap_fill):
+    """(timestamps, rows) after gap handling, by scanning each channel for
+    runs of missing values.
+
+    A run whose valid anchor samples on both sides lie at most
+    `max_gap_fill` seconds apart is bridged on the straight line between
+    them; the samples of every other run, leading and trailing runs
+    included, are removed from all channels. Raises ValueError when no
+    sample is complete.
+    """
+    n = len(t)
+    if not any(all(not math.isnan(v) for v in row) for row in rows):
+        raise ValueError("no valid data")
+    out = [list(row) for row in rows]
+    dropped = set()
+    for col in range(6):
+        i = 0
+        while i < n:
+            if not math.isnan(rows[i][col]):
+                i += 1
+                continue
+            j = i
+            while j < n and math.isnan(rows[j][col]):
+                j += 1
+            # samples i .. j-1 are missing; i-1 and j are the anchors
+            if i == 0 or j == n or t[j] - t[i - 1] > max_gap_fill:
+                dropped.update(range(i, j))
+            else:
+                t0, t1, x0, x1 = t[i - 1], t[j], rows[i - 1][col], rows[j][col]
+                for k in range(i, j):
+                    out[k][col] = x0 + (x1 - x0) * (t[k] - t0) / (t1 - t0)
+            i = j
+    kept = [k for k in range(n) if k not in dropped]
+    return [t[k] for k in kept], [out[k] for k in kept]
+
+
 def break_flags_oracle(t, stops, rate_hz):
     """`break_after` of the samples that survive removing the half-open
     stops [start, end): a kept pair breaks when a sample between them was

@@ -29,6 +29,7 @@ from driverid.pipeline import build_datasets, train_model
 from driverid.preprocess import CleanTrip
 from driverid.seeds import derive_seed
 from driverid.segment import InsufficientData, SegmentationConfig
+from conftest import stops_in_gaps
 
 
 def dataset_from(labels, x=None, class_list=None):
@@ -162,13 +163,13 @@ def trips_one_without_train_windows():
     """Three 2,000-sample trips at 2 Hz; trip c breaks every 25 s across its train span."""
     rng = np.random.default_rng(4)
     trips = []
+    t = np.arange(2000) / 2.0
     for driver in ("a", "b", "c"):
         breaks = np.zeros(1999, dtype=bool)
         if driver == "c":
             breaks[:1399:50] = True
-        trips.append(
-            CleanTrip(driver, np.arange(2000) / 2.0, rng.standard_normal((2000, 6)), 2.0, break_after=breaks)
-        )
+        data = rng.standard_normal((2000, 6))
+        trips.append(CleanTrip(driver, t, data, 2.0, stop_intervals=stops_in_gaps(t, breaks)))
     return trips
 
 
@@ -286,12 +287,13 @@ class TestGrid:
     def counting_fits(self, monkeypatch, seeded=None):
         """Count each kind's fit calls; ``seeded`` overrides every kind's flag."""
         fits = dict.fromkeys(REGISTRY, 0)
-        for kind, entry in list(REGISTRY.items()):
-            def fit(data, params, seed, kind=kind, inner=entry.fit):
+        for kind, module in REGISTRY.items():
+            def fit(data, params, seed, kind=kind, inner=module.fit):
                 fits[kind] += 1
                 return inner(data, params, seed)
-            flag = entry.seeded if seeded is None else seeded
-            monkeypatch.setitem(REGISTRY, kind, dataclasses.replace(entry, fit=fit, seeded=flag))
+            monkeypatch.setattr(module, "fit", fit)
+            if seeded is not None:
+                monkeypatch.setattr(module, "seeded", seeded)
         return fits
 
     @pytest.mark.usefixtures("one_worker")

@@ -15,7 +15,10 @@ from driverid.ingest import (
     write_log,
     read_log,
 )
-from driverid.preprocess import CleanTrip
+from driverid.features import Standardizer
+from driverid.models import LabeledDataset
+from driverid.preprocess import CleanTrip, StopInterval
+from driverid.segment import WindowBatch
 from oracles import parse_log_oracle
 
 
@@ -282,6 +285,23 @@ class TestTripInvariants:
             trip.data[0, 0] = 1.0
 
 
+@pytest.mark.parametrize(
+    "build, shape, attr",
+    [
+        (lambda a: Trip("d", np.arange(3) / 2.0, a, 2.0), (3, 6), "data"),
+        (lambda a: WindowBatch("d", "train", np.zeros(1), np.ones(1), a), (1, 6, 2), "channels"),
+        (lambda a: Standardizer(a, np.ones(3)), (3,), "mean"),
+        (lambda a: LabeledDataset(a, np.array(["a", "b"], dtype=object), ("a", "b")), (2, 3), "features"),
+    ],
+)
+def test_freezes_a_view_not_the_callers_array(build, shape, attr):
+    array = np.zeros(shape)
+    held = getattr(build(array), attr)
+    assert not held.flags.writeable and np.shares_memory(held, array)
+    array[...] = 1.0  # the caller's array stays writable
+    assert (held == 1.0).all()
+
+
 class TestCleanTripInvariants(TestTripInvariants):
     trip_type = CleanTrip
 
@@ -301,9 +321,33 @@ class TestCleanTripInvariants(TestTripInvariants):
         with pytest.raises(ValueError, match="no movement data"):
             CleanTrip("d", np.zeros(0), np.zeros((0, 6)), 2.0)
 
-    def test_rejects_break_flags_not_between_samples(self):
-        with pytest.raises(ValueError, match="length n-1"):
-            CleanTrip("d", np.arange(3) / 2.0, np.zeros((3, 6)), 2.0, break_after=np.zeros(3, dtype=bool))
+    @pytest.mark.parametrize(
+        "record, error, message",
+        [
+            ({"removed_stop_seconds": -5.0, "stop_intervals": ((1, 2),)}, TypeError, "removed_stop_seconds"),
+            ({"break_after": np.zeros(2, dtype=bool)}, TypeError, "break_after"),
+            ({"stop_intervals": ((1, 2),)}, ValueError, "StopInterval objects"),
+            ({"stop_intervals": (StopInterval(2.0, 3.0), StopInterval(0.1, 0.2))}, ValueError, "sorted"),
+            ({"stop_intervals": (StopInterval(1.2, 1.2),)}, ValueError, "positive duration"),
+            ({"stop_intervals": (StopInterval(0.1, 0.6),)}, ValueError, "holds a sample"),
+            ({"stop_intervals": (StopInterval(-3.0, 1e-9),)}, ValueError, "holds a sample"),
+            ({"removed_gap_seconds": -1.0}, ValueError, "removed_gap_seconds"),
+            ({"removed_gap_seconds": np.nan}, ValueError, "removed_gap_seconds"),
+        ],
+    )
+    def test_rejects_a_bad_cleaning_record(self, record, error, message):
+        """Derived values are not inputs, and the record is checked when the trip is built."""
+        with pytest.raises(error, match=message):
+            CleanTrip("d", np.arange(3) / 2.0, np.zeros((3, 6)), 2.0, **record)
+
+    def test_break_flags_derive_from_timestamps_and_stops(self):
+        t = np.array([0.0, 0.5, 1.0, 2.5, 3.0, 3.5])  # a 1.5 s sampling hole after sample 2
+        stops = (StopInterval(-2.0, -1.0), StopInterval(3.1, 3.4), StopInterval(4.0, 9.0))
+        trip = CleanTrip("d", t, np.zeros((6, 6)), 2.0, stop_intervals=stops)
+        # stops before the first and after the last sample break nothing
+        assert trip.break_after.tolist() == [False, False, True, False, True]
+        assert trip.removed_stop_seconds == float(sum(s.duration for s in stops))
+        assert trip.sidecar()["stop_intervals"] == [[-2.0, -1.0], [3.1, 3.4], [4.0, 9.0]]
 
 
 class TestValidateTrip:

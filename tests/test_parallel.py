@@ -12,6 +12,7 @@ from driverid.parallel import ordered_map
 from driverid.pipeline import build_datasets, build_test_dataset, train_model
 from driverid.preprocess import CleanTrip
 from driverid.segment import InsufficientData, SegmentationConfig
+from conftest import stops_in_gaps
 from oracles import knn_oracle
 
 TIMEOUT_S = 10.0
@@ -151,7 +152,8 @@ def random_trips(lengths=(2000, 1600, 2000, 1800), drivers="abac"):
     for n, driver in zip(lengths, drivers):
         breaks = np.zeros(n - 1, dtype=bool)
         breaks[n // 3] = True
-        trips.append(CleanTrip(driver, np.arange(n) / 2.0, rng.standard_normal((n, 6)), 2.0, break_after=breaks))
+        t, data = np.arange(n) / 2.0, rng.standard_normal((n, 6))
+        trips.append(CleanTrip(driver, t, data, 2.0, stop_intervals=stops_in_gaps(t, breaks)))
     return trips
 
 

@@ -18,7 +18,7 @@ from driverid.preprocess import (
     remove_stops,
     reorient,
 )
-from oracles import break_flags_oracle, denoise_oracle, stop_runs_oracle
+from oracles import break_flags_oracle, denoise_oracle, fill_gaps_oracle, stop_runs_oracle
 
 
 def trip_from_channel(values, rate=2.0, column=0, base=None):
@@ -201,6 +201,35 @@ class TestFillGaps:
         filled = out.data[missing, 0]
         assert filled.min() >= min(anchor_lo, anchor_hi) - 1e-12
         assert filled.max() <= max(anchor_lo, anchor_hi) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_run_scan_oracle(self, data):
+        rate = data.draw(st.sampled_from([1.0, 2.0, 4.0]))
+        size = data.draw(st.integers(0, 39))
+        # steps of one or two periods are continuous; longer ones are sampling holes
+        steps = data.draw(st.lists(st.sampled_from([1, 1, 1, 2, 3, 7]), min_size=size, max_size=size))
+        t = np.concatenate([[0.0], np.cumsum(steps)]) / rate
+        n = t.size
+        values = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=6 * n, max_size=6 * n))
+        rows = np.array(values).reshape(n, 6)
+        runs = st.tuples(st.integers(0, 5), st.integers(0, n - 1), st.integers(1, 4))
+        for col, start, length in data.draw(st.lists(runs, max_size=6)):
+            rows[start : start + length, col] = np.nan
+        # runs that reach either edge have only one anchor
+        rows[: data.draw(st.sampled_from([0, 0, 1, 2])), data.draw(st.integers(0, 5))] = np.nan
+        rows[n - data.draw(st.sampled_from([0, 0, 1, 2])) :, data.draw(st.integers(0, 5))] = np.nan
+        max_gap_fill = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 8.0]))
+        trip = Trip("g", t, rows, rate)
+        try:
+            expected_t, expected_rows = fill_gaps_oracle(t.tolist(), rows.tolist(), max_gap_fill)
+        except ValueError:
+            with pytest.raises(ValueError, match="no valid data"):
+                fill_gaps(trip, max_gap_fill)
+            return
+        out = fill_gaps(trip, max_gap_fill)
+        assert out.t.tolist() == expected_t
+        np.testing.assert_allclose(out.data, np.array(expected_rows).reshape(-1, 6), rtol=1e-12, atol=1e-12)
 
 
 class TestDetectStops:

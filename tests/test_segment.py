@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import driverid as d
 from driverid.preprocess import CleanTrip
 from driverid.segment import SegmentationConfig, cut_windows, segment_trip, split_index
+from conftest import stops_in_gaps
 from oracles import window_starts_oracle
 
 
@@ -16,12 +17,13 @@ def make_clean_trip(n=2000, rate=2.0, breaks=(), driver="t"):
     flags = np.zeros(n - 1, dtype=bool)
     for b in breaks:
         flags[b] = True
+    t = np.arange(n) / rate
     return CleanTrip(
         driver_id=driver,
-        t=np.arange(n) / rate,
+        t=t,
         data=data,
         nominal_rate_hz=rate,
-        break_after=flags,
+        stop_intervals=stops_in_gaps(t, flags),
     )
 
 
@@ -101,6 +103,15 @@ class TestCutWindows:
             inside = (start_t <= trip.t[1500]) and (trip.t[1501] < end_t)
             assert not inside
 
+    def test_windows_never_cross_a_sampling_hole(self):
+        # two 75 s blocks at 2 Hz with 450 s of removed time between them
+        t = np.concatenate([np.arange(150) / 2.0, 525.0 + np.arange(150) / 2.0])
+        trip = CleanTrip("t", t, np.random.default_rng(2).standard_normal((300, 6)), 2.0)
+        assert np.flatnonzero(trip.break_after).tolist() == [149]
+        windows = cut_all(trip, SegmentationConfig(window_minutes=1.0, overlap_fraction=0.5))
+        assert windows.start_t.tolist() == [0.0, 525.0 + 15.0]
+        assert (windows.end_t - windows.start_t).tolist() == [60.0, 60.0]
+
     def test_window_count_formula_against_enumeration(self):
         rng = np.random.default_rng(4)
         for _ in range(60):
@@ -129,7 +140,8 @@ class TestCutWindows:
         flags = np.zeros(n, dtype=bool)
         flags[[b for b in breaks if b < n - 1]] = True
         data = np.random.default_rng(n).standard_normal((n + 1, 6))
-        trip = CleanTrip("t", np.arange(n + 1) / rate, data, rate, break_after=flags)
+        t = np.arange(n + 1) / rate
+        trip = CleanTrip("t", t, data, rate, stop_intervals=stops_in_gaps(t, flags))
         cfg = SegmentationConfig(window_minutes=w / (60.0 * rate), overlap_fraction=overlap)
         assert cfg.window_samples(rate) == w
         windows = cut_windows(trip, 0, n, "train", cfg)
