@@ -183,21 +183,28 @@ class TestDecisionTree:
         assert buf_a.getvalue() == buf_b.getvalue()
 
 
+def draw_node_data(data):
+    """(x, y, n_classes) for a CART property: values on a quarter grid, so
+    many are equal within a dim, and a few rows duplicated."""
+    n, d = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
+    n_classes = data.draw(st.integers(2, 6))
+    grid = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+                              min_size=n, max_size=n))
+    x = np.array(grid, dtype=np.float64) / 4.0
+    for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                       max_size=4)):
+        x[dst] = x[src]
+    y = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)),
+                 dtype=np.int64)
+    return x, y, n_classes
+
+
 class TestCartOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_grown_tree_matches_brute_force_oracle(self, data):
-        n, d = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
-        n_classes = data.draw(st.integers(2, 6))
-        # a quarter grid: many equal values within a dim
-        grid = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
-                                  min_size=n, max_size=n))
-        x = np.array(grid, dtype=np.float64) / 4.0
-        for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                                           max_size=4)):
-            x[dst] = x[src]  # duplicated rows
-        y = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)),
-                     dtype=np.int64)
+        x, y, n_classes = draw_node_data(data)
+        d = x.shape[1]
         min_leaf = data.draw(st.integers(1, 4))
         max_depth = data.draw(st.none() | st.integers(0, 5))
         features_per_split = data.draw(st.none() | st.integers(1, d))
@@ -207,6 +214,23 @@ class TestCartOracle:
         expected = cart_oracle(x, y, n_classes, max_depth, min_leaf,
                                np.random.default_rng(seed), features_per_split)
         assert tree_to_nodes(tree) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bootstrap_tree_matches_brute_force_oracle(self, data):
+        """A forest tree's sample: rows drawn with repeats, some never."""
+        x, y, n_classes = draw_node_data(data)
+        n, d = x.shape
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+        min_leaf = data.draw(st.integers(1, 3))
+        max_depth = data.draw(st.none() | st.integers(0, 5))
+        features_per_split = data.draw(st.none() | st.integers(1, d))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        copy = grow_tree(x[rows], y[rows], n_classes, max_depth, min_leaf,
+                         np.random.default_rng(seed), features_per_split)
+        expected = cart_oracle(x[rows], y[rows], n_classes, max_depth, min_leaf,
+                               np.random.default_rng(seed), features_per_split)
+        assert tree_to_nodes(copy) == expected
 
     @pytest.mark.parametrize("n", [200, 33_000])
     def test_large_nodes_match_oracle(self, n):
