@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import LabeledDataset, TrainedModel
-from .tree import Tree, grow_tree, predict_tree, tree_from_nodes, tree_to_nodes
+from .tree import Tree, grow_weighted_tree, predict_tree, tree_from_nodes, tree_to_nodes
 
 defaults = {"n_trees": 25, "max_depth": None, "features_per_split": None}
 seeded = True
@@ -31,7 +31,11 @@ def fit(data: LabeledDataset, params: dict, seed: int) -> ForestParams:
 
     Each tree grows on a bootstrap row sample, with leaves of one row
     allowed, and draws a fresh random feature subset at every split;
-    per-tree RNGs derive from the master seed.
+    per-tree RNGs derive from the master seed. A bootstrap sample is a
+    vector of integer row weights (how often each row was drawn), so each
+    tree grows on its distinct rows weighted by those counts, which gives
+    the tree grown on the sample itself, and all trees share one transposed
+    copy of the training rows.
     """
     n_trees = int(params["n_trees"])
     d = data.n_features
@@ -40,16 +44,17 @@ def fit(data: LabeledDataset, params: dict, seed: int) -> ForestParams:
         features_per_split = int(np.ceil(np.sqrt(d)))
     features_per_split = min(max(1, features_per_split), d)
 
-    x = data.features
-    y = data.label_indices
+    xt = np.ascontiguousarray(data.features.T)
+    n = len(data)
     trees = []
     for ss in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(ss)
-        rows = rng.integers(0, len(data), size=len(data))
+        weights = np.bincount(rng.integers(0, n, size=n), minlength=n)
         trees.append(
-            grow_tree(
-                x[rows],
-                y[rows],
+            grow_weighted_tree(
+                xt,
+                data.label_indices,
+                weights,
                 len(data.class_list),
                 params["max_depth"],
                 min_leaf=1,

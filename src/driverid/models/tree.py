@@ -70,16 +70,42 @@ def grow_tree(
 ) -> Tree:
     """Grow depth-first, left before right, so nodes are numbered in preorder
     and the RNG draws each split's feature subset in that order."""
-    xt = np.ascontiguousarray(x.T)  # one row per feature
+    return grow_weighted_tree(
+        np.ascontiguousarray(x.T), y, None, n_classes, max_depth, min_leaf, rng, features_per_split
+    )
+
+
+def grow_weighted_tree(
+    xt: np.ndarray,
+    y: np.ndarray,
+    weights: np.ndarray | None,
+    n_classes: int,
+    max_depth: int | None,
+    min_leaf: int,
+    rng: np.random.Generator | None = None,
+    features_per_split: int | None = None,
+) -> Tree:
+    """``grow_tree`` on the rows of ``xt.T`` (``xt`` holds one row per
+    feature), row i counted ``weights[i]`` times.
+
+    With integer weights this is the tree grown on the copy that repeats row
+    i ``weights[i]`` times, such as a bootstrap sample: class counts stay
+    exact integers, and a position between distinct values has the same
+    counts on each side as in the copy, so scores, tie-breaks, thresholds
+    and RNG draws are the same. Rows of weight 0 take no part. ``weights``
+    None counts each row once and keeps the unweighted split search.
+    """
+    rows = np.arange(y.size) if weights is None else np.flatnonzero(weights)
     nodes: list[list] = []  # [feature, threshold, left, right, leaf_class]
-    stack = [(np.arange(y.size), 0, -1)]  # (rows, depth, parent if a right child)
+    stack = [(rows, 0, -1)]  # (rows, depth, parent if a right child)
     while stack:
         rows, depth, right_of = stack.pop()
         slot = len(nodes)
         if right_of >= 0:
             nodes[right_of][3] = slot
         majority, split = _find_split(
-            xt, rows, y[rows], n_classes, max_depth, min_leaf, rng, features_per_split, depth
+            xt, y[rows], None if weights is None else weights[rows], rows,
+            n_classes, max_depth, min_leaf, rng, features_per_split, depth,
         )
         if split is None:
             nodes.append([-1, 0.0, -1, -1, majority])
@@ -92,12 +118,16 @@ def grow_tree(
     return _to_tree(nodes)
 
 
-def _find_split(xt, rows, y, n_classes, max_depth, min_leaf, rng, features_per_split, depth):
+def _find_split(xt, y, w, rows, n_classes, max_depth, min_leaf, rng, features_per_split, depth):
     """(majority class, best (feature, threshold) or None) for the node
-    holding ``rows``; None leaves the node a leaf."""
-    counts = np.bincount(y, minlength=n_classes)
+    holding ``rows`` with labels ``y`` and weights ``w`` (None: each row
+    once); None leaves the node a leaf."""
+    if w is None:
+        counts = np.bincount(y, minlength=n_classes)
+    else:  # exact: the weights are integers
+        counts = np.bincount(y, w, minlength=n_classes).astype(np.int64)
     majority = int(np.argmax(counts))
-    n = y.size
+    n = int(counts.sum())
     if (
         counts.max() == n
         or (max_depth is not None and depth >= max_depth)
@@ -115,25 +145,30 @@ def _find_split(xt, rows, y, n_classes, max_depth, min_leaf, rng, features_per_s
     block = xt[np.ix_(dims, rows)]
     order = np.argsort(block, axis=1)
     xs = np.take_along_axis(block, order, axis=1)
-    ys = y[order]
-    # position i splits after sorted row i, so the left side holds i + 1 rows;
-    # every sum below lies strictly between -2 n^2 and 2 n^2
+    ys = y[order[:, :-1]]
+    # position i splits after sorted row i; nl counts the rows (the weight)
+    # on its left, and every sum below lies strictly between -2 n^2 and 2 n^2
     acc = np.min_scalar_type(-2 * n * n)
-    left_sq = np.zeros((dims.size, n - 1), dtype=acc)
-    cross = np.zeros((dims.size, n - 1), dtype=acc)
+    if w is None:
+        nl = np.arange(1, n)
+    else:
+        ws = w.astype(acc)[order[:, :-1]]
+        nl = np.cumsum(ws, axis=1, dtype=acc)
+    left_sq = np.zeros(ys.shape, dtype=acc)
+    cross = np.zeros(ys.shape, dtype=acc)
     for c in np.flatnonzero(counts):
-        lc = np.cumsum(ys[:, :-1] == c, axis=1, dtype=acc)
+        is_c = ys == c
+        lc = np.cumsum(is_c if w is None else is_c * ws, axis=1, dtype=acc)
         left_sq += lc * lc
         cross += int(counts[c]) * lc
-    nl = np.arange(1, n)
     right_sq = int(counts @ counts) - 2 * cross + left_sq
     score = left_sq / nl + right_sq / (n - nl)
     valid = xs[:, :-1] < xs[:, 1:]
-    valid[:, : min_leaf - 1] = False
-    valid[:, n - min_leaf :] = False
+    if min_leaf > 1:  # every position has at least one row on each side
+        valid &= (nl >= min_leaf) & (nl <= n - min_leaf)
     score[~valid] = -np.inf
     best = int(np.argmax(score))  # first maximum: lowest dim, then lowest threshold
-    col, i = divmod(best, n - 1)
+    col, i = divmod(best, ys.shape[1])
     if not valid[col, i]:
         return majority, None
     return majority, (int(dims[col]), float((xs[col, i] + xs[col, i + 1]) / 2.0))

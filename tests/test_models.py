@@ -16,7 +16,7 @@ from driverid.models.io import FORMAT_VERSION
 from driverid.models.knn import QUERY_BLOCK
 from driverid.models.mlp import forward, init_params, loss_and_grads
 from driverid.models.registry import MODEL_KINDS, REGISTRY
-from driverid.models.tree import grow_tree, tree_depth, tree_from_nodes, tree_to_nodes
+from driverid.models.tree import grow_tree, grow_weighted_tree, tree_depth, tree_from_nodes, tree_to_nodes
 from driverid.pipeline import train_model
 from driverid.segment import InsufficientData
 from oracles import array_doc_oracle, cart_oracle, knn_oracle, mlp_fit_oracle, tree_walk_oracle
@@ -218,7 +218,8 @@ class TestCartOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_bootstrap_tree_matches_brute_force_oracle(self, data):
-        """A forest tree's sample: rows drawn with repeats, some never."""
+        """A forest tree's sample: rows drawn with repeats, some never. Its
+        distinct rows weighted by their draw counts grow the same tree."""
         x, y, n_classes = draw_node_data(data)
         n, d = x.shape
         rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
@@ -230,7 +231,11 @@ class TestCartOracle:
                          np.random.default_rng(seed), features_per_split)
         expected = cart_oracle(x[rows], y[rows], n_classes, max_depth, min_leaf,
                                np.random.default_rng(seed), features_per_split)
+        weighted = grow_weighted_tree(np.ascontiguousarray(x.T), y, np.bincount(rows, minlength=n),
+                                      n_classes, max_depth, min_leaf,
+                                      np.random.default_rng(seed), features_per_split)
         assert tree_to_nodes(copy) == expected
+        assert tree_to_nodes(weighted) == expected
 
     @pytest.mark.parametrize("n", [200, 33_000])
     def test_large_nodes_match_oracle(self, n):
