@@ -88,12 +88,17 @@ def forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
+def cross_entropy(probs: np.ndarray, y_onehot: np.ndarray) -> float:
+    """Mean cross-entropy of softmax outputs against one-hot targets."""
+    return float(-np.log(np.maximum(probs[y_onehot.astype(bool)], 1e-300)).mean())
+
+
 def loss_and_grads(params: MlpParams, x: np.ndarray, y_onehot: np.ndarray):
     """Mean cross-entropy and its analytic gradients for a batch."""
     acts = forward(params, x)
     probs = acts[-1]
     n = x.shape[0]
-    loss = float(-np.log(np.maximum(probs[y_onehot.astype(bool)], 1e-300)).mean())
+    loss = cross_entropy(probs, y_onehot)
 
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
@@ -156,7 +161,7 @@ def fit(data: LabeledDataset, params: dict, seed: int) -> MlpParams:
                 net.biases[layer] -= cfg.learning_rate * gb[layer]
         epochs_run = epoch
 
-        val_loss = loss_and_grads(net, x_val, y_val)[0]
+        val_loss = cross_entropy(forward(net, x_val)[-1], y_val)
         if not np.isfinite(val_loss):
             raise ValueError(f"diverged at epoch {epoch}")
         if val_loss < best_val - 1e-12:
