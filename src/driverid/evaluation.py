@@ -20,6 +20,9 @@ from .preprocess import CleanTrip
 from .seeds import derive_seed
 from .segment import InsufficientData, SegmentationConfig
 
+# Grid cells go out costliest kind first within each window/overlap group.
+DISPATCH_ORDER = ("mlp", "rforest", "dtree", "knn")
+
 REPORT_COLUMNS = ("window_minutes", "overlap", "features", "model", "mean_accuracy", "std", "error")
 
 # Named feature-family combinations the grid sweeps by default.
@@ -174,7 +177,12 @@ def iter_grid(
     one at the cell's `derive_seed`). Every group's features are built
     first, each across processes (one trip per worker); then the cells run
     across processes (`parallel.ordered_map`), each item naming its window,
-    overlap, subset and kind.
+    overlap, subset and kind. Within each group the cells go out in
+    `DISPATCH_ORDER`, costliest kind first, so the last cells of a sweep are
+    short ones and no worker idles long at its end; rows that finish ahead
+    of an earlier cell wait in a buffer, at most about one group's worth.
+    So when several cells raise, the error is that of the first in dispatch
+    order.
     """
     if len({t.driver_id for t in trips}) < 2:
         raise ValueError("grid needs trips from at least 2 drivers")
@@ -194,8 +202,17 @@ def iter_grid(
     cells = list(product(
         grid.window_minutes_list, grid.overlap_list, grid.feature_subset_list, grid.model_list
     ))
+    group_size = len(grid.feature_subset_list) * len(grid.model_list)
+    dispatch = sorted(
+        range(len(cells)), key=lambda i: (i // group_size, DISPATCH_ORDER.index(cells[i][3]))
+    )
     run = partial(_run_cell, bundles, columns, grid.repetitions, model_params, master_seed)
-    yield from ordered_map(run, cells)
+    done, next_row = {}, 0
+    for i, row in zip(dispatch, ordered_map(run, [cells[i] for i in dispatch])):
+        done[i] = row
+        while next_row in done:
+            yield done.pop(next_row)
+            next_row += 1
 
 
 def run_grid(

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import multiprocessing
 import types
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from driverid.evaluation import (
     DEFAULT_FEATURE_SUBSETS,
+    DISPATCH_ORDER,
     GridRow,
     GridSpec,
     evaluate,
@@ -458,6 +460,52 @@ class TestGrid:
         it = iter_grid(trips, grid, master_seed=1)
         first = next(it)
         assert first.window_minutes == 2.0
+
+    DISPATCH_GRID = GridSpec(
+        window_minutes_list=(2.0, 3.0),
+        overlap_list=(0.5,),
+        feature_subset_list=("mean", "variance"),
+        model_list=MODEL_KINDS,
+        repetitions=1,
+    )
+    FAST = {"rforest": {"n_trees": 3}, "mlp": {"max_epochs": 5}}
+
+    def cell_order(self, grid):
+        return list(itertools.product(
+            grid.window_minutes_list, grid.overlap_list, grid.feature_subset_list, grid.model_list
+        ))
+
+    def test_cells_dispatched_costliest_kind_first_per_group(self, monkeypatch, one_worker):
+        import driverid.evaluation as evaluation
+
+        assert sorted(DISPATCH_ORDER) == sorted(MODEL_KINDS)
+        received = []
+
+        def spy(*args):
+            received.append(args[-1])
+            return real(*args)
+
+        real = evaluation._run_cell
+        monkeypatch.setattr(evaluation, "_run_cell", spy)
+        grid = self.DISPATCH_GRID
+        rows = list(iter_grid(small_trips(), grid, model_params=self.FAST, master_seed=7))
+        cells = self.cell_order(grid)
+        assert sorted(received) == sorted(cells)
+        for group in itertools.product(grid.window_minutes_list, grid.overlap_list):
+            kinds = [cell[3] for cell in received if cell[:2] == group]
+            assert kinds == sorted(kinds, key=DISPATCH_ORDER.index)
+            assert kinds[:2] == ["mlp"] * 2 and kinds[-2:] == ["knn"] * 2
+        groups = [cell[:2] for cell in received]
+        assert groups == sorted(groups)  # one group after another, in cell order
+        assert [(r.window_minutes, r.overlap, r.features, r.model) for r in rows] == cells
+
+    def test_rows_yielded_in_cell_order_at_two_workers(self, workers):
+        workers(2)
+        grid = self.DISPATCH_GRID
+        rows = list(iter_grid(small_trips(), grid, model_params=self.FAST, master_seed=7))
+        assert [(r.window_minutes, r.overlap, r.features, r.model) for r in rows] == self.cell_order(grid)
+        assert all(r.error is None for r in rows)
+        assert multiprocessing.active_children() == []
 
     def test_closing_a_partly_consumed_grid_leaves_no_workers(self, workers):
         workers(2)
