@@ -155,7 +155,7 @@ def _clean_to_disk(cleaning, out, entry) -> tuple:
     log_path = out / f"{cleaned.driver_id}.clean.csv"
     ingest.write_log(cleaned, log_path)
     sidecar = out / f"{cleaned.driver_id}.clean.json"
-    sidecar.write_text(json.dumps(cleaned.sidecar(), indent=1), encoding="utf-8")
+    sidecar.write_text(json.dumps(cleaned.sidecar(), indent=1, allow_nan=False), encoding="utf-8")
     return log_path.name, cleaned.driver_id, cleaned.nominal_rate_hz
 
 

@@ -31,7 +31,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64).view()
-        labels = np.asarray(self.labels, dtype=object)
+        labels = np.asarray(self.labels, dtype=object).view()
         if features.ndim != 2 or features.shape[0] != labels.shape[0]:
             raise ValueError("features must be (n, d) with one label per row")
         if not np.isfinite(features).all():
@@ -42,7 +42,7 @@ class LabeledDataset:
         if unknown:
             raise ValueError(f"labels outside class_list: {sorted(unknown)}")
         indices = np.array([lookup[label] for label in labels], dtype=np.int64)
-        for arr in (features, indices):
+        for arr in (features, labels, indices):
             arr.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)

@@ -74,8 +74,8 @@ class CleanTrip(Trip):
             raise ValueError("no movement data")
         if np.isnan(self.data).any():
             raise ValueError("CleanTrip may not contain missing channels")
-        if not self.removed_gap_seconds >= 0:
-            raise ValueError("removed_gap_seconds must be nonnegative")
+        if not 0 <= self.removed_gap_seconds < np.inf:
+            raise ValueError("removed_gap_seconds must be finite and nonnegative")
         stops = _check_stops(self.stop_intervals)
         at = np.searchsorted(self.t, [s.start_t for s in stops])  # first sample at or after each start
         if (np.append(self.t, np.inf)[at] < [s.end_t for s in stops]).any():
@@ -339,11 +339,13 @@ def remove_stops(trip: Trip, stops: Sequence[StopInterval]) -> CleanTrip:
 
 
 def _check_stops(stops: Sequence[StopInterval]) -> tuple[StopInterval, ...]:
-    """The stops as a tuple, once they are StopIntervals of positive duration,
-    sorted and disjoint."""
+    """The stops as a tuple, once they are StopIntervals with finite bounds
+    and positive duration, sorted and disjoint."""
     stops = tuple(stops)
     if not all(isinstance(s, StopInterval) for s in stops):
         raise ValueError("stop intervals must be StopInterval objects")
+    if not np.isfinite([(s.start_t, s.end_t) for s in stops]).all():
+        raise ValueError("stop interval bounds must be finite")
     if not all(b.start_t >= a.end_t for a, b in zip(stops, stops[1:])):
         raise ValueError("stop intervals must be sorted and disjoint")
     if not all(s.end_t > s.start_t for s in stops):

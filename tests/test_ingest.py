@@ -292,10 +292,11 @@ class TestTripInvariants:
         (lambda a: WindowBatch("d", "train", np.zeros(1), np.ones(1), a), (1, 6, 2), "channels"),
         (lambda a: Standardizer(a, np.ones(3)), (3,), "mean"),
         (lambda a: LabeledDataset(a, np.array(["a", "b"], dtype=object), ("a", "b")), (2, 3), "features"),
+        (lambda a: LabeledDataset(np.zeros((2, 3)), a, (0,)), (2,), "labels"),  # an object array
     ],
 )
 def test_freezes_a_view_not_the_callers_array(build, shape, attr):
-    array = np.zeros(shape)
+    array = np.zeros(shape, dtype=object if attr == "labels" else np.float64)
     held = getattr(build(array), attr)
     assert not held.flags.writeable and np.shares_memory(held, array)
     array[...] = 1.0  # the caller's array stays writable
@@ -333,6 +334,8 @@ class TestCleanTripInvariants(TestTripInvariants):
             ({"stop_intervals": (StopInterval(-3.0, 1e-9),)}, ValueError, "holds a sample"),
             ({"removed_gap_seconds": -1.0}, ValueError, "removed_gap_seconds"),
             ({"removed_gap_seconds": np.nan}, ValueError, "removed_gap_seconds"),
+            ({"stop_intervals": (StopInterval(-np.inf, -1.0),)}, ValueError, "finite"),
+            ({"removed_gap_seconds": np.inf}, ValueError, "removed_gap_seconds"),
         ],
     )
     def test_rejects_a_bad_cleaning_record(self, record, error, message):
