@@ -179,10 +179,10 @@ def iter_grid(
     across processes (`parallel.ordered_map`), each item naming its window,
     overlap, subset and kind. Within each group the cells go out in
     `DISPATCH_ORDER`, costliest kind first, so the last cells of a sweep are
-    short ones and no worker idles long at its end; rows that finish ahead
-    of an earlier cell wait in a buffer, at most about one group's worth.
-    So when several cells raise, the error is that of the first in dispatch
-    order.
+    short ones and no worker idles long at its end. Rows that finish ahead
+    of an earlier cell wait in a buffer, about one group's worth at most.
+    When several cells raise, the error raised is that of the first in
+    dispatch order.
     """
     if len({t.driver_id for t in trips}) < 2:
         raise ValueError("grid needs trips from at least 2 drivers")

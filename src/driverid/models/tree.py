@@ -10,6 +10,10 @@ however the rows are ordered or summed. Ties go to the lower feature index,
 then the lower threshold, and leaves emit their majority class (earlier
 class on vote ties), so training is fully deterministic.
 
+A forest grows each tree on its distinct bootstrap rows with integer
+weights (``grow_weighted_tree``), which gives the tree of the bootstrap
+copy; a single tree takes the unweighted search.
+
 A fitted tree is a ``Tree`` of parallel arrays indexed by node, numbered in
 preorder (root 0, then the whole left subtree, then the right one).
 """

@@ -475,17 +475,18 @@ class TestGrid:
             grid.window_minutes_list, grid.overlap_list, grid.feature_subset_list, grid.model_list
         ))
 
-    def test_cells_dispatched_costliest_kind_first_per_group(self, monkeypatch, one_worker):
+    @pytest.mark.usefixtures("one_worker")
+    def test_cells_dispatched_costliest_kind_first_per_group(self, monkeypatch):
         import driverid.evaluation as evaluation
 
         assert sorted(DISPATCH_ORDER) == sorted(MODEL_KINDS)
         received = []
+        real = evaluation._run_cell
 
         def spy(*args):
             received.append(args[-1])
             return real(*args)
 
-        real = evaluation._run_cell
         monkeypatch.setattr(evaluation, "_run_cell", spy)
         grid = self.DISPATCH_GRID
         rows = list(iter_grid(small_trips(), grid, model_params=self.FAST, master_seed=7))
