@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -88,8 +89,10 @@ def _load_run_config(args) -> RunConfig:
 def cmd_synth(args) -> int:
     if args.drivers < 2:
         raise ConfigError("--drivers must be at least 2")
-    if args.hours * 3600.0 < 60.0:
-        raise ConfigError("--hours must cover at least one minute")
+    if not (math.isfinite(args.hours) and args.hours * 3600.0 >= 60.0):
+        raise ConfigError("--hours must be finite and cover at least one minute")
+    if not (math.isfinite(args.rate) and args.rate > 0):
+        raise ConfigError(f"--rate must be finite and positive, got {args.rate}")
     seed = args.seed
     if args.config:
         cfg = read_run_config(args.config)

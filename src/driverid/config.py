@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -43,8 +44,8 @@ class Manifest:
         for _, driver_id, rate in self.entries:
             if not driver_id:
                 raise ConfigError("manifest driver_id must be nonempty")
-            if rate <= 0:
-                raise ConfigError("manifest rate_hz must be positive")
+            if not (math.isfinite(rate) and rate > 0):
+                raise ConfigError(f"manifest rate_hz must be finite and positive, got {rate}")
 
 
 def read_manifest(path) -> Manifest:

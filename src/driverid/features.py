@@ -222,18 +222,15 @@ class Standardizer:
         return self.mean.size
 
 
-def fit_standardizer(train_rows) -> Standardizer:
-    """Fit per-dimension mean/std on a matrix or on feature blocks.
+def fit_standardizer(blocks) -> Standardizer:
+    """Fit per-dimension mean/std on the rows of feature blocks.
 
     Rejects any block tagged as test data.
     """
-    if isinstance(train_rows, np.ndarray):
-        matrix = np.atleast_2d(np.asarray(train_rows, dtype=np.float64))
-    else:
-        blocks = list(train_rows)
-        if any(block.partition == TEST for block in blocks):
-            raise ValueError("standardizer must be fitted on train vectors only")
-        matrix = np.vstack([block.values for block in blocks])
+    blocks = list(blocks)
+    if any(block.partition == TEST for block in blocks):
+        raise ValueError("standardizer must be fitted on train vectors only")
+    matrix = np.vstack([block.values for block in blocks])
     if matrix.shape[0] < 2:
         raise InsufficientData("need at least 2 training vectors to fit a standardizer")
     mean = matrix.mean(axis=0)

@@ -39,8 +39,8 @@ class Trip:
     def __post_init__(self):
         if not self.driver_id:
             raise ValueError("driver_id must be nonempty")
-        if self.nominal_rate_hz <= 0:
-            raise ValueError("nominal_rate_hz must be positive")
+        if not (np.isfinite(self.nominal_rate_hz) and self.nominal_rate_hz > 0):
+            raise ValueError("nominal_rate_hz must be finite and positive")
         t = np.asarray(self.t, dtype=np.float64).view()
         data = np.asarray(self.data, dtype=np.float64).view()
         if t.ndim != 1 or data.shape != (t.size, 6):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import LabeledDataset, TrainedModel
-from .tree import Tree, grow_weighted_tree, predict_tree, tree_from_nodes, tree_to_nodes
+from .tree import Tree, grow_tree, predict_tree, tree_from_nodes, tree_to_nodes
 
 defaults = {"n_trees": 25, "max_depth": None, "features_per_split": None}
 seeded = True
@@ -24,6 +24,9 @@ class ForestParams:
 def check(params: dict) -> None:
     if int(params["n_trees"]) < 1:
         raise ValueError("n_trees must be >= 1")
+    for key in ("max_depth", "features_per_split"):  # None: no limit, or ceil(sqrt(dims))
+        if params[key] is not None and int(params[key]) < 1:
+            raise ValueError(f"{key} must be >= 1")
 
 
 def fit(data: LabeledDataset, params: dict, seed: int) -> ForestParams:
@@ -42,7 +45,7 @@ def fit(data: LabeledDataset, params: dict, seed: int) -> ForestParams:
     features_per_split = params["features_per_split"]
     if features_per_split is None:
         features_per_split = int(np.ceil(np.sqrt(d)))
-    features_per_split = min(max(1, features_per_split), d)
+    features_per_split = min(features_per_split, d)
 
     xt = np.ascontiguousarray(data.features.T)
     n = len(data)
@@ -51,7 +54,7 @@ def fit(data: LabeledDataset, params: dict, seed: int) -> ForestParams:
         rng = np.random.default_rng(ss)
         weights = np.bincount(rng.integers(0, n, size=n), minlength=n)
         trees.append(
-            grow_weighted_tree(
+            grow_tree(
                 xt,
                 data.label_indices,
                 weights,

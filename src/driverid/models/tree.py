@@ -10,9 +10,9 @@ however the rows are ordered or summed. Ties go to the lower feature index,
 then the lower threshold, and leaves emit their majority class (earlier
 class on vote ties), so training is fully deterministic.
 
-A forest grows each tree on its distinct bootstrap rows with integer
-weights (``grow_weighted_tree``), which gives the tree of the bootstrap
-copy; a single tree takes the unweighted search.
+Every tree grows on integer row weights (``grow_tree``): a single tree
+counts each row once, and a forest tree its distinct bootstrap rows by
+their draw counts, which gives the tree of the bootstrap copy.
 
 A fitted tree is a ``Tree`` of parallel arrays indexed by node, numbered in
 preorder (root 0, then the whole left subtree, then the right one).
@@ -40,14 +40,20 @@ class Tree:
 
 
 def check(params: dict) -> None:
+    if params["max_depth"] is not None and int(params["max_depth"]) < 1:
+        raise ValueError("max_depth must be >= 1")
     if int(params["min_leaf"]) < 1:
         raise ValueError("min_leaf must be >= 1")
 
 
 def fit(data: LabeledDataset, params: dict, seed: int) -> Tree:
-    min_leaf = int(params["min_leaf"])
     return grow_tree(
-        data.features, data.label_indices, len(data.class_list), params["max_depth"], min_leaf
+        np.ascontiguousarray(data.features.T),
+        data.label_indices,
+        np.ones(len(data), dtype=np.int64),
+        len(data.class_list),
+        params["max_depth"],
+        int(params["min_leaf"]),
     )
 
 
@@ -64,42 +70,27 @@ def from_doc(doc: dict, n_features: int, n_classes: int) -> Tree:
 
 
 def grow_tree(
-    x: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    max_depth: int | None,
-    min_leaf: int,
-    rng: np.random.Generator | None = None,
-    features_per_split: int | None = None,
-) -> Tree:
-    """Grow depth-first, left before right, so nodes are numbered in preorder
-    and the RNG draws each split's feature subset in that order."""
-    return grow_weighted_tree(
-        np.ascontiguousarray(x.T), y, None, n_classes, max_depth, min_leaf, rng, features_per_split
-    )
-
-
-def grow_weighted_tree(
     xt: np.ndarray,
     y: np.ndarray,
-    weights: np.ndarray | None,
+    weights: np.ndarray,
     n_classes: int,
     max_depth: int | None,
     min_leaf: int,
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
 ) -> Tree:
-    """``grow_tree`` on the rows of ``xt.T`` (``xt`` holds one row per
-    feature), row i counted ``weights[i]`` times.
+    """The tree on the rows of ``xt.T`` (``xt`` holds one row per feature),
+    row i counted ``weights[i]`` times.
 
     With integer weights this is the tree grown on the copy that repeats row
     i ``weights[i]`` times, such as a bootstrap sample: class counts stay
     exact integers, and a position between distinct values has the same
     counts on each side as in the copy, so scores, tie-breaks, thresholds
-    and RNG draws are the same. Rows of weight 0 take no part. ``weights``
-    None counts each row once and keeps the unweighted split search.
+    and RNG draws are the same. Rows of weight 0 take no part. Growth is
+    depth-first, left before right, so nodes are numbered in preorder and
+    the RNG draws each split's feature subset in that order.
     """
-    rows = np.arange(y.size) if weights is None else np.flatnonzero(weights)
+    rows = np.flatnonzero(weights)
     nodes: list[list] = []  # [feature, threshold, left, right, leaf_class]
     stack = [(rows, 0, -1)]  # (rows, depth, parent if a right child)
     while stack:
@@ -108,7 +99,7 @@ def grow_weighted_tree(
         if right_of >= 0:
             nodes[right_of][3] = slot
         majority, split = _find_split(
-            xt, y[rows], None if weights is None else weights[rows], rows,
+            xt, y[rows], weights[rows], rows,
             n_classes, max_depth, min_leaf, rng, features_per_split, depth,
         )
         if split is None:
@@ -124,12 +115,9 @@ def grow_weighted_tree(
 
 def _find_split(xt, y, w, rows, n_classes, max_depth, min_leaf, rng, features_per_split, depth):
     """(majority class, best (feature, threshold) or None) for the node
-    holding ``rows`` with labels ``y`` and weights ``w`` (None: each row
-    once); None leaves the node a leaf."""
-    if w is None:
-        counts = np.bincount(y, minlength=n_classes)
-    else:  # exact: the weights are integers
-        counts = np.bincount(y, w, minlength=n_classes).astype(np.int64)
+    holding ``rows`` with labels ``y`` and weights ``w``; None leaves the
+    node a leaf."""
+    counts = np.bincount(y, w, minlength=n_classes).astype(np.int64)  # exact: integer weights
     majority = int(np.argmax(counts))
     n = int(counts.sum())
     if (
@@ -150,19 +138,15 @@ def _find_split(xt, y, w, rows, n_classes, max_depth, min_leaf, rng, features_pe
     order = np.argsort(block, axis=1)
     xs = np.take_along_axis(block, order, axis=1)
     ys = y[order[:, :-1]]
-    # position i splits after sorted row i; nl counts the rows (the weight)
-    # on its left, and every sum below lies strictly between -2 n^2 and 2 n^2
+    # position i splits after sorted row i; nl is the weight on its left,
+    # and every sum below lies strictly between -2 n^2 and 2 n^2
     acc = np.min_scalar_type(-2 * n * n)
-    if w is None:
-        nl = np.arange(1, n)
-    else:
-        ws = w.astype(acc)[order[:, :-1]]
-        nl = np.cumsum(ws, axis=1, dtype=acc)
+    ws = w.astype(acc)[order[:, :-1]]
+    nl = np.cumsum(ws, axis=1, dtype=acc)
     left_sq = np.zeros(ys.shape, dtype=acc)
     cross = np.zeros(ys.shape, dtype=acc)
     for c in np.flatnonzero(counts):
-        is_c = ys == c
-        lc = np.cumsum(is_c if w is None else is_c * ws, axis=1, dtype=acc)
+        lc = np.cumsum((ys == c) * ws, axis=1, dtype=acc)
         left_sq += lc * lc
         cross += int(counts[c]) * lc
     right_sq = int(counts @ counts) - 2 * cross + left_sq

@@ -66,6 +66,23 @@ class TestSynthCommand:
     def test_single_driver_is_usage_error(self, tmp_path):
         assert main(["synth", "--drivers", "1", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--rate", "0", "--rate must be finite and positive"),
+            ("--rate", "-1", "--rate must be finite and positive"),
+            ("--rate", "nan", "--rate must be finite and positive"),
+            ("--rate", "inf", "--rate must be finite and positive"),
+            ("--hours", "0.01", "--hours must be finite and cover at least one minute"),
+            ("--hours", "nan", "--hours must be finite and cover at least one minute"),
+        ],
+    )
+    def test_bad_rate_or_duration_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out"
+        assert main(["synth", "--hours", "0.05", flag, value, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_byte_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -679,7 +696,10 @@ class TestConfigParsing:
         [
             ("knn", "k", "0", "k must be >= 1"),
             ("dtree", "min_leaf", "0", "min_leaf must be >= 1"),
+            ("dtree", "max_depth", "-3", "max_depth must be >= 1"),
             ("rforest", "n_trees", "0", "n_trees must be >= 1"),
+            ("rforest", "max_depth", "0", "max_depth must be >= 1"),
+            ("rforest", "features_per_split", "-7", "features_per_split must be >= 1"),
             ("mlp", "activation", "junk", "activation must be one of"),
         ],
     )
@@ -738,3 +758,20 @@ class TestManifest:
         path.write_text("file,driver,rate\na.csv,d,2\n")
         with pytest.raises(ConfigError, match="header"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("rate", ["0", "-2", "nan", "inf", "-inf"])
+    def test_rate_not_finite_and_positive_rejected_before_any_log_is_read(
+        self, corpus_dir, tmp_path, monkeypatch, config_path, rate
+    ):
+        reads = []
+        monkeypatch.setattr(ingest, "read_log", lambda *args: reads.append(args))
+        path = tmp_path / "m.csv"
+        log = corpus_dir / "driver01.csv"
+        path.write_text(f"path,driver_id,rate_hz\n{log},d1,{rate}\n{log.with_name('driver02.csv')},d2,2\n")
+        with pytest.raises(ConfigError, match="rate_hz must be finite and positive"):
+            read_manifest(path)
+        out = tmp_path / "out"
+        code = main(["train", "--manifest", str(path), "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        assert reads == []
+        assert not out.exists()

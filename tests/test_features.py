@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from driverid.features import (
+    FeatureBlock,
     FeatureConfig,
     Standardizer,
     apply_standardizer,
@@ -14,7 +15,7 @@ from driverid.features import (
     schema_labels,
     trimmed_histogram,
 )
-from driverid.segment import WindowBatch
+from driverid.segment import TRAIN, WindowBatch
 
 from conftest import window_batch
 from oracles import corr_oracle, histogram_oracle, mean_var_oracle
@@ -326,7 +327,7 @@ class TestStandardizer:
     def test_train_set_becomes_zero_mean_unit_variance(self):
         rng = np.random.default_rng(81)
         x = self.fit_matrix(rng)
-        std = fit_standardizer(x)
+        std = fit_standardizer([FeatureBlock(x, "d", TRAIN)])
         z = apply_standardizer(std, x)
         assert np.abs(z.mean(axis=0)).max() < 1e-9
         assert np.abs(z.var(axis=0) - 1.0).max() < 1e-6
@@ -335,19 +336,19 @@ class TestStandardizer:
         rng = np.random.default_rng(82)
         x = self.fit_matrix(rng)
         x[:, 3] = 42.0
-        std = fit_standardizer(x)
+        std = fit_standardizer([FeatureBlock(x, "d", TRAIN)])
         z = apply_standardizer(std, x)
         assert np.allclose(z[:, 3], 0.0)
 
     def test_vector_equal_to_mean_maps_to_zero(self):
         rng = np.random.default_rng(83)
         x = self.fit_matrix(rng)
-        std = fit_standardizer(x)
+        std = fit_standardizer([FeatureBlock(x, "d", TRAIN)])
         assert np.allclose(apply_standardizer(std, x.mean(axis=0)), 0.0, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(84)
-        std = fit_standardizer(self.fit_matrix(rng))
+        std = fit_standardizer([FeatureBlock(self.fit_matrix(rng), "d", TRAIN)])
         with pytest.raises(ValueError, match="dimension mismatch"):
             apply_standardizer(std, np.zeros(5))
 
@@ -364,12 +365,12 @@ class TestStandardizer:
     def test_needs_two_vectors(self):
         rng = np.random.default_rng(86)
         with pytest.raises(ValueError, match="at least 2"):
-            fit_standardizer(rng.standard_normal((1, 4)))
+            fit_standardizer([FeatureBlock(rng.standard_normal((1, 4)), "d", TRAIN)])
 
     def test_apply_never_refits(self):
         rng = np.random.default_rng(87)
         x = self.fit_matrix(rng)
-        std = fit_standardizer(x)
+        std = fit_standardizer([FeatureBlock(x, "d", TRAIN)])
         mean_before = std.mean.copy()
         apply_standardizer(std, rng.standard_normal((10, x.shape[1])) * 100)
         assert np.array_equal(std.mean, mean_before)

@@ -275,6 +275,11 @@ class TestTripInvariants:
         with pytest.raises(ValueError, match="rate"):
             self.trip_type("d", np.array([0.0]), np.zeros((1, 6)), 0.0)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="nominal_rate_hz must be finite"):
+            self.trip_type("d", np.array([0.0]), np.zeros((1, 6)), rate)
+
     def test_rejects_timestamps_and_rows_of_different_lengths(self):
         with pytest.raises(ValueError, match="expected t"):
             self.trip_type("d", np.arange(10) / 2.0, np.zeros((7, 6)), 2.0)

@@ -16,7 +16,7 @@ from driverid.models.io import FORMAT_VERSION
 from driverid.models.knn import QUERY_BLOCK
 from driverid.models.mlp import forward, init_params, loss_and_grads
 from driverid.models.registry import MODEL_KINDS, REGISTRY
-from driverid.models.tree import grow_tree, grow_weighted_tree, tree_depth, tree_from_nodes, tree_to_nodes
+from driverid.models.tree import grow_tree, tree_depth, tree_from_nodes, tree_to_nodes
 from driverid.pipeline import train_model
 from driverid.segment import InsufficientData
 from oracles import array_doc_oracle, cart_oracle, knn_oracle, mlp_fit_oracle, tree_walk_oracle
@@ -199,6 +199,10 @@ def draw_node_data(data):
     return x, y, n_classes
 
 
+def unit_weights(rows):
+    return np.ones(len(rows), dtype=np.int64)
+
+
 class TestCartOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -209,11 +213,26 @@ class TestCartOracle:
         max_depth = data.draw(st.none() | st.integers(0, 5))
         features_per_split = data.draw(st.none() | st.integers(1, d))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        tree = grow_tree(x, y, n_classes, max_depth, min_leaf,
+        tree = grow_tree(x.T, y, unit_weights(y), n_classes, max_depth, min_leaf,
                          np.random.default_rng(seed), features_per_split)
         expected = cart_oracle(x, y, n_classes, max_depth, min_leaf,
                                np.random.default_rng(seed), features_per_split)
         assert tree_to_nodes(tree) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_trained_dtree_matches_brute_force_oracle(self, data):
+        """``train_model("dtree")`` grows on the transposed rows, each row
+        counted once."""
+        x, y, n_classes = draw_node_data(data)
+        assume(len(y) >= 2)
+        classes = tuple(f"c{i}" for i in range(n_classes))
+        ds = LabeledDataset(x, np.array(classes, dtype=object)[y], classes)
+        max_depth = data.draw(st.none() | st.integers(1, 5))
+        min_leaf = data.draw(st.integers(1, 4))
+        model = train_model("dtree", ds, {"max_depth": max_depth, "min_leaf": min_leaf})
+        expected = cart_oracle(ds.features, ds.label_indices, n_classes, max_depth, min_leaf)
+        assert tree_to_nodes(model.params) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -227,13 +246,12 @@ class TestCartOracle:
         max_depth = data.draw(st.none() | st.integers(0, 5))
         features_per_split = data.draw(st.none() | st.integers(1, d))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        copy = grow_tree(x[rows], y[rows], n_classes, max_depth, min_leaf,
+        copy = grow_tree(x[rows].T, y[rows], unit_weights(rows), n_classes, max_depth, min_leaf,
                          np.random.default_rng(seed), features_per_split)
         expected = cart_oracle(x[rows], y[rows], n_classes, max_depth, min_leaf,
                                np.random.default_rng(seed), features_per_split)
-        weighted = grow_weighted_tree(np.ascontiguousarray(x.T), y, np.bincount(rows, minlength=n),
-                                      n_classes, max_depth, min_leaf,
-                                      np.random.default_rng(seed), features_per_split)
+        weighted = grow_tree(x.T, y, np.bincount(rows, minlength=n), n_classes, max_depth, min_leaf,
+                             np.random.default_rng(seed), features_per_split)
         assert tree_to_nodes(copy) == expected
         assert tree_to_nodes(weighted) == expected
 
@@ -244,7 +262,7 @@ class TestCartOracle:
         rng = np.random.default_rng(n)
         x = rng.integers(0, 400, size=(n, 2)) / 4.0
         y = (x[:, 1] > 60).astype(np.int64) + (rng.random(n) < 0.3)
-        tree = grow_tree(x, y, 3, 1, 1)
+        tree = grow_tree(x.T, y, unit_weights(y), 3, 1, 1)
         assert tree_to_nodes(tree) == cart_oracle(x, y, 3, 1, 1)
         assert tree.feature[0] == 1
 
