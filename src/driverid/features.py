@@ -6,9 +6,10 @@ Pearson correlation. With all families on and 100 bins a window yields
 6*100 + 6 + 6 + 6 + 15 = 633 values. `FeatureConfig.families` holds the
 enabled families; `subset_families` reads a subset string such as
 "mean+variance" or "all". `extract_sequence` featurizes a whole
-`WindowBatch` at once into one `FeatureBlock` of rows; every family is
-computed for all of the batch's windows at once over its sample axis,
-the histogram included (`trimmed_histograms`).
+`WindowBatch` into one `FeatureBlock` of rows. It computes the families
+over the sample axis for a chunk of windows at a time (`CHUNK_SAMPLES`
+samples), the histogram included (`trimmed_histograms`), so its
+temporaries stay the size of a chunk, not of the batch.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ FAMILIES = ("histogram", "mean", "variance", "difference", "correlation")
 PAIRS = tuple(combinations(range(6), 2))  # 15 channel pairs, lexicographic
 _PAIR_I, _PAIR_J = (np.array(side) for side in zip(*PAIRS))
 STD_FLOOR = 1e-8
+CHUNK_SAMPLES = 1 << 16  # channel samples featurized at a time (512 KB of float64)
 
 
 @dataclass(frozen=True)
@@ -107,39 +109,71 @@ def trimmed_histogram(signal, bins: int, keep: float) -> np.ndarray:
     return trimmed_histograms(x[None], bins, keep)[0]
 
 
+def trim_quantiles(s: np.ndarray, keep: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (1-keep)/2 and 1-(1-keep)/2 quantiles of each row of sorted rows `s`, as (m, 1) columns.
+
+    Equal to ``np.quantile(s, [tail, 1 - tail], axis=-1)`` bit for bit:
+    numpy's linear method reads order statistics ``floor((w-1)q)`` and the
+    one after, and interpolates from the upper one when the fraction is 0.5
+    or more.
+    """
+    w = s.shape[-1]
+    tail = (1.0 - keep) / 2.0
+    bounds = []
+    for q in (tail, 1.0 - tail):
+        pos = (w - 1) * q
+        i = int(pos)
+        j = min(i + 1, w - 1)
+        frac = pos - i
+        a, b = s[:, i : i + 1], s[:, j : j + 1]
+        diff = b - a
+        bounds.append(b - diff * (1.0 - frac) if frac >= 0.5 else a + diff * frac)
+    return bounds[0], bounds[1]
+
+
 def trimmed_histograms(x: np.ndarray, bins: int, keep: float) -> np.ndarray:
     """`trimmed_histogram` of every row of an (m, w) array, w >= 2, as (m, bins).
 
     Each row equals ``np.histogram(row[in_range], bins, range=(q_lo, q_hi))``
-    normalized, bit for bit: samples are scaled to a bin index, the index
-    `bins` (a sample on q_hi) moves down one, and the index is corrected
-    by one against the row's ``np.linspace(q_lo, q_hi, bins + 1)`` edges,
-    as `np.histogram` does for uniform bins. One `bincount` counts all
+    normalized, bit for bit. The rows are sorted once and the trim range
+    read off them (`trim_quantiles`). Samples are scaled to a bin index,
+    the index `bins` (a sample on q_hi) moves down one, and the index is
+    corrected by one against the lower edge ``index * step + q_lo`` and the
+    upper edge, as `np.histogram` does for uniform bins with the
+    ``np.linspace(q_lo, q_hi, bins + 1)`` edges. One `bincount` counts all
     rows. Like `np.histogram`, a range too narrow for `bins` distinct edges
     raises `ValueError`.
     """
     m, w = x.shape
     if not np.isfinite(x).all():
         raise ValueError(f"a {w}-sample signal has a non-finite sample, so its trimmed range is not finite")
-    tail = (1.0 - keep) / 2.0
-    lo, hi = (q[:, None] for q in np.quantile(x, [tail, 1.0 - tail], axis=-1))
+    s = np.sort(x, axis=-1)  # occupancy does not depend on sample order
+    lo, hi = trim_quantiles(s, keep)
     constant = lo == hi
     delta = np.where(constant, 1.0, hi - lo)  # constant rows are set below
     step = delta / bins
 
-    k = np.arange(bins + 1.0)
-    edges = np.where(step == 0, k / bins * delta, k * step) + lo  # np.linspace's arithmetic, row by row
+    edges = np.arange(bins + 1.0) * step + lo
     edges[:, -1:] = hi
     if (edges[:, :-1] >= edges[:, 1:])[~constant[:, 0]].any():
         raise ValueError(
             f"the trimmed range of a {w}-sample signal is too narrow for {bins} finite-sized bins"
         )
-    z = np.clip(x, lo, hi)
-    index = (((z - lo) / delta) * bins).astype(np.intp)
-    index[index == bins] -= 1
-    index[z < np.take_along_axis(edges, index, axis=1)] -= 1
-    index[(z >= np.take_along_axis(edges, index + 1, axis=1)) & (index != bins - 1)] += 1
-    index[z != x] = bins  # samples outside the trimmed range go to a spare bin, dropped below
+    # A nonconstant row whose step underflows to 0 fails that check, so on every row
+    # that passes, index * step + lo is its edge at index (< bins).
+    z = np.clip(s, lo, hi)
+    scaled = z - lo
+    scaled /= delta
+    scaled *= bins
+    index = scaled.astype(np.intp)
+    index -= index == bins
+    edge = np.multiply(index, step, out=scaled)
+    edge += lo
+    index -= z < edge
+    np.multiply(index + 1, step, out=edge)
+    edge += lo
+    index += (z >= edge) & (index != bins - 1)
+    index = np.where(z != s, bins, index)  # samples outside the trimmed range go to a spare bin, dropped below
     index += np.arange(m)[:, None] * (bins + 1)
     counts = np.bincount(index.ravel(), minlength=m * (bins + 1)).reshape(m, bins + 1)[:, :bins]
     total = counts.sum(axis=1, keepdims=True)
@@ -160,28 +194,37 @@ def extract_sequence(batch: WindowBatch, cfg: FeatureConfig) -> FeatureBlock:
     Callers pass the batch of one partition of one trip, so the difference
     family never reaches across partitions or trips. Reductions run over the
     contiguous sample axis, so each row equals featurizing its window alone.
+    The windows are featurized `CHUNK_SAMPLES` channel samples at a time;
+    the difference family is taken from the whole batch's means first, so
+    it crosses chunk boundaries unchanged.
     """
     x = batch.channels
-    n = len(batch)
+    n, _, w = x.shape
     mean = x.mean(axis=-1)
-    parts = []
-    for family in cfg.families:
-        if family == "histogram":
-            rows = x.reshape(n * 6, x.shape[-1])
-            hist = trimmed_histograms(rows, cfg.histogram_bins, cfg.trim_keep_fraction)
-            parts.append(hist.reshape(n, 6 * cfg.histogram_bins))
-        elif family == "mean":
-            parts.append(mean)
-        elif family == "variance":
-            parts.append(x.var(axis=-1))  # population variance (divide by N)
-        elif family == "difference":  # level minus the previous window's mean; row 0 is 0
-            level = x.sum(axis=-1) if cfg.difference_uses_sum else mean
-            difference = np.zeros_like(mean)
-            difference[1:] = level[1:] - mean[:-1]
-            parts.append(difference)
-        elif family == "correlation":
-            parts.append(_correlation(x, mean))
-    return FeatureBlock(np.concatenate(parts, axis=1), batch.driver_id, batch.partition)
+    if "difference" in cfg.families:  # level minus the previous window's mean; row 0 is 0
+        level = x.sum(axis=-1) if cfg.difference_uses_sum else mean
+        difference = np.zeros_like(mean)
+        difference[1:] = level[1:] - mean[:-1]
+    out = np.empty((n, cfg.dimension()))
+    chunk = max(1, CHUNK_SAMPLES // (6 * w))
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        xc, mc = x[rows], mean[rows]
+        parts = []
+        for family in cfg.families:
+            if family == "histogram":
+                hist = trimmed_histograms(xc.reshape(-1, w), cfg.histogram_bins, cfg.trim_keep_fraction)
+                parts.append(hist.reshape(len(xc), 6 * cfg.histogram_bins))
+            elif family == "mean":
+                parts.append(mc)
+            elif family == "variance":
+                parts.append(xc.var(axis=-1))  # population variance (divide by N)
+            elif family == "difference":
+                parts.append(difference[rows])
+            elif family == "correlation":
+                parts.append(_correlation(xc, mc))
+        np.concatenate(parts, axis=1, out=out[rows])
+    return FeatureBlock(out, batch.driver_id, batch.partition)
 
 
 def _correlation(x: np.ndarray, mean: np.ndarray) -> np.ndarray:

@@ -31,8 +31,9 @@ class CleaningConfig:
         if self.denoise_window < 1 or self.denoise_window % 2 == 0:
             raise ValueError("denoise_window must be a positive odd integer")
         for name in ("stop_threshold", "min_stop_seconds", "max_gap_fill"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.stop_aggregate not in ("magnitude", "sum"):
             raise ValueError("stop_aggregate must be 'magnitude' or 'sum'")
 

@@ -38,8 +38,8 @@ class SegmentationConfig:
     train_fraction: float = 0.7
 
     def __post_init__(self):
-        if self.window_minutes <= 0:
-            raise ValueError("window_minutes must be positive")
+        if not (np.isfinite(self.window_minutes) and self.window_minutes > 0):
+            raise ValueError("window_minutes must be finite and positive")
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise ValueError("overlap_fraction must be in [0, 1)")
         if not 0.0 < self.train_fraction < 1.0:

@@ -722,6 +722,37 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
         assert f"[model.{kind}] {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("train", "segmentation", "window_minutes", "nan"),
+            ("train", "segmentation", "window_minutes", "inf"),
+            ("train", "cleaning", "stop_threshold", "nan"),
+            ("train", "cleaning", "max_gap_fill", "nan"),
+            ("train", "cleaning", "min_stop_seconds", "inf"),
+            ("grid", "grid", "window_minutes", "5, nan"),
+        ],
+    )
+    @pytest.mark.usefixtures("one_worker")
+    def test_non_finite_value_fails_before_any_log_is_read(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, command, section, key, value
+    ):
+        reads = []
+        monkeypatch.setattr(ingest, "read_log", lambda *args: reads.append(args))
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        message = f"{key} must be finite and positive"
+        with pytest.raises(ConfigError, match=message):
+            read_run_config(path)
+        code = main(
+            [command, "--manifest", str(corpus_dir / "manifest.csv"),
+             "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert reads == []
+        assert not (tmp_path / "out").exists()
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["[DEFAULT]\nsede = 3\n", "[DEFAULT]\nseed = 3\n[run]\nmodel = knn\n"])
     def test_default_section_keys_rejected(self, tmp_path, text):
         path = tmp_path / "bad.ini"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from driverid.features import (
+    CHUNK_SAMPLES,
     FeatureBlock,
     FeatureConfig,
     Standardizer,
@@ -13,6 +16,7 @@ from driverid.features import (
     feature_schema,
     fit_standardizer,
     schema_labels,
+    trim_quantiles,
     trimmed_histogram,
 )
 from driverid.segment import TRAIN, WindowBatch
@@ -118,6 +122,38 @@ class TestTrimmedHistogram:
         for i in range(n):
             for c in range(6):
                 assert rows[i, c].tolist() == histogram_oracle(channels[i, c], bins, keep)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_trim_quantiles_equal_np_quantile_bit_for_bit(self, data):
+        m, w = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 700))
+        keep = data.draw(st.sampled_from([0.01, 0.5, 0.9, 0.95, 1.0]) | st.floats(0.0, 1.0, exclude_min=True))
+        values = data.draw(st.sampled_from(["quarter grid", "floats", "magnitudes"]))
+        if values == "quarter grid":  # order statistics tie
+            x = data.draw(arrays(np.int8, (m, w), elements=st.integers(-8, 8))) / 4
+        elif values == "floats":
+            x = data.draw(arrays(np.float64, (m, w), elements=st.floats(-1e6, 1e6)))
+        else:  # neighbours of unlike magnitude, so their difference rounds
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            x = rng.standard_normal((m, w)) * 10.0 ** rng.uniform(-3, 6, (m, w))
+        if data.draw(st.booleans()):
+            x = x + 1e6
+        tail = (1.0 - keep) / 2.0
+        lo, hi = trim_quantiles(np.sort(x, axis=-1), keep)
+        assert lo.shape == hi.shape == (m, 1)
+        expected = np.quantile(x, [tail, 1.0 - tail], axis=-1)
+        assert np.stack([lo[:, 0], hi[:, 0]]).tobytes() == expected.tobytes()
+
+    def test_trim_quantiles_equal_np_quantile_at_every_short_width(self):
+        # every position fraction a short window gives, 0.5 included
+        rng = np.random.default_rng(17)
+        for w in range(2, 80):
+            x = rng.standard_normal((40, w)) * 10.0 ** rng.uniform(-3, 6, (40, w))
+            for keep in (0.01, 0.5, 0.9, 0.95, 1.0):
+                tail = (1.0 - keep) / 2.0
+                lo, hi = trim_quantiles(np.sort(x, axis=-1), keep)
+                expected = np.quantile(x, [tail, 1.0 - tail], axis=-1)
+                assert np.stack([lo[:, 0], hi[:, 0]]).tobytes() == expected.tobytes(), (w, keep)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected(self, value):
@@ -316,6 +352,45 @@ class TestExtract:
         for i, (values, err) in enumerate(alone):
             assert err is None
             assert np.array_equal(rows[i, columns], values[0, columns])  # bit for bit
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rows_across_chunk_boundaries_equal_windows_featurized_alone(self, data):
+        # long windows, so a batch of a few windows spans up to 2 chunks + 1 window
+        w = data.draw(st.integers(CHUNK_SAMPLES // 120, CHUNK_SAMPLES // 6 + 60), label="w")
+        per_chunk = max(1, CHUNK_SAMPLES // (6 * w))
+        n = data.draw(st.integers(1, 2 * per_chunk + 1), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        channels = rng.standard_normal((n, 6, w)) * rng.uniform(0.01, 20.0, size=(1, 6, 1))
+        if data.draw(st.booleans(), label="quarter grid"):
+            channels = np.round(channels * 4) / 4
+        channels[:, sorted(data.draw(st.sets(st.integers(0, 5)), label="constant"))] = 3.0
+        cfg = FeatureConfig(difference_uses_sum=data.draw(st.booleans(), label="use_sum"))
+        rows = extract_sequence(window_batch(*channels), cfg).values
+        schema = feature_schema(cfg)
+        diff = [i for i, entry in enumerate(schema) if entry[0] == "difference"]
+        others = [i for i, entry in enumerate(schema) if entry[0] != "difference"]
+        for i in range(n):
+            alone = extract_sequence(window_batch(channels[i].copy()), cfg).values[0]
+            assert np.array_equal(rows[i, others], alone[others])  # bit for bit
+        assert (rows[0, diff] == 0.0).all()
+        for i in range(1, n):
+            for c in range(6):
+                level = channels[i, c].sum() if cfg.difference_uses_sum else channels[i, c].mean()
+                previous, _ = mean_var_oracle(channels[i - 1, c].tolist())
+                assert abs(rows[i, diff[c]] - (level - previous)) <= 1e-9 * (abs(level) + abs(previous))
+
+    def test_featurizing_allocates_less_than_the_batch(self):
+        rng = np.random.default_rng(9)
+        batch = window_batch(*rng.standard_normal((300, 6, 600)))
+        tracemalloc.start()
+        try:
+            extract_sequence(batch, FeatureConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < batch.channels.nbytes  # no temporary the size of the batch
 
 
 class TestStandardizer:
