@@ -268,22 +268,34 @@ class Standardizer:
 def fit_standardizer(blocks) -> Standardizer:
     """Fit per-dimension mean/std on the rows of feature blocks.
 
-    Rejects any block tagged as test data.
+    Rejects any block tagged as test data. The std is ``np.std``'s own
+    sequence of steps (mean, subtract, square, sum, divide, square root),
+    done in place on the stacked copy of the rows, so the fit needs no
+    temporary the size of the rows and gives ``np.std``'s bits.
     """
     blocks = list(blocks)
     if any(block.partition == TEST for block in blocks):
         raise ValueError("standardizer must be fitted on train vectors only")
-    matrix = np.vstack([block.values for block in blocks])
+    matrix = np.vstack([block.values for block in blocks], dtype=np.float64)
     if matrix.shape[0] < 2:
         raise InsufficientData("need at least 2 training vectors to fit a standardizer")
     mean = matrix.mean(axis=0)
-    std = np.maximum(matrix.std(axis=0), STD_FLOOR)
+    np.subtract(matrix, mean, out=matrix)  # the deviations, then their squares
+    np.multiply(matrix, matrix, out=matrix)
+    std = np.maximum(np.sqrt(matrix.sum(axis=0) / matrix.shape[0]), STD_FLOOR)
     return Standardizer(mean=mean, std=std)
 
 
 def apply_standardizer(std: Standardizer, vector):
-    """Z-score a vector or matrix with train statistics; never refits."""
-    x = np.asarray(vector, dtype=np.float64)
-    if x.shape[-1] != std.dimension:
-        raise ValueError(f"dimension mismatch: vector has {x.shape[-1]}, standardizer {std.dimension}")
-    return (x - std.mean) / std.std
+    """Z-score a vector or matrix with train statistics into a new array;
+    never refits, never writes to ``vector``."""
+    return standardize_in_place(std, np.array(vector, dtype=np.float64))
+
+
+def standardize_in_place(std: Standardizer, rows: np.ndarray) -> np.ndarray:
+    """Z-score the float64 ``rows`` in place and return them: subtract the
+    mean, then divide by the std, element by element."""
+    if rows.ndim == 0 or rows.shape[-1] != std.dimension:
+        raise ValueError(f"dimension mismatch: vector of shape {rows.shape}, standardizer {std.dimension}")
+    np.subtract(rows, std.mean, out=rows)
+    return np.divide(rows, std.std, out=rows)

@@ -5,12 +5,14 @@ rows into a TrainedModel, whatever the kind. Predictions always take vectors in 
 (standardized) space the model was trained in; the fitted Standardizer is
 carried on the model so persisted models can transform fresh raw features.
 
-``encode_array``/``decode_array`` are the one conversion between a numeric
-array and its JSON form in a model file.
+``array_doc``/``decode_array`` are the one conversion between a numeric
+array and its JSON form in a model file; ``encode_array`` is ``array_doc``
+with its base64 joined into one string.
 """
 from __future__ import annotations
 
 import base64
+import binascii
 import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -19,6 +21,12 @@ import numpy as np
 
 from ..features import Standardizer
 from ..segment import InsufficientData
+
+# A model file's arrays are written and read in pieces: ENCODE_PIECE_BYTES of
+# array data (a multiple of 3) become one 131,072-character base64 piece, and
+# DECODE_SLICE_CHARS characters (a multiple of 4) are decoded at a time.
+ENCODE_PIECE_BYTES = 3 * 2**15
+DECODE_SLICE_CHARS = 4 * 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,15 +86,37 @@ def check_class_list(class_list) -> None:
         raise ValueError("class_list must be sorted and distinct")
 
 
-def encode_array(a, dtype: str) -> dict:
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a float, a bool or anything else
+    raises ValueError naming ``name``, so no stored count is rounded quietly."""
+    if type(value) is not int:
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return value
+
+
+def array_doc(a, dtype: str) -> dict:
     """``{"dtype", "shape", "data"}``: the array as C-order little-endian
-    ``dtype`` ("<f8" or "<i8") bytes in base64, which keeps every bit."""
+    ``dtype`` ("<f8" or "<i8") bytes in base64, which keeps every bit.
+
+    ``data`` is an iterator of base64 pieces, each the encoding of the next
+    ``ENCODE_PIECE_BYTES`` bytes of a memoryview of the array, so a writer
+    can stream it without ever holding the whole encoding.
+    """
     arr = np.asarray(a, dtype=dtype)
-    return {
-        "dtype": dtype,
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
+    return {"dtype": dtype, "shape": list(arr.shape), "data": _base64_pieces(arr.reshape(-1).view(np.uint8))}
+
+
+def _base64_pieces(raw: np.ndarray):
+    data = memoryview(raw)
+    for start in range(0, len(data), ENCODE_PIECE_BYTES):
+        yield base64.b64encode(data[start : start + ENCODE_PIECE_BYTES]).decode("ascii")
+
+
+def encode_array(a, dtype: str) -> dict:
+    """``array_doc`` with its base64 pieces joined into one string."""
+    doc = array_doc(a, dtype)
+    doc["data"] = "".join(doc["data"])
+    return doc
 
 
 def decode_array(doc, name: str, dtype: str) -> np.ndarray:
@@ -94,7 +124,10 @@ def decode_array(doc, name: str, dtype: str) -> np.ndarray:
 
     Raises ValueError naming ``name`` when the object is not an array of
     ``dtype``, its base64 is bad, its byte count does not match its shape
-    or a "<f8" value is NaN or infinite.
+    or a "<f8" value is NaN or infinite. The base64 is decoded
+    ``DECODE_SLICE_CHARS`` characters at a time straight into the array,
+    and accepted and rejected exactly as ``base64.b64decode(data,
+    validate=True)`` would on the whole string, with its error message.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{name}: expected an array object, got {type(doc).__name__}")
@@ -103,17 +136,58 @@ def decode_array(doc, name: str, dtype: str) -> np.ndarray:
     shape = doc["shape"]
     if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
         raise ValueError(f"{name}: shape {shape!r} is not a list of sizes")
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    data = doc["data"]
     try:
-        raw = base64.b64decode(doc["data"], validate=True)
+        raw = _decode_slices(data, size) if isinstance(data, str) and data.isascii() else None
+        if raw is None:  # the whole-string decoder rules, and words the error
+            raw = base64.b64decode(data, validate=True)
     except (ValueError, TypeError) as err:  # binascii.Error is a ValueError
         raise ValueError(f"{name}: bad base64 data ({err})") from None
-    itemsize = np.dtype(dtype).itemsize
-    if len(raw) != math.prod(shape) * itemsize:
+    if len(raw) != size:
         raise ValueError(f"{name}: {len(raw)} bytes of data for shape {shape}")
-    arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.dtype(dtype).newbyteorder("="))
+    if isinstance(raw, bytes):
+        raw = np.frombuffer(raw, dtype=np.uint8).copy()
+    arr = raw.view(dtype).reshape(shape).astype(np.dtype(dtype).newbyteorder("="), copy=False)
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise ValueError(f"{name}: non-finite value")
     return arr
+
+
+def _decode_slices(data: str, size: int) -> np.ndarray | None:
+    """The ``size`` bytes that the ASCII base64 ``data`` holds, as a fresh
+    uint8 array, or None unless ``data`` is valid base64 of exactly
+    ``size`` bytes.
+
+    Every slice but the last must decode to its full three bytes per four
+    characters, which only a slice of alphabet characters does; padding,
+    whitespace or any other character there gives fewer. The last slice
+    goes through ``base64.b64decode(validate=True)`` itself. Base64 decodes
+    each group of four characters on its own, so the whole string is valid
+    exactly when both hold.
+    """
+    cut = max(len(data) - 1, 0) // DECODE_SLICE_CHARS * DECODE_SLICE_CHARS
+    try:
+        tail = base64.b64decode(data[cut:], validate=True)
+    except ValueError:
+        return None
+    head = cut // 4 * 3
+    if head + len(tail) != size:
+        return None
+    out = np.empty(size, dtype=np.uint8)
+    view = memoryview(out)
+    step = DECODE_SLICE_CHARS // 4 * 3
+    for start in range(0, cut, DECODE_SLICE_CHARS):
+        try:
+            piece = binascii.a2b_base64(data[start : start + DECODE_SLICE_CHARS])
+        except ValueError:
+            return None
+        if len(piece) != step:
+            return None
+        at = start // 4 * 3
+        view[at : at + step] = piece
+    view[head:] = tail
+    return out
 
 
 def check_training_data(data: LabeledDataset) -> None:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import LabeledDataset, TrainedModel
+from .base import LabeledDataset, TrainedModel, json_int
 from .tree import Tree, grow_tree, predict_tree, tree_from_nodes, tree_to_nodes
 
 defaults = {"n_trees": 25, "max_depth": None, "features_per_split": None}
@@ -94,13 +94,13 @@ def to_doc(p: ForestParams) -> dict:
 
 
 def from_doc(doc: dict, n_features: int, n_classes: int) -> ForestParams:
-    n_trees = int(doc["n_trees"])
+    n_trees = json_int(doc["n_trees"], "n_trees")
     if n_trees != len(doc["trees"]):
         raise ValueError(f"forest says n_trees={n_trees} but holds {len(doc['trees'])} trees")
     return ForestParams(
         trees=[tree_from_nodes(nodes, n_features, n_classes) for nodes in doc["trees"]],
         n_trees=n_trees,
         max_depth=doc["max_depth"],
-        features_per_split=int(doc["features_per_split"]),
-        seed=int(doc["seed"]),
+        features_per_split=json_int(doc["features_per_split"], "features_per_split"),
+        seed=json_int(doc["seed"], "seed"),
     )

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..parallel import ordered_map
 from ..segment import InsufficientData
-from .base import LabeledDataset, TrainedModel, decode_array, encode_array
+from .base import LabeledDataset, TrainedModel, array_doc, decode_array, json_int
 
 QUERY_BLOCK = 64  # queries screened per matrix product: a 64 x 3,000-row block is 1.5 MB
 defaults = {"k": 5}
@@ -103,8 +103,8 @@ def _predict_block(p: KnnParams, n_classes: int, x_norms, margin: float, matrix,
 def to_doc(p: KnnParams) -> dict:
     return {
         "k": p.k,
-        "train_x": encode_array(p.train_x, "<f8"),
-        "train_y": encode_array(p.train_y, "<i8"),
+        "train_x": array_doc(p.train_x, "<f8"),
+        "train_y": array_doc(p.train_y, "<i8"),
     }
 
 
@@ -119,7 +119,7 @@ def from_doc(doc: dict, n_features: int, n_classes: int) -> KnnParams:
     n_rows = train_x.shape[0]
     if train_y.shape != (n_rows,) or not ((0 <= train_y) & (train_y < n_classes)).all():
         raise ValueError(f"train_y must hold one class index in [0, {n_classes}) per stored row")
-    k = int(doc["k"])
+    k = json_int(doc["k"], "k")
     check({"k": k})
     if k > n_rows:
         raise ValueError(f"k={k} exceeds {n_rows} stored rows")

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..segment import InsufficientData
-from .base import LabeledDataset, TrainedModel, decode_array, encode_array
+from .base import LabeledDataset, TrainedModel, array_doc, decode_array, json_int
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -187,8 +187,8 @@ def predict(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:
 def to_doc(p: MlpParams) -> dict:
     return {
         "activation": p.activation,
-        "weights": [encode_array(w, "<f8") for w in p.weights],
-        "biases": [encode_array(b, "<f8") for b in p.biases],
+        "weights": [array_doc(w, "<f8") for w in p.weights],
+        "biases": [array_doc(b, "<f8") for b in p.biases],
         "epochs_run": p.epochs_run,
         "config": asdict(p.config) if p.config is not None else None,
     }
@@ -220,7 +220,7 @@ def from_doc(doc: dict, n_features: int, n_classes: int) -> MlpParams:
         biases=biases,
         activation=doc["activation"],
         config=cfg,
-        epochs_run=int(doc.get("epochs_run", 0)),
+        epochs_run=json_int(doc.get("epochs_run", 0), "epochs_run"),
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import LabeledDataset, TrainedModel
+from .base import LabeledDataset, TrainedModel, json_int
 
 defaults = {"max_depth": None, "min_leaf": 1}
 seeded = False
@@ -191,22 +191,25 @@ def tree_to_nodes(tree: Tree) -> list[dict]:
 
 
 def tree_from_nodes(nodes: list[dict], n_features: int, n_classes: int) -> Tree:
-    """Inverse of tree_to_nodes. Rejects indices out of range, children
-    that do not follow their parent, which rules out cycles, a node other
-    than the root that is not exactly one split's child, and thresholds
-    that are NaN or infinite (JSON readers accept ``NaN`` and ``Infinity``)."""
+    """Inverse of tree_to_nodes. Rejects a class, feature or child index
+    that is not a JSON integer or is out of range, children that do not
+    follow their parent, which rules out cycles, a node other than the root
+    that is not exactly one split's child, and thresholds that are NaN or
+    infinite (JSON readers accept ``NaN`` and ``Infinity``)."""
     if not nodes:
         raise ValueError("empty tree serialization")
     rows = []
     parents = [0] * len(nodes)
     for i, spec in enumerate(nodes):
         if "leaf" in spec:
-            cls = int(spec["leaf"])
+            cls = json_int(spec["leaf"], f"tree node {i}: leaf")
             if not 0 <= cls < n_classes:
                 raise ValueError(f"tree node {i}: leaf class {cls} outside [0, {n_classes})")
             rows.append((-1, 0.0, -1, -1, cls))
             continue
-        dim, lo, hi = int(spec["feature"]), int(spec["left"]), int(spec["right"])
+        dim = json_int(spec["feature"], f"tree node {i}: feature")
+        lo = json_int(spec["left"], f"tree node {i}: left")
+        hi = json_int(spec["right"], f"tree node {i}: right")
         if not 0 <= dim < n_features:
             raise ValueError(f"tree node {i}: feature {dim} outside [0, {n_features})")
         if lo == hi or not (i < lo < len(nodes) and i < hi < len(nodes)):

@@ -22,11 +22,11 @@ from .features import (
     FeatureBlock,
     FeatureConfig,
     Standardizer,
-    apply_standardizer,
     extract_sequence,
     feature_schema,
     fit_standardizer,
     schema_labels,
+    standardize_in_place,
 )
 from .models import LabeledDataset, TrainedModel
 from .models.base import check_training_data
@@ -49,16 +49,16 @@ class DatasetBundle:
 def build_datasets(
     trips: Sequence[CleanTrip], seg_cfg: SegmentationConfig, feat_cfg: FeatureConfig
 ) -> DatasetBundle:
-    """Window and featurize every trip, then standardize on train statistics."""
+    """Window and featurize every trip, then standardize on train statistics.
+
+    Each partition's blocks are stacked once and dropped, so the rows are
+    held at most twice: the blocks, and the one partition being stacked.
+    """
     blocks = list(ordered_map(partial(_trip_blocks, trips, seg_cfg, feat_cfg), range(len(trips))))
     train_blocks = [train for train, _ in blocks]
     test_blocks = [test for _, test in blocks]
-    counts: dict = {}
-    for train_block, test_block in blocks:
-        entry = counts.setdefault(train_block.driver_id, {"train": 0, "test": 0})
-        entry["train"] += len(train_block)
-        entry["test"] += len(test_block)
-
+    del blocks
+    counts = _window_counts(train_blocks, test_blocks)
     if not any(map(len, train_blocks)):
         raise InsufficientData("no training windows were produced")
     for driver, entry in counts.items():
@@ -70,8 +70,19 @@ def build_datasets(
     class_list = tuple(sorted({b.driver_id for b in train_blocks if len(b)}))
     schema = schema_labels(feature_schema(feat_cfg))
     train = _standardized_dataset(train_blocks, standardizer, class_list, schema)
+    del train_blocks
     test = _standardized_dataset(test_blocks, standardizer, class_list, schema)
     return DatasetBundle(train=train, test=test, standardizer=standardizer, window_counts=counts)
+
+
+def _window_counts(train_blocks, test_blocks) -> dict:
+    """Driver -> {"train", "test"} window counts."""
+    counts: dict = {}
+    for train, test in zip(train_blocks, test_blocks):
+        entry = counts.setdefault(train.driver_id, {"train": 0, "test": 0})
+        entry["train"] += len(train)
+        entry["test"] += len(test)
+    return counts
 
 
 def build_test_dataset(
@@ -129,9 +140,12 @@ def train_model(
 def _standardized_dataset(
     blocks: Sequence[FeatureBlock], standardizer: Standardizer, class_list, schema
 ) -> LabeledDataset:
-    """Stack feature blocks into z-scored rows labelled with each block's driver."""
+    """Stack feature blocks into z-scored rows labelled with each block's driver.
+
+    The stacked matrix is fresh, so it is z-scored in place.
+    """
     return LabeledDataset(
-        features=apply_standardizer(standardizer, np.vstack([b.values for b in blocks])),
+        features=standardize_in_place(standardizer, np.vstack([b.values for b in blocks], dtype=np.float64)),
         labels=np.concatenate([np.full(len(b), b.driver_id, dtype=object) for b in blocks]),
         class_list=class_list,
         schema_labels=schema,

@@ -229,6 +229,14 @@ def _class_duplicated(doc):
     doc["class_list"][1] = doc["class_list"][0]
 
 
+def _version_as_float(doc):
+    doc["format_version"] = float(doc["format_version"])
+
+
+def _fractional_feature_count(doc):
+    doc["n_features"] += 0.9
+
+
 @pytest.fixture(scope="module")
 def trained_model_json(corpus_dir, tmp_path_factory):
     model_dir = tmp_path_factory.mktemp("model")
@@ -250,6 +258,8 @@ class TestRejectedModelFile:
             (_one_feature_more, "schema mismatch"),
             (_classes_reversed, "class_list must be sorted and distinct"),
             (_class_duplicated, "class_list must be sorted and distinct"),
+            (_version_as_float, "format_version: expected an integer, got 2.0"),
+            (_fractional_feature_count, r"n_features: expected an integer, got \d+\.9"),
             ("[]", "not a JSON object"),   # the whole file
         ],
     )

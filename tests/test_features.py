@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from driverid.features import (
     CHUNK_SAMPLES,
+    STD_FLOOR,
     FeatureBlock,
     FeatureConfig,
     Standardizer,
@@ -16,10 +17,13 @@ from driverid.features import (
     feature_schema,
     fit_standardizer,
     schema_labels,
+    standardize_in_place,
     trim_quantiles,
     trimmed_histogram,
 )
-from driverid.segment import TRAIN, WindowBatch
+from driverid.models import LabeledDataset, load_model, save_model
+from driverid.pipeline import build_datasets, train_model
+from driverid.segment import TRAIN, SegmentationConfig, WindowBatch
 
 from conftest import window_batch
 from oracles import corr_oracle, histogram_oracle, mean_var_oracle
@@ -384,13 +388,46 @@ class TestExtract:
     def test_featurizing_allocates_less_than_the_batch(self):
         rng = np.random.default_rng(9)
         batch = window_batch(*rng.standard_normal((300, 6, 600)))
-        tracemalloc.start()
-        try:
-            extract_sequence(batch, FeatureConfig())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: extract_sequence(batch, FeatureConfig()))
         assert peak < batch.channels.nbytes  # no temporary the size of the batch
+
+
+def traced_peak(fn):
+    """(fn(), the most bytes tracemalloc saw allocated at once while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestPeakMemory:
+    @pytest.fixture(scope="class")
+    def knn_model(self):
+        rng = np.random.default_rng(10)
+        labels = np.array([f"d{i % 5}" for i in range(2000)], dtype=object)
+        data = LabeledDataset(rng.standard_normal((2000, 633)), labels, tuple(sorted(set(labels))))
+        return train_model("knn", data, {"k": 5})
+
+    def test_saving_a_knn_model_holds_no_copy_of_its_rows(self, knn_model, tmp_path):
+        _, peak = traced_peak(lambda: save_model(knn_model, tmp_path / "model.json"))
+        assert peak < knn_model.params.train_x.nbytes / 8
+
+    def test_loading_a_knn_model_holds_about_one_copy_of_the_file(self, knn_model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(knn_model, path)
+        loaded, peak = traced_peak(lambda: load_model(path))
+        assert np.array_equal(loaded.params.train_x, knn_model.params.train_x)
+        assert peak < 2.2 * path.stat().st_size  # the text and its parsed strings
+
+    def test_build_datasets_holds_blocks_and_one_stacked_partition(self, easy_corpus, one_worker):
+        # dense windows (4,371 of them), so the rows outweigh any one trip's windows
+        seg = SegmentationConfig(window_minutes=5, overlap_fraction=0.9, train_fraction=0.7)
+        bundle, peak = traced_peak(lambda: build_datasets(easy_corpus, seg, FeatureConfig()))
+        train, test = bundle.train.features.nbytes, bundle.test.features.nbytes
+        assert peak < (train + test) + 1.2 * train  # the blocks, then the train rows stacked
 
 
 class TestStandardizer:
@@ -424,8 +461,9 @@ class TestStandardizer:
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(84)
         std = fit_standardizer([FeatureBlock(self.fit_matrix(rng), "d", TRAIN)])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            apply_standardizer(std, np.zeros(5))
+        for vector in (np.zeros(5), 3.0):  # a scalar has no dimension at all
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                apply_standardizer(std, vector)
 
     def test_refuses_test_partition_vectors(self):
         rng = np.random.default_rng(85)
@@ -449,6 +487,34 @@ class TestStandardizer:
         mean_before = std.mean.copy()
         apply_standardizer(std, rng.standard_normal((10, x.shape[1])) * 100)
         assert np.array_equal(std.mean, mean_before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fit_gives_numpy_mean_and_std_bit_for_bit(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sizes = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=4).filter(lambda s: sum(s) >= 2))
+        dim = data.draw(st.integers(1, 8), label="dim")
+        scale = 10.0 ** rng.uniform(-8, 8, size=dim)
+        x = rng.standard_normal((sum(sizes), dim)) * scale + rng.uniform(-1e6, 1e6, size=dim)
+        if data.draw(st.booleans(), label="constant column"):
+            x[:, 0] = 42.0
+        edges = np.cumsum([0, *sizes])
+        std = fit_standardizer([FeatureBlock(x[a:b], "d", TRAIN) for a, b in zip(edges, edges[1:])])
+        assert np.array_equal(std.mean.view(np.uint64), x.mean(axis=0).view(np.uint64))
+        expected = np.maximum(x.std(axis=0), STD_FLOOR)
+        assert np.array_equal(std.std.view(np.uint64), expected.view(np.uint64))
+
+    def test_apply_and_in_place_give_the_same_bits(self):
+        rng = np.random.default_rng(88)
+        x = self.fit_matrix(rng, n=50)
+        std = fit_standardizer([FeatureBlock(x, "d", TRAIN)])
+        before = x.copy()
+        z = apply_standardizer(std, x)
+        assert np.array_equal(x, before)  # apply never writes to its input
+        expected = (before - std.mean) / std.std
+        assert np.array_equal(z.view(np.uint64), expected.view(np.uint64))
+        assert standardize_in_place(std, x) is x
+        assert np.array_equal(x.view(np.uint64), expected.view(np.uint64))
 
     def test_rejects_nonpositive_std(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,30 @@
+import base64
+import gc
 import hashlib
 import io
 import json
+import math
+import tempfile
+import weakref
+from collections.abc import Iterator
 from dataclasses import fields
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from driverid.features import Standardizer
 from driverid.models import LabeledDataset, MlpConfig, TrainedModel, load_model, predict, save_model
-from driverid.models.base import decode_array, encode_array
+from driverid.models import base as model_base
+from driverid.models import io as model_io
+from driverid.models.base import DECODE_SLICE_CHARS, ENCODE_PIECE_BYTES, array_doc, decode_array, encode_array
 from driverid.models.io import FORMAT_VERSION
-from driverid.models.knn import QUERY_BLOCK
-from driverid.models.mlp import forward, init_params, loss_and_grads
+from driverid.models.knn import QUERY_BLOCK, KnnParams
+from driverid.models.mlp import MlpParams, forward, init_params, loss_and_grads
 from driverid.models.registry import MODEL_KINDS, REGISTRY
 from driverid.models.tree import grow_tree, tree_depth, tree_from_nodes, tree_to_nodes
 from driverid.pipeline import train_model
@@ -775,6 +785,19 @@ class TestSaveLoad:
             ("dtree", {("params", "nodes", 0, "threshold"): float("-inf")},
              "tree node 0: threshold -inf is not finite"),
             ("rforest", {("params", "n_trees"): 6}, "n_trees=6 but holds 5 trees"),
+            # counts and indices must be JSON integers, not floats or booleans
+            ("knn", {("format_version",): 2.0}, "format_version: expected an integer, got 2.0"),
+            ("knn", {("n_features",): 5.0}, "n_features: expected an integer, got 5.0"),
+            ("knn", {("params", "k"): 2.7}, "k: expected an integer, got 2.7"),
+            ("knn", {("params", "k"): True}, "k: expected an integer, got True"),
+            ("rforest", {("params", "n_trees"): 5.0}, "n_trees: expected an integer, got 5.0"),
+            ("rforest", {("params", "features_per_split"): 3.0}, "features_per_split: expected an integer"),
+            ("rforest", {("params", "seed"): 2.0}, "seed: expected an integer, got 2.0"),
+            ("rforest", {("params", "trees", 0, 0, "left"): 1.0}, "tree node 0: left: expected an integer"),
+            ("dtree", {("params", "nodes", 0, "feature"): 0.0}, "tree node 0: feature: expected an integer"),
+            ("dtree", {("params", "nodes", 0, "right"): True}, "tree node 0: right: expected an integer"),
+            ("dtree", {("params", "nodes", -1, "leaf"): 0.0}, r"tree node \d+: leaf: expected an integer"),
+            ("mlp", {("params", "epochs_run"): 15.0}, "epochs_run: expected an integer, got 15.0"),
         ],
     )
     def test_bad_stored_values_rejected(self, kind, edits, message, tmp_path):
@@ -840,6 +863,227 @@ class TestArrayDoc:
             assert back.dtype == dtype and back.shape == arr.shape
             assert back.flags.c_contiguous and back.flags.writeable
             assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
+
+
+    @pytest.mark.parametrize("pieces", [1, 2])
+    @pytest.mark.parametrize("delta", range(-3, 4))
+    def test_pieces_straddling_the_piece_size_join_to_one_encoding(self, pieces, delta):
+        raw = np.random.default_rng(pieces).integers(0, 256, pieces * ENCODE_PIECE_BYTES + delta, dtype=np.uint8)
+        parts = list(array_doc(raw, "|u1")["data"])
+        assert len(parts) == pieces + (delta > 0)
+        assert "".join(parts) == base64.b64encode(raw.tobytes()).decode("ascii")
+        assert encode_array(raw, "|u1")["data"] == "".join(parts)
+
+
+def materialized(value):
+    """A model document with each streamed base64 string joined, as json.dumps takes it."""
+    if isinstance(value, dict):
+        return {key: materialized(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [materialized(item) for item in value]
+    if isinstance(value, Iterator):
+        return "".join(value)
+    return value
+
+
+# class names and labels a writer must escape: quotes, backslashes, control
+# characters and non-ASCII text
+ODD_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\n\t\x7fé€😀\u2028'), max_size=6) | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ODD_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ODD_TEXT, inner, max_size=3),
+    max_leaves=12,
+)
+PIECE_ROWS = ENCODE_PIECE_BYTES // 8  # a 1-column "<f8" array of this many rows is one piece
+
+
+@st.composite
+def stored_arrays(draw, dtype, shape):
+    """An array of `shape`, or one drawn as the transpose of its reverse-shaped array."""
+    if draw(st.booleans(), label="transposed"):
+        return draw(arrays(dtype, shape[::-1])).T
+    return draw(arrays(dtype, shape))
+
+
+class TestStreamedSave:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_file_equals_json_dumps_of_the_materialized_document(self, data):
+        kind = data.draw(st.sampled_from(MODEL_KINDS), label="kind")
+        piece = data.draw(st.sampled_from([3, 6, 24, ENCODE_PIECE_BYTES]), label="piece bytes")
+        d = data.draw(st.integers(1, 4), label="d")
+        classes = tuple(sorted(data.draw(st.sets(ODD_TEXT, min_size=1, max_size=4), label="classes")))
+        if kind == "knn":
+            n = data.draw(st.integers(0, 4) | st.integers(PIECE_ROWS - 3, PIECE_ROWS + 3), label="rows")
+            cols = 1 if n > 4 else d
+            params = KnnParams(
+                k=data.draw(st.integers(1, 9)),
+                train_x=data.draw(stored_arrays(np.float64, (n, cols))),
+                train_y=data.draw(stored_arrays(np.int64, (n,))),
+            )
+        elif kind == "mlp":
+            layer = st.tuples(array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3), st.booleans())
+            shapes = data.draw(st.lists(layer, min_size=1, max_size=3), label="layer shapes")
+            params = MlpParams(
+                weights=[data.draw(stored_arrays(np.float64, shape)) for shape, _ in shapes],
+                biases=[data.draw(arrays(np.float64, shape[-1:])) for shape, _ in shapes],
+                activation=data.draw(st.sampled_from(["relu", "tanh"])),
+                config=data.draw(st.none() | st.just(MlpConfig(hidden_layers=(3, 2)))),
+                epochs_run=data.draw(st.integers(0, 10**6)),
+            )
+        else:
+            params = train_kind(kind, make_dataset(np.random.default_rng(d), n=30, dim=d)).params
+        model = TrainedModel(
+            kind=kind,
+            params=params,
+            class_list=classes,
+            n_features=d,
+            standardizer=data.draw(st.none() | st.builds(
+                Standardizer, arrays(np.float64, d), arrays(np.float64, d, elements=st.floats(0.5, 2.0))
+            )),
+            schema_labels=data.draw(st.none() | st.lists(ODD_TEXT, min_size=1, max_size=d).map(tuple)),
+            pipeline=data.draw(st.none() | st.dictionaries(ODD_TEXT, JSON_VALUES, max_size=4), label="pipeline"),
+        )
+        std = model.standardizer
+        expected = json.dumps(
+            {
+                "format_version": FORMAT_VERSION,
+                "kind": kind,
+                "class_list": list(classes),
+                "n_features": d,
+                "pipeline": model.pipeline,
+                "schema_labels": list(model.schema_labels) if model.schema_labels else None,
+                "standardizer": None if std is None else {
+                    "mean": encode_array(std.mean, "<f8"), "std": encode_array(std.std, "<f8"),
+                },
+                "params": materialized(REGISTRY[kind].to_doc(params)),
+            },
+            indent=1,
+        )
+        stream = io.StringIO()
+        with patch.object(model_base, "ENCODE_PIECE_BYTES", piece), tempfile.TemporaryDirectory() as tmp:
+            save_model(model, stream)
+            save_model(model, Path(tmp) / "model.json")
+            written = (Path(tmp) / "model.json").read_bytes()
+        assert stream.getvalue() == expected
+        assert written == expected.encode("ascii")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        JSON_VALUES | st.lists(st.text("AZaz09+/=", max_size=5), max_size=3).map(tuple),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ODD_TEXT, inner, max_size=3),
+        max_leaves=12,
+    ))
+    def test_writer_streams_iterators_anywhere(self, doc):
+        # a tuple of text stands for the base64 pieces of one array
+        def pieces_as(join, value):
+            if isinstance(value, dict):
+                return {key: pieces_as(join, item) for key, item in value.items()}
+            if isinstance(value, tuple):
+                return "".join(value) if join else iter(value)
+            if isinstance(value, list):
+                return [pieces_as(join, item) for item in value]
+            return value
+
+        stream = io.StringIO()
+        model_io._write_json(stream.write, pieces_as(False, doc), "\n")
+        assert stream.getvalue() == json.dumps(pieces_as(True, doc), indent=1)
+
+    def test_save_and_load_leave_no_cycle_holding_the_rows(self, tmp_path):
+        # a reference cycle would keep every training row until a full collection
+        model = train_model("knn", make_dataset(np.random.default_rng(3), n=400), {"k": 3})
+        path = tmp_path / "model.json"
+        gc.collect()
+        gc.disable()
+        try:
+            saved_rows = weakref.ref(model.params.train_x)
+            save_model(model, path)
+            del model
+            assert saved_rows() is None
+            loaded_rows = weakref.ref(load_model(path).params.train_x)
+            assert loaded_rows() is None
+        finally:
+            gc.enable()
+
+
+def b64_or_error(text):
+    try:
+        return base64.b64decode(text, validate=True), None
+    except (ValueError, TypeError) as err:
+        return None, err
+
+
+def assert_decodes_as_whole_string(text, shape):
+    """decode_array accepts `text` and `shape` exactly when whole-string
+    b64decode(validate=True) gives the shape's byte count, with its bits,
+    and otherwise raises that call's error or the byte-count error."""
+    raw, err = b64_or_error(text)
+    doc = {"dtype": "<i8", "shape": shape, "data": text}
+    if err is not None:
+        with pytest.raises(ValueError) as caught:
+            decode_array(doc, "x", "<i8")
+        assert str(caught.value) == f"x: bad base64 data ({err})"
+    elif len(raw) != 8 * math.prod(shape):
+        with pytest.raises(ValueError) as caught:
+            decode_array(doc, "x", "<i8")
+        assert str(caught.value) == f"x: {len(raw)} bytes of data for shape {shape}"
+    else:
+        arr = decode_array(doc, "x", "<i8")
+        assert arr.shape == tuple(shape) and arr.flags.c_contiguous and arr.flags.writeable
+        assert np.array_equal(arr, np.frombuffer(raw, "<i8").reshape(shape))
+
+
+class TestChunkedDecode:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_accepts_and_rejects_what_whole_string_decoding_does(self, data):
+        chars = data.draw(st.sampled_from([4, 8, 12, 16]), label="slice chars")
+        payload = data.draw(st.binary(max_size=80), label="payload")
+        text = base64.b64encode(payload).decode("ascii")
+        near_boundary = st.integers(0, 6).flatmap(lambda k: st.integers(k * chars - 2, k * chars + 2))
+        for _ in range(data.draw(st.integers(0, 3), label="edits")):
+            at = min(max(data.draw(near_boundary | st.integers(0, len(text)), label="at"), 0), len(text))
+            edit = data.draw(st.sampled_from(["insert", "replace", "delete", "cut"]), label="edit")
+            char = data.draw(st.sampled_from(list("==A/+ \n\t!-_.é\x00")), label="char")
+            if edit == "insert":
+                text = text[:at] + char + text[at:]
+            elif edit == "replace":
+                text = text[:at] + char + text[at + 1 :]
+            elif edit == "delete":
+                text = text[:at] + text[at + 1 :]
+            else:  # the length one character around a slice boundary
+                text = text[:at] if at < len(text) else text + "A" * (at - len(text) + 1)
+        raw, _ = b64_or_error(text)
+        right = [len(raw) // 8] if raw is not None and len(raw) % 8 == 0 else []
+        count = data.draw(st.sampled_from(right + [0, 1, 2, len(payload) // 8 + 1]), label="count")
+        shape = data.draw(st.sampled_from([[count], [count, 1], [1, count]]), label="shape")
+        with patch.object(model_base, "DECODE_SLICE_CHARS", chars):
+            assert_decodes_as_whole_string(text, shape)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t,
+            lambda t: t[:-1],                                      # one character short
+            lambda t: t + "A",                                     # one character long
+            lambda t: t[: DECODE_SLICE_CHARS] + "=" + t[DECODE_SLICE_CHARS + 1 :],   # padding at a boundary
+            lambda t: t[: DECODE_SLICE_CHARS - 1] + "=" + t[DECODE_SLICE_CHARS:],    # padding ending a slice
+            lambda t: t[:100] + "==" + t[102:],                   # padding inside a slice
+            lambda t: t[: DECODE_SLICE_CHARS + 5] + " " + t[DECODE_SLICE_CHARS + 6 :],  # whitespace
+            lambda t: t[:7] + "-" + t[8:],                         # a character outside the alphabet
+            lambda t: t[:7] + "é" + t[8:],                         # not ASCII
+        ],
+    )
+    @pytest.mark.parametrize("rows", [DECODE_SLICE_CHARS // 32 * 3, DECODE_SLICE_CHARS // 16 * 3 + 1])
+    def test_real_slice_size(self, edit, rows):
+        # `rows` int64 values: exactly one slice of base64, or two slices and a bit
+        text = base64.b64encode(np.arange(rows, dtype="<i8").tobytes()).decode("ascii")
+        for shape in ([rows], [rows + 1]):
+            assert_decodes_as_whole_string(edit(text), shape)
+
+    @pytest.mark.parametrize("data", [5, None, ["AAAA"], {"a": 1}, "AAAé", "AAAA AAAA"])
+    def test_non_text_and_non_ascii_data_worded_as_b64decode(self, data):
+        assert_decodes_as_whole_string(data, [0])
 
 
 GOLDEN_DTREE_SHA256 = "1028714fa2b4d8a4d5394741ee05cef2a85b7a716e7bec4e44018f012b014013"
