@@ -127,48 +127,72 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _log_tasks(manifest: Manifest) -> list[tuple]:
-    """The manifest's entries, after checking that every log exists and that
-    none is the output of `clean`, which would be cleaned again."""
-    for path, _, _ in manifest.entries:
+def _log_tasks(manifest: Manifest, cfg: RunConfig) -> list[tuple]:
+    """The manifest's entries, each with its sidecar if it is a cleaned trip
+    (None for a raw log), after checking that every log exists and that
+    every cleaned trip fits this run.
+
+    An entry NAME.clean.SUFFIX is a cleaned trip when it is an .npz or
+    NAME.clean.json sits beside it. It must then be NAME.clean.npz, and its
+    sidecar must have this format, this run's cleaning settings and the
+    manifest's driver and rate.
+    """
+    cleaning = cfg.pipeline_record()["cleaning"]
+    tasks = []
+    for path, driver_id, rate in manifest.entries:
         path = Path(path)
         if not path.is_file():
             raise FileNotFoundError(f"manifest log not found: {path}")
-        stem = path.name.removesuffix(".clean.csv")
-        if stem != path.name and path.with_name(f"{stem}.clean.json").is_file():
-            raise ConfigError(
-                f"manifest log {path} was written by `driverid clean`; "
-                "cleaning it again changes its windows, so list the raw log instead"
-            )
-    return list(manifest.entries)
+        sidecar_path = path.with_suffix(".json")
+        sidecar = None
+        if path.stem.endswith(".clean") and (path.suffix == ".npz" or sidecar_path.is_file()):
+            if path.suffix != ".npz":
+                raise ConfigError(
+                    f"manifest log {path} was written by an older `driverid clean`; "
+                    "clean the raw logs again"
+                )
+            try:
+                sidecar = preprocess.read_sidecar(sidecar_path)
+            except ValueError as err:
+                raise ConfigError(f"{sidecar_path}: {err}") from None
+            ours = {"cleaning": cleaning, "trip": {"driver_id": driver_id, "nominal_rate_hz": rate}}
+            theirs = {"cleaning": sidecar["cleaning"], "trip": {key: sidecar.get(key) for key in ours["trip"]}}
+            _check_pipeline_record(ours, theirs, sidecar_path)
+        tasks.append((path, driver_id, rate, sidecar))
+    return tasks
 
 
-def _read_and_clean(cleaning, entry) -> preprocess.CleanTrip:
-    path, driver_id, rate = entry
-    return preprocess.clean(ingest.read_log(path, driver_id, rate), cleaning)
+def _clean_trip(cleaning, task) -> preprocess.CleanTrip:
+    """One manifest entry as a CleanTrip: a raw log read and cleaned, or a cleaned trip read back."""
+    path, driver_id, rate, sidecar = task
+    if sidecar is None:
+        return preprocess.clean(ingest.read_log(path, driver_id, rate), cleaning)
+    try:
+        return preprocess.read_clean(path, sidecar)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def _clean_all(manifest: Manifest, cfg: RunConfig) -> list[preprocess.CleanTrip]:
-    return list(ordered_map(partial(_read_and_clean, cfg.cleaning), _log_tasks(manifest)))
+    return list(ordered_map(partial(_clean_trip, cfg.cleaning), _log_tasks(manifest, cfg)))
 
 
-def _clean_to_disk(cleaning, out, entry) -> tuple:
-    """Clean one log into OUT: the log and its sidecar; returns its manifest entry."""
-    cleaned = _read_and_clean(cleaning, entry)
-    log_path = out / f"{cleaned.driver_id}.clean.csv"
-    ingest.write_log(cleaned, log_path)
-    sidecar = out / f"{cleaned.driver_id}.clean.json"
-    sidecar.write_text(json.dumps(cleaned.sidecar(), indent=1, allow_nan=False), encoding="utf-8")
-    return log_path.name, cleaned.driver_id, cleaned.nominal_rate_hz
+def _clean_to_disk(cfg: RunConfig, out: Path, task) -> tuple:
+    """Clean one manifest entry into OUT as NAME.clean.npz and its sidecar
+    NAME.clean.json; returns its manifest entry."""
+    cleaned = _clean_trip(cfg.cleaning, task)
+    arrays = out / f"{cleaned.driver_id}.clean.npz"
+    preprocess.write_clean(cleaned, arrays, arrays.with_suffix(".json"), cfg.pipeline_record()["cleaning"])
+    return arrays.name, cleaned.driver_id, cleaned.nominal_rate_hz
 
 
 def cmd_clean(args) -> int:
     cfg = _load_run_config(args)
     manifest = read_manifest(args.manifest)
     out = Path(args.out)
-    logs = _log_tasks(manifest)
+    tasks = _log_tasks(manifest, cfg)
     out.mkdir(parents=True, exist_ok=True)
-    entries = list(ordered_map(partial(_clean_to_disk, cfg.cleaning, out), logs))
+    entries = list(ordered_map(partial(_clean_to_disk, cfg, out), tasks))
     write_manifest(entries, out / "manifest.csv")
     print(f"cleaned {len(entries)} trips into {out}")
     return 0
@@ -215,7 +239,12 @@ def cmd_evaluate(args) -> int:
         model = load_model(args.model)
     except ValueError as err:  # a version, schema or syntax mismatch: the user's input
         raise ConfigError(f"{args.model}: {err}") from None
-    _check_pipeline_record(cfg, model, args.model)
+    if model.pipeline is None:
+        raise ConfigError(
+            f"{args.model} records no cleaning/segmentation/features config; "
+            "retrain it with `driverid train`"
+        )
+    _check_pipeline_record(cfg.pipeline_record(), model.pipeline, args.model)
     cleaned = _clean_all(manifest, cfg)
 
     test = build_test_dataset(cleaned, cfg.segmentation, cfg.features, model)
@@ -229,20 +258,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _check_pipeline_record(cfg: RunConfig, model, model_path) -> None:
-    """Refuse to featurize test data differently from the model's training data."""
-    if model.pipeline is None:
-        raise ConfigError(
-            f"{model_path} records no cleaning/segmentation/features config; "
-            "retrain it with `driverid train`"
-        )
-    ours, theirs = _flatten(cfg.pipeline_record()), _flatten(model.pipeline)
+def _check_pipeline_record(ours: dict, theirs: dict, source) -> None:
+    """Refuse a model file or sidecar whose record, {section: {key: value}},
+    differs from this run's in any key: test data featurized otherwise than
+    the model's training data, or a trip cleaned otherwise than this run cleans."""
+    ours, theirs = _flatten(ours), _flatten(theirs)
     for key in [*ours, *(k for k in theirs if k not in ours)]:
         if ours.get(key) != theirs.get(key):
-            raise ConfigError(
-                f"run config sets {key} = {ours.get(key)!r}, "
-                f"but {model_path} was trained with {theirs.get(key)!r}"
-            )
+            raise ConfigError(f"this run has {key} = {ours.get(key)!r}, but {source} records {theirs.get(key)!r}")
 
 
 def _flatten(record: dict) -> dict:

@@ -6,8 +6,7 @@ rows into a TrainedModel, whatever the kind. Predictions always take vectors in 
 carried on the model so persisted models can transform fresh raw features.
 
 ``array_doc``/``decode_array`` are the one conversion between a numeric
-array and its JSON form in a model file; ``encode_array`` is ``array_doc``
-with its base64 joined into one string.
+array and its JSON form in a model file.
 """
 from __future__ import annotations
 
@@ -27,6 +26,8 @@ from ..segment import InsufficientData
 # DECODE_SLICE_CHARS characters (a multiple of 4) are decoded at a time.
 ENCODE_PIECE_BYTES = 3 * 2**15
 DECODE_SLICE_CHARS = 4 * 2**15
+# LabeledDataset checks its features for finiteness about this many values at a time.
+FINITE_CHECK_VALUES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +43,8 @@ class LabeledDataset:
         labels = np.asarray(self.labels, dtype=object).view()
         if features.ndim != 2 or features.shape[0] != labels.shape[0]:
             raise ValueError("features must be (n, d) with one label per row")
-        if not np.isfinite(features).all():
+        rows = max(1, FINITE_CHECK_VALUES // max(features.shape[1], 1))  # no (n, d) bool temporary
+        if not all(np.isfinite(features[i : i + rows]).all() for i in range(0, features.shape[0], rows)):
             raise ValueError("features must be finite")
         check_class_list(self.class_list)
         lookup = {c: i for i, c in enumerate(self.class_list)}
@@ -112,15 +114,9 @@ def _base64_pieces(raw: np.ndarray):
         yield base64.b64encode(data[start : start + ENCODE_PIECE_BYTES]).decode("ascii")
 
 
-def encode_array(a, dtype: str) -> dict:
-    """``array_doc`` with its base64 pieces joined into one string."""
-    doc = array_doc(a, dtype)
-    doc["data"] = "".join(doc["data"])
-    return doc
-
-
 def decode_array(doc, name: str, dtype: str) -> np.ndarray:
-    """Inverse of encode_array, as a native-order, C-contiguous, writable array.
+    """Inverse of array_doc, once the model file holds its base64 pieces as
+    one string: a native-order, C-contiguous, writable array.
 
     Raises ValueError naming ``name`` when the object is not an array of
     ``dtype``, its base64 is bad, its byte count does not match its shape

@@ -37,7 +37,9 @@ class MlpConfig:
             raise ValueError("hidden_layers must be positive integers")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        for name in ("learning_rate", "batch_size", "max_epochs", "early_stop_patience"):
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        for name in ("batch_size", "max_epochs", "early_stop_patience"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.validation_fraction <= 0.5:

@@ -5,10 +5,18 @@ gap handling, stop removal) and each stage is a pure trip-to-trip function.
 Stop intervals are half-open [start_t, end_t) with end_t one sample period
 past the last stopped sample, so interval durations add up exactly to the
 removed data time.
+
+`write_clean` stores a CleanTrip as two files, its samples in an ``.npz``
+and its cleaning record in a JSON sidecar, and `read_clean` rebuilds the
+equal CleanTrip from them, so a trip the `driverid clean` command wrote is
+read back, not cleaned again.
 """
 from __future__ import annotations
 
+import json
+import zipfile
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -16,6 +24,7 @@ import numpy as np
 from .ingest import ACCEL_COLUMNS, Trip, continuity_breaks
 
 GRAVITY = 9.81
+CLEAN_FORMAT = 1  # the sidecar's "format": the layout of a cleaned trip's two files
 
 
 @dataclass(frozen=True)
@@ -110,6 +119,83 @@ class CleanTrip(Trip):
             "removed_gap_seconds": self.removed_gap_seconds,
             "stop_intervals": [[s.start_t, s.end_t] for s in self.stop_intervals],
         }
+
+
+def write_clean(trip: CleanTrip, arrays: Path, sidecar: Path, cleaning: dict) -> None:
+    """Write TRIP as ARRAYS, an ``.npz`` of float64 ``t`` (n,) and ``data``
+    (n, 6), and SIDECAR, a JSON object of its cleaning record plus
+    ``"format"`` and the ``cleaning`` settings that made it."""
+    np.savez(arrays, t=trip.t, data=trip.data)
+    doc = {"format": CLEAN_FORMAT, "cleaning": cleaning, **trip.sidecar()}
+    sidecar.write_text(json.dumps(doc, indent=1, allow_nan=False), encoding="utf-8")
+
+
+def read_sidecar(path: Path) -> dict:
+    """The JSON object in a cleaned trip's sidecar, once its ``"format"`` is
+    CLEAN_FORMAT and every field `read_clean` reads has its JSON type;
+    ValueError otherwise."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ValueError(f"cannot read sidecar: {err}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("sidecar is not a JSON object")
+    fmt = doc.get("format")
+    if type(fmt) is not int or fmt != CLEAN_FORMAT:
+        raise ValueError(f"sidecar format {fmt!r}, expected {CLEAN_FORMAT}; clean the raw logs again")
+    if not isinstance(doc.get("cleaning"), dict):
+        raise ValueError("sidecar has no cleaning settings")
+    if not isinstance(doc.get("driver_id"), str):
+        raise ValueError("sidecar driver_id must be a string")
+    for name in ("nominal_rate_hz", "removed_gap_seconds"):
+        if not _is_number(doc.get(name)):
+            raise ValueError(f"sidecar {name} must be a number, got {doc.get(name)!r}")
+    stops = doc.get("stop_intervals")
+    if not (isinstance(stops, list) and all(
+        isinstance(s, list) and len(s) == 2 and all(map(_is_number, s)) for s in stops
+    )):
+        raise ValueError("sidecar stop_intervals must be a list of [start_t, end_t] number pairs")
+    provenance = doc.get("provenance")
+    if not (isinstance(provenance, list) and all(isinstance(p, str) for p in provenance)):
+        raise ValueError("sidecar provenance must be a list of stage names")
+    return doc
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def read_clean(arrays: Path, sidecar: dict) -> CleanTrip:
+    """The CleanTrip that `write_clean` wrote as ARRAYS, with SIDECAR, the
+    object `read_sidecar` read from its sidecar.
+
+    Nothing in the archive is trusted: it must hold exactly the float64
+    arrays ``t`` (n,) and ``data`` (n, 6), no pickled object is loaded,
+    and the trip is rebuilt through the CleanTrip constructor, whose checks
+    all hold and which derives ``break_after`` again. Raises ValueError.
+    """
+    if not zipfile.is_zipfile(arrays):  # np.load would take the file for a .npy or a pickle
+        raise ValueError("not an .npz archive")
+    try:
+        with np.load(arrays, allow_pickle=False) as loaded:
+            names = sorted(loaded.files)
+            if names != ["data", "t"]:
+                raise ValueError(f"expected arrays ['data', 't'], got {names}")
+            t, data = loaded["t"], loaded["data"]
+    except (OSError, EOFError, zipfile.BadZipFile) as err:
+        raise ValueError(f"unreadable .npz archive: {err}") from None
+    for name, arr in (("t", t), ("data", data)):
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64):  # a member not in .npy is bytes
+            raise ValueError(f"array {name} must be float64, got {getattr(arr, 'dtype', type(arr).__name__)}")
+    return CleanTrip(
+        driver_id=sidecar["driver_id"],
+        t=t,
+        data=data,
+        nominal_rate_hz=float(sidecar["nominal_rate_hz"]),
+        removed_gap_seconds=float(sidecar["removed_gap_seconds"]),
+        stop_intervals=tuple(StopInterval(float(a), float(b)) for a, b in sidecar["stop_intervals"]),
+        provenance=tuple(sidecar["provenance"]),
+    )
 
 
 def denoise(trip: Trip, window: int) -> Trip:

@@ -1,9 +1,15 @@
+import io
 import json
 import multiprocessing
 import re
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from driverid import config, ingest
 from driverid.cli import main
@@ -11,6 +17,8 @@ from driverid.config import ConfigError, RunConfig, read_manifest, read_run_conf
 from driverid.models import MODEL_KINDS, load_model, save_model
 from driverid.models.io import FORMAT_VERSION
 from driverid.models.registry import REGISTRY
+from driverid.preprocess import CLEAN_FORMAT, CleaningConfig, clean, read_clean, read_sidecar
+from driverid.synth import generate_trip
 
 RUN_CONFIG = """
 [run]
@@ -102,8 +110,17 @@ class TestCleanCommand:
              "--config", str(config_path), "--out", str(out)]
         )
         assert code == 0
-        assert len(list(out.glob("*.clean.csv"))) == 4
-        sidecar = json.loads(next(iter(out.glob("*.clean.json"))).read_text())
+        assert sorted(p.name for p in out.iterdir()) == [
+            *(f"driver0{i}.clean.{ext}" for i in range(1, 5) for ext in ("json", "npz")), "manifest.csv"
+        ]
+        with np.load(out / "driver01.clean.npz", allow_pickle=False) as arrays:
+            assert sorted(arrays.files) == ["data", "t"]
+            n = arrays["t"].shape[0]
+            assert arrays["t"].dtype == arrays["data"].dtype == np.float64
+            assert arrays["data"].shape == (n, 6)
+        sidecar = json.loads((out / "driver01.clean.json").read_text())
+        assert sidecar["format"] == CLEAN_FORMAT
+        assert sidecar["cleaning"] == read_run_config(config_path).pipeline_record()["cleaning"]
         assert sidecar["provenance"] == ["denoise", "reorient", "fill_gaps", "remove_stops"]
         assert "stop_intervals" in sidecar
 
@@ -472,12 +489,22 @@ class TestWorkerCount:
                 ["evaluate", *common, "--model", str(out / "model" / "model.json"),
                  "--out", str(out / "eval")]
             ) == 0
-            files = sorted(out.glob("clean/*")) + [
-                out / "model" / "model.json", out / "model" / "train_report.json",
-                out / "eval" / "report.json", out / "eval" / "report.csv",
+            # the same model and reports again, from the cleaned trips read back
+            cleaned = ["--manifest", str(out / "clean" / "manifest.csv"), "--config", str(config_path)]
+            assert main(["train", *cleaned, "--out", str(out / "model_c")]) == 0
+            assert main(
+                ["evaluate", *cleaned, "--model", str(out / "model_c" / "model.json"),
+                 "--out", str(out / "eval_c")]
+            ) == 0
+            made = [
+                ("model", "model.json"), ("model", "train_report.json"),
+                ("eval", "report.json"), ("eval", "report.csv"),
             ]
+            for folder, name in made:
+                assert (out / f"{folder}_c" / name).read_bytes() == (out / folder / name).read_bytes()
+            files = sorted(out.glob("clean/*")) + [out / folder / name for folder, name in made]
             artifacts.append({f.relative_to(out): f.read_bytes() for f in files})
-        assert len(artifacts[0]) == 4 * 2 + 1 + 4  # logs, sidecars, manifest; model, reports
+        assert len(artifacts[0]) == 4 * 2 + 1 + 4  # arrays, sidecars, manifest; model, reports
         assert artifacts[0] == artifacts[1]
 
 
@@ -488,42 +515,208 @@ def cleaned_dir(corpus_dir, tmp_path_factory):
     return out
 
 
-class TestCleanedLogsRefused:
+def _rewrite_npz(name, **arrays):
+    """Damage: driver01's arrays replaced by ARRAYS, each a function of the originals."""
+    def damage(root, entries):
+        path = root / "driver01.clean.npz"
+        with np.load(path) as npz:
+            old = {key: npz[key] for key in npz.files}
+        np.savez(path, **{key: make(old) for key, make in arrays.items()})
+        return path
+    damage.__name__ = name
+    return damage
+
+
+def _edit_sidecar(name, edit, culprit="driver01.clean.json"):
+    """Damage: driver01's sidecar changed by EDIT; the message names CULPRIT."""
+    def damage(root, entries):
+        path = root / "driver01.clean.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return root / culprit
+    damage.__name__ = name
+    return damage
+
+
+def _edit_entry(name, driver_id=None, rate=None):
+    """Damage: the manifest's driver01 entry given another driver or rate."""
+    def damage(root, entries):
+        path, old_driver, old_rate = entries[0]
+        entries[0] = (path, driver_id or old_driver, rate or old_rate)
+        return root / "driver01.clean.json"
+    damage.__name__ = name
+    return damage
+
+
+def _replace_npz(name, make):
+    """Damage: driver01's archive replaced by the bytes MAKE gives for its old bytes."""
+    def damage(root, entries):
+        path = root / "driver01.clean.npz"
+        path.write_bytes(make(path.read_bytes()))
+        return path
+    damage.__name__ = name
+    return damage
+
+
+def _npy_bytes(old):
+    sink = io.BytesIO()
+    np.save(sink, np.zeros(3))
+    return sink.getvalue()
+
+
+def _old_clean_csv(root, entries):
+    """Damage: driver01 as the CSV log an older `clean` wrote, beside its sidecar."""
+    path = root / "driver01.clean.csv"
+    (root / "driver01.clean.npz").rename(path)
+    entries[0] = (path, *entries[0][1:])
+    return path
+
+
+_no_format = _edit_sidecar("no_format", lambda doc: doc.pop("format"))
+CLEANED_DAMAGE = [
+    (_rewrite_npz("missing_array", t=lambda a: a["t"]), r"expected arrays \['data', 't'\], got \['t'\]"),
+    (_rewrite_npz("extra_array", t=lambda a: a["t"], data=lambda a: a["data"], x=lambda a: a["t"]),
+     r"expected arrays \['data', 't'\], got \['data', 't', 'x'\]"),
+    (_rewrite_npz("object_array", t=lambda a: a["t"].astype(object), data=lambda a: a["data"]),
+     "Object arrays cannot be loaded"),
+    (_rewrite_npz("float32_data", t=lambda a: a["t"], data=lambda a: a["data"].astype(np.float32)),
+     "array data must be float64, got float32"),
+    (_rewrite_npz("big_endian_t", t=lambda a: a["t"].astype(">f8"), data=lambda a: a["data"]),
+     "array t must be float64, got >f8"),
+    (_rewrite_npz("five_channels", t=lambda a: a["t"], data=lambda a: a["data"][:, :5]),
+     r"expected t \(n,\) and data \(n, 6\)"),
+    (_rewrite_npz("t_as_matrix", t=lambda a: a["t"][:, None], data=lambda a: a["data"]),
+     r"expected t \(n,\) and data \(n, 6\)"),
+    (_rewrite_npz("decreasing_t", t=lambda a: a["t"][::-1].copy(), data=lambda a: a["data"]),
+     "strictly increasing"),
+    (_rewrite_npz("nan_data", t=lambda a: a["t"], data=lambda a: np.where(a["data"] > 0, np.nan, a["data"])),
+     "may not contain missing channels"),
+    (_replace_npz("truncated", lambda old: old[: len(old) // 2]), "not an .npz archive"),
+    (_replace_npz("text", lambda old: b"t,ax,ay,az,gx,gy,gz\n"), "not an .npz archive"),
+    (_replace_npz("single_npy", _npy_bytes), "not an .npz archive"),
+    (_replace_npz("bad_crc", lambda old: old[: len(old) // 2] + bytes([old[len(old) // 2] ^ 1]) + old[len(old) // 2 + 1 :]),
+     "unreadable .npz archive: Bad CRC-32"),
+    (_no_format, "sidecar format None, expected 1"),
+    (_edit_sidecar("format_2", lambda doc: doc.update(format=2)), "sidecar format 2, expected 1"),
+    (_edit_sidecar("format_true", lambda doc: doc.update(format=True)), "sidecar format True, expected 1"),
+    (_edit_sidecar("other_cleaning", lambda doc: doc["cleaning"].update(stop_threshold=0.25)),
+     r"cleaning.stop_threshold = 0.5, but \S+ records 0.25"),
+    (_edit_sidecar("no_cleaning", lambda doc: doc.pop("cleaning")), "sidecar has no cleaning settings"),
+    (_edit_sidecar("stops_not_pairs", lambda doc: doc.update(stop_intervals=[[1.0]])),
+     r"stop_intervals must be a list of \[start_t, end_t\] number pairs"),
+    (_edit_sidecar("gap_as_text", lambda doc: doc.update(removed_gap_seconds="0")),
+     "removed_gap_seconds must be a number"),
+    (_edit_sidecar("stop_holds_a_sample", lambda doc: doc.update(stop_intervals=[[0.0, 1e9]]), "driver01.clean.npz"),
+     "a recorded stop interval holds a sample"),
+    (_edit_entry("other_rate", rate=4.0), r"trip.nominal_rate_hz = 4.0, but \S+ records 2.0"),
+    (_edit_entry("other_driver", driver_id="someone"), r"trip.driver_id = 'someone', but \S+ records 'driver01'"),
+    (_old_clean_csv, "was written by an older `driverid clean`"),
+]
+
+
+class TestCleanedManifest:
+    """`clean` output listed as input: read back when it fits the run, else exit 2 naming the file."""
+
+    def damaged_manifest(self, cleaned_dir, tmp_path, damage):
+        """A copy of the cleaned corpus with DAMAGE done to it; (manifest, the file at fault)."""
+        root = tmp_path / "cleaned"
+        shutil.copytree(cleaned_dir, root)
+        entries = list(read_manifest(root / "manifest.csv").entries)
+        culprit = damage(root, entries)
+        write_manifest(entries, root / "manifest.csv")
+        return str(root / "manifest.csv"), culprit
+
+    @pytest.mark.parametrize("damage, message", CLEANED_DAMAGE, ids=[d.__name__ for d, _ in CLEANED_DAMAGE])
+    def test_damaged_trip_exits_2_naming_the_file(
+        self, cleaned_dir, config_path, tmp_path, workers, capsys, damage, message
+    ):
+        workers(2)
+        manifest, culprit = self.damaged_manifest(cleaned_dir, tmp_path, damage)
+        out = tmp_path / "out"
+        code = main(["train", "--manifest", manifest, "--config", str(config_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(culprit) in err
+        assert re.search(message, err)
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("command", ["clean", "train", "evaluate", "grid"])
-    def test_exits_2_before_any_worker_starts(
+    @pytest.mark.parametrize("damage", [_old_clean_csv, _no_format], ids=["old_csv", "no_format"])
+    def test_sidecar_refused_before_any_worker_starts(
         self, cleaned_dir, config_path, trained_model_json, tmp_path, monkeypatch, workers, capsys,
-        command,
+        command, damage,
     ):
         import driverid.cli as cli
 
         workers(2)
         maps = []
         monkeypatch.setattr(cli, "ordered_map", lambda fn, items: maps.append(fn) or iter(()))
+        manifest, culprit = self.damaged_manifest(cleaned_dir, tmp_path, damage)
         model_file = tmp_path / "model.json"
         model_file.write_text(trained_model_json)
         extra = ["--model", str(model_file)] if command == "evaluate" else []
         out = tmp_path / "out"
-        code = main(
-            [command, "--manifest", str(cleaned_dir / "manifest.csv"),
-             "--config", str(config_path), "--out", str(out), *extra]
-        )
+        code = main([command, "--manifest", manifest, "--config", str(config_path), "--out", str(out), *extra])
         assert code == 2
-        err = capsys.readouterr().err
-        log = cleaned_dir / "driver01.clean.csv"
-        assert f"error: manifest log {log} was written by `driverid clean`" in err
+        assert str(culprit) in capsys.readouterr().err
         assert maps == []
         assert not out.exists()
 
-    def test_only_a_clean_log_with_its_sidecar_is_refused(self, cleaned_dir, tmp_path):
+    def test_a_cleaned_trip_is_named_clean_with_a_sidecar(self, cleaned_dir, tmp_path):
         from driverid.cli import _log_tasks
 
-        log = tmp_path / "driver01.clean.csv"
-        log.write_bytes((cleaned_dir / "driver01.clean.csv").read_bytes())
-        manifest = config.Manifest(entries=((log, "driver01", 2.0),))
-        assert len(_log_tasks(manifest)) == 1
-        (tmp_path / "driver01.clean.json").write_text("{}")
-        with pytest.raises(ConfigError, match="written by `driverid clean`"):
-            _log_tasks(manifest)
+        for name in ("driver01.csv", "driver01.clean.csv"):
+            (tmp_path / name).write_text("t,ax,ay,az,gx,gy,gz\n")
+        shutil.copy(cleaned_dir / "driver01.clean.json", tmp_path)
+        raw = config.Manifest(entries=((tmp_path / "driver01.csv", "driver01", 2.0),))
+        assert [task[3] for task in _log_tasks(raw, RunConfig())] == [None]  # a raw log beside a sidecar
+        old = config.Manifest(entries=((tmp_path / "driver01.clean.csv", "driver01", 2.0),))
+        with pytest.raises(ConfigError, match="older `driverid clean`"):
+            _log_tasks(old, RunConfig())
+        (tmp_path / "driver01.clean.json").unlink()
+        assert [task[3] for task in _log_tasks(old, RunConfig())] == [None]  # no sidecar: a raw log
+        shutil.copy(cleaned_dir / "driver01.clean.npz", tmp_path)
+        arrays = config.Manifest(entries=((tmp_path / "driver01.clean.npz", "driver01", 2.0),))
+        with pytest.raises(ConfigError, match="driver01.clean.json: cannot read sidecar"):
+            _log_tasks(arrays, RunConfig())  # an .npz needs its sidecar
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        seconds=st.sampled_from([120.0, 300.0]),
+        denoise_window=st.sampled_from([1, 3, 5, 9]),
+        stop_threshold=st.floats(0.05, 2.0),
+        min_stop_seconds=st.floats(1.0, 20.0),
+        max_gap_fill=st.floats(0.25, 6.0),
+        reorient=st.booleans(),
+        stop_aggregate=st.sampled_from(["magnitude", "sum"]),
+    )
+    def test_read_back_equals_the_cleaned_trip(self, seed, seconds, **settings_):
+        """_clean_to_disk then read_clean gives clean(trip): samples, breaks and cleaning record."""
+        from conftest import stoppy_profile
+
+        from driverid.cli import _clean_to_disk
+
+        cleaning = CleaningConfig(**settings_)
+        trip, _ = generate_trip(
+            stoppy_profile(seed, stops_per_hour=60.0), seconds, 2.0, driver_id="d",
+            missing_rate_per_hour=60.0, missing_duration_range=(0.5, 8.0),
+        )
+        try:
+            expected = clean(trip, cleaning)
+        except ValueError:
+            assume(False)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            ingest.write_log(trip, out / "d.csv")
+            name, _, _ = _clean_to_disk(RunConfig(cleaning=cleaning), out, (out / "d.csv", "d", 2.0, None))
+            back = read_clean(out / name, read_sidecar((out / name).with_suffix(".json")))
+        assert back == expected  # samples, driver, rate and break_after
+        assert back.stop_intervals == expected.stop_intervals
+        assert back.removed_gap_seconds == expected.removed_gap_seconds
+        assert back.provenance == expected.provenance
 
 
 class TestNoTestDataInTraining:
@@ -741,6 +934,9 @@ class TestConfigParsing:
             ("train", "cleaning", "max_gap_fill", "nan"),
             ("train", "cleaning", "min_stop_seconds", "inf"),
             ("grid", "grid", "window_minutes", "5, nan"),
+            ("train", "model.mlp", "learning_rate", "nan"),
+            ("train", "model.mlp", "learning_rate", "inf"),
+            ("train", "model.mlp", "learning_rate", "1e400"),
         ],
     )
     @pytest.mark.usefixtures("one_worker")

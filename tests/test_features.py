@@ -411,6 +411,13 @@ class TestPeakMemory:
         data = LabeledDataset(rng.standard_normal((2000, 633)), labels, tuple(sorted(set(labels))))
         return train_model("knn", data, {"k": 5})
 
+    def test_a_labeled_dataset_checks_its_rows_without_a_temporary(self):
+        rng = np.random.default_rng(11)
+        features = rng.standard_normal((3000, 633))
+        labels = np.array([f"d{i % 10}" for i in range(3000)], dtype=object)
+        _, peak = traced_peak(lambda: LabeledDataset(features, labels, tuple(sorted(set(labels)))))
+        assert peak < features.nbytes / 16  # a bool per value would be features.nbytes / 8
+
     def test_saving_a_knn_model_holds_no_copy_of_its_rows(self, knn_model, tmp_path):
         _, peak = traced_peak(lambda: save_model(knn_model, tmp_path / "model.json"))
         assert peak < knn_model.params.train_x.nbytes / 8

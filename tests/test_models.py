@@ -21,7 +21,7 @@ from driverid.features import Standardizer
 from driverid.models import LabeledDataset, MlpConfig, TrainedModel, load_model, predict, save_model
 from driverid.models import base as model_base
 from driverid.models import io as model_io
-from driverid.models.base import DECODE_SLICE_CHARS, ENCODE_PIECE_BYTES, array_doc, decode_array, encode_array
+from driverid.models.base import DECODE_SLICE_CHARS, ENCODE_PIECE_BYTES, array_doc, decode_array
 from driverid.models.io import FORMAT_VERSION
 from driverid.models.knn import QUERY_BLOCK, KnnParams
 from driverid.models.mlp import MlpParams, forward, init_params, loss_and_grads
@@ -48,6 +48,22 @@ def make_dataset(rng, n=60, dim=5, classes=("a", "b", "c")):
     return LabeledDataset(features=x, labels=labels, class_list=tuple(sorted(classes)))
 
 
+def materialized(value):
+    """A model document with each streamed base64 string joined, as json.dumps takes it."""
+    if isinstance(value, dict):
+        return {key: materialized(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [materialized(item) for item in value]
+    if isinstance(value, Iterator):
+        return "".join(value)
+    return value
+
+
+def encode_array(a, dtype: str) -> dict:
+    """``array_doc`` with its base64 pieces joined into one string, as a model file holds it."""
+    return materialized(array_doc(a, dtype))
+
+
 class TestLabeledDataset:
     def test_label_indices_are_read_only_class_positions(self):
         labels = np.array(["b", "a", "c", "b"], dtype=object)
@@ -57,6 +73,23 @@ class TestLabeledDataset:
         assert data.label_indices is data.label_indices
         with pytest.raises(ValueError):
             data.label_indices[0] = 0
+
+    # three columns: the check reads FINITE_CHECK_VALUES // 3 rows at a time
+    @pytest.mark.parametrize("row", [0, model_base.FINITE_CHECK_VALUES // 3 - 1, model_base.FINITE_CHECK_VALUES // 3, 39_999])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value, row):
+        features = np.zeros((40_000, 3))
+        features[row, 1] = value
+        labels = np.array(["a"] * len(features), dtype=object)
+        with pytest.raises(ValueError, match="features must be finite"):
+            LabeledDataset(features=features, labels=labels, class_list=("a",))
+        with pytest.raises(ValueError, match="features must be finite"):  # a column view, not contiguous
+            LabeledDataset(features=np.hstack([features, features])[:, 1::2], labels=labels, class_list=("a",))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
+    def test_empty_features_accepted(self, shape):
+        labels = np.array(["a"] * shape[0], dtype=object)
+        assert len(LabeledDataset(features=np.zeros(shape), labels=labels, class_list=("a",))) == shape[0]
 
 
 class TestKnn:
@@ -872,18 +905,6 @@ class TestArrayDoc:
         parts = list(array_doc(raw, "|u1")["data"])
         assert len(parts) == pieces + (delta > 0)
         assert "".join(parts) == base64.b64encode(raw.tobytes()).decode("ascii")
-        assert encode_array(raw, "|u1")["data"] == "".join(parts)
-
-
-def materialized(value):
-    """A model document with each streamed base64 string joined, as json.dumps takes it."""
-    if isinstance(value, dict):
-        return {key: materialized(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [materialized(item) for item in value]
-    if isinstance(value, Iterator):
-        return "".join(value)
-    return value
 
 
 # class names and labels a writer must escape: quotes, backslashes, control
