@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 from . import evaluation as ev
@@ -20,6 +21,7 @@ from .models import load_model, save_model
 from .parallel import ordered_map
 from .pipeline import build_datasets, build_test_dataset, train_model
 from .seeds import derive_seed
+from .segment import SegmentationConfig
 
 
 def main(argv=None) -> int:
@@ -162,6 +164,15 @@ def _log_tasks(manifest: Manifest, cfg: RunConfig) -> list[tuple]:
     return tasks
 
 
+def _check_windows(manifest: Manifest, key: str, window_minutes) -> None:
+    """Refuse, before any log is read, a window of fewer than 2 samples at a rate the manifest lists."""
+    rates = dict.fromkeys(rate for _, _, rate in manifest.entries)
+    for minutes, rate in product(window_minutes, rates):
+        w = SegmentationConfig(window_minutes=minutes).window_samples(rate)
+        if w < 2:
+            raise ConfigError(f"{key} = {minutes} gives a window of {w} samples at {rate} Hz, fewer than 2")
+
+
 def _clean_trip(cleaning, task) -> preprocess.CleanTrip:
     """One manifest entry as a CleanTrip: a raw log read and cleaned, or a cleaned trip read back."""
     path, driver_id, rate, sidecar = task
@@ -177,11 +188,16 @@ def _clean_all(manifest: Manifest, cfg: RunConfig) -> list[preprocess.CleanTrip]
     return list(ordered_map(partial(_clean_trip, cfg.cleaning), _log_tasks(manifest, cfg)))
 
 
+def _cleaned_name(path: Path) -> str:
+    """NAME.clean.npz for a manifest log NAME.SUFFIX or NAME.clean.SUFFIX."""
+    return f"{path.stem.removesuffix('.clean')}.clean.npz"
+
+
 def _clean_to_disk(cfg: RunConfig, out: Path, task) -> tuple:
-    """Clean one manifest entry into OUT as NAME.clean.npz and its sidecar
-    NAME.clean.json; returns its manifest entry."""
+    """Clean one manifest entry into OUT as its ``_cleaned_name`` and the
+    sidecar beside it; returns its manifest entry."""
     cleaned = _clean_trip(cfg.cleaning, task)
-    arrays = out / f"{cleaned.driver_id}.clean.npz"
+    arrays = out / _cleaned_name(task[0])
     preprocess.write_clean(cleaned, arrays, arrays.with_suffix(".json"), cfg.pipeline_record()["cleaning"])
     return arrays.name, cleaned.driver_id, cleaned.nominal_rate_hz
 
@@ -189,6 +205,10 @@ def _clean_to_disk(cfg: RunConfig, out: Path, task) -> tuple:
 def cmd_clean(args) -> int:
     cfg = _load_run_config(args)
     manifest = read_manifest(args.manifest)
+    names = [_cleaned_name(path) for path, _, _ in manifest.entries]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"manifest has {names.count(name)} logs that `clean` would write as {name}")
     out = Path(args.out)
     tasks = _log_tasks(manifest, cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -201,6 +221,7 @@ def cmd_clean(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     manifest = read_manifest(args.manifest)
+    _check_windows(manifest, "[segmentation] window_minutes", [cfg.segmentation.window_minutes])
     cleaned = _clean_all(manifest, cfg)
 
     bundle = build_datasets(cleaned, cfg.segmentation, cfg.features)
@@ -235,6 +256,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
     manifest = read_manifest(args.manifest)
+    _check_windows(manifest, "[segmentation] window_minutes", [cfg.segmentation.window_minutes])
     try:
         model = load_model(args.model)
     except ValueError as err:  # a version, schema or syntax mismatch: the user's input
@@ -275,6 +297,7 @@ def _flatten(record: dict) -> dict:
 def cmd_grid(args) -> int:
     cfg = _load_run_config(args)
     manifest = read_manifest(args.manifest)
+    _check_windows(manifest, "[grid] window_minutes", cfg.grid.window_minutes_list)
     cleaned = _clean_all(manifest, cfg)
 
     out = Path(args.out)

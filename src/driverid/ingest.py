@@ -16,7 +16,6 @@ import numpy as np
 
 CHANNELS = ("ax", "ay", "az", "gx", "gy", "gz")
 ACCEL_COLUMNS = slice(0, 3)
-GYRO_COLUMNS = slice(3, 6)
 LOG_HEADER = "t," + ",".join(CHANNELS)
 
 

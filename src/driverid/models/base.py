@@ -21,11 +21,9 @@ import numpy as np
 from ..features import Standardizer
 from ..segment import InsufficientData
 
-# A model file's arrays are written and read in pieces: ENCODE_PIECE_BYTES of
-# array data (a multiple of 3) become one 131,072-character base64 piece, and
-# DECODE_SLICE_CHARS characters (a multiple of 4) are decoded at a time.
+# A model file's arrays are written in pieces: ENCODE_PIECE_BYTES of array
+# data (a multiple of 3) become one 131,072-character base64 piece.
 ENCODE_PIECE_BYTES = 3 * 2**15
-DECODE_SLICE_CHARS = 4 * 2**15
 # LabeledDataset checks its features for finiteness about this many values at a time.
 FINITE_CHECK_VALUES = 2**16
 
@@ -115,15 +113,13 @@ def _base64_pieces(raw: np.ndarray):
 
 
 def decode_array(doc, name: str, dtype: str) -> np.ndarray:
-    """Inverse of array_doc, once the model file holds its base64 pieces as
-    one string: a native-order, C-contiguous, writable array.
+    """Inverse of array_doc: a native-order, C-contiguous, read-only array
+    over the bytes of one ``binascii.a2b_base64(data, strict_mode=True)``,
+    the call ``base64.b64decode(data, validate=True)`` makes.
 
     Raises ValueError naming ``name`` when the object is not an array of
-    ``dtype``, its base64 is bad, its byte count does not match its shape
-    or a "<f8" value is NaN or infinite. The base64 is decoded
-    ``DECODE_SLICE_CHARS`` characters at a time straight into the array,
-    and accepted and rejected exactly as ``base64.b64decode(data,
-    validate=True)`` would on the whole string, with its error message.
+    ``dtype``, its data is not base64 text, its byte count does not match
+    its shape or a "<f8" value is NaN or infinite.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{name}: expected an array object, got {type(doc).__name__}")
@@ -133,57 +129,16 @@ def decode_array(doc, name: str, dtype: str) -> np.ndarray:
     if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
         raise ValueError(f"{name}: shape {shape!r} is not a list of sizes")
     size = math.prod(shape) * np.dtype(dtype).itemsize
-    data = doc["data"]
     try:
-        raw = _decode_slices(data, size) if isinstance(data, str) and data.isascii() else None
-        if raw is None:  # the whole-string decoder rules, and words the error
-            raw = base64.b64decode(data, validate=True)
+        raw = binascii.a2b_base64(doc["data"], strict_mode=True)
     except (ValueError, TypeError) as err:  # binascii.Error is a ValueError
         raise ValueError(f"{name}: bad base64 data ({err})") from None
     if len(raw) != size:
         raise ValueError(f"{name}: {len(raw)} bytes of data for shape {shape}")
-    if isinstance(raw, bytes):
-        raw = np.frombuffer(raw, dtype=np.uint8).copy()
-    arr = raw.view(dtype).reshape(shape).astype(np.dtype(dtype).newbyteorder("="), copy=False)
+    arr = np.frombuffer(raw, dtype).reshape(shape).astype(np.dtype(dtype).newbyteorder("="), copy=False)
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise ValueError(f"{name}: non-finite value")
     return arr
-
-
-def _decode_slices(data: str, size: int) -> np.ndarray | None:
-    """The ``size`` bytes that the ASCII base64 ``data`` holds, as a fresh
-    uint8 array, or None unless ``data`` is valid base64 of exactly
-    ``size`` bytes.
-
-    Every slice but the last must decode to its full three bytes per four
-    characters, which only a slice of alphabet characters does; padding,
-    whitespace or any other character there gives fewer. The last slice
-    goes through ``base64.b64decode(validate=True)`` itself. Base64 decodes
-    each group of four characters on its own, so the whole string is valid
-    exactly when both hold.
-    """
-    cut = max(len(data) - 1, 0) // DECODE_SLICE_CHARS * DECODE_SLICE_CHARS
-    try:
-        tail = base64.b64decode(data[cut:], validate=True)
-    except ValueError:
-        return None
-    head = cut // 4 * 3
-    if head + len(tail) != size:
-        return None
-    out = np.empty(size, dtype=np.uint8)
-    view = memoryview(out)
-    step = DECODE_SLICE_CHARS // 4 * 3
-    for start in range(0, cut, DECODE_SLICE_CHARS):
-        try:
-            piece = binascii.a2b_base64(data[start : start + DECODE_SLICE_CHARS])
-        except ValueError:
-            return None
-        if len(piece) != step:
-            return None
-        at = start // 4 * 3
-        view[at : at + step] = piece
-    view[head:] = tail
-    return out
 
 
 def check_training_data(data: LabeledDataset) -> None:

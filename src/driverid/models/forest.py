@@ -100,7 +100,7 @@ def from_doc(doc: dict, n_features: int, n_classes: int) -> ForestParams:
     return ForestParams(
         trees=[tree_from_nodes(nodes, n_features, n_classes) for nodes in doc["trees"]],
         n_trees=n_trees,
-        max_depth=doc["max_depth"],
+        max_depth=None if doc["max_depth"] is None else json_int(doc["max_depth"], "max_depth"),
         features_per_split=json_int(doc["features_per_split"], "features_per_split"),
         seed=json_int(doc["seed"], "seed"),
     )

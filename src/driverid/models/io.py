@@ -15,10 +15,10 @@ It also refuses a count or index (``format_version``, ``n_features``, knn
 ``k``, tree node links, ...) that is not a JSON integer, such as ``2.0``
 or ``true``.
 
-The base64 is streamed: a save encodes and writes each array piece by
-piece, and a load decodes it slice by slice into the array, so neither
-holds more than about one copy of the file (a kNN file carries every
-training row).
+A save streams each array's base64 pieces into json's own encoder output,
+and a load decodes each array whole, so neither holds more than about one
+copy of the file (a kNN file carries every training row). Loaded arrays
+are read-only.
 
 Only the current ``FORMAT_VERSION`` is read. A version-1 file, which wrote
 arrays as decimal lists, is refused: retrain it with ``driverid train``.
@@ -36,7 +36,6 @@ from .base import TrainedModel, array_doc, decode_array, json_int
 from .registry import lookup
 
 FORMAT_VERSION = 2
-_ENCODER = json.JSONEncoder(indent=1)  # json.dump's own encoder at indent=1
 
 
 def save_model(model: TrainedModel, sink) -> None:
@@ -65,52 +64,41 @@ def save_model(model: TrainedModel, sink) -> None:
         "params": lookup(model.kind).to_doc(model.params),
     }
     if hasattr(sink, "write"):
-        _write_json(sink.write, doc, "\n")
+        _dump(doc, sink.write)
     else:
         with open(sink, "w", encoding="utf-8") as fh:
-            _write_json(fh.write, doc, "\n")
+            _dump(doc, fh.write)
 
 
-def _write_json(write, value, newline: str) -> None:
-    """Write ``value`` as ``json.dump(value, fh, indent=1)`` writes it at the
-    depth whose line break and indent is ``newline``. An iterator is a
-    string written piece by piece (base64 needs no escaping)."""
-    if isinstance(value, Iterator):
-        write('"')
-        for piece in value:
-            write(piece)
-        write('"')
-    elif not _holds_iterator(value):
-        for chunk in _ENCODER.iterencode(value):
-            write(chunk.replace("\n", newline))
-    elif isinstance(value, dict):
-        inner = newline + " "
-        for i, (key, item) in enumerate(value.items()):
-            write(("{" if i == 0 else ",") + inner + json.dumps(key) + ": ")
-            _write_json(write, item, inner)
-        write(newline + "}")
-    else:  # a list or tuple
-        inner = newline + " "
-        for i, item in enumerate(value):
-            write(("[" if i == 0 else ",") + inner)
-            _write_json(write, item, inner)
-        write(newline + "]")
+def _dump(doc: dict, write) -> None:
+    """``json.dump(doc, fh, indent=1)`` with each iterator of base64 pieces
+    in ``doc`` joined into its string, the pieces streamed: the encoder
+    calls ``default`` once it has yielded all text before an iterator, and
+    the pieces go between the quotes of the "" that ``default`` returns."""
+    gap = None
 
+    def default(value):
+        nonlocal gap
+        if not isinstance(value, Iterator):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        gap = value
+        return ""
 
-def _holds_iterator(value) -> bool:
-    if isinstance(value, dict):
-        return any(map(_holds_iterator, value.values()))
-    if isinstance(value, (list, tuple)):
-        return any(map(_holds_iterator, value))
-    return isinstance(value, Iterator)
+    for chunk in json.JSONEncoder(indent=1, default=default).iterencode(doc):
+        if gap is not None and chunk:
+            write(chunk[0])  # the opening quote
+            for piece in gap:
+                write(piece)
+            gap, chunk = None, chunk[1:]
+        write(chunk)
 
 
 def load_model(source) -> TrainedModel:
     """Read a model file; a malformed or mismatched one raises ValueError.
 
-    The file's text is dropped once it is parsed, and each array's base64
-    is decoded in slices straight into its array (``base.decode_array``),
-    so a load holds about the text and its parsed strings, not four copies.
+    The file's text is dropped once it is parsed, and each array is a
+    read-only view of its decoded bytes (``base.decode_array``), so a load
+    holds about the text and its parsed strings, not four copies.
     """
     doc = _parse(source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8"))
     version = doc.get("format_version")

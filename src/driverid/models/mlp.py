@@ -216,7 +216,13 @@ def from_doc(doc: dict, n_features: int, n_classes: int) -> MlpParams:
     if doc["activation"] not in ACTIVATIONS:
         raise ValueError(f"activation must be one of {ACTIVATIONS}")
     cfg_doc = doc.get("config")
-    cfg = MlpConfig(**{f.name: cfg_doc[f.name] for f in fields(MlpConfig)}) if cfg_doc else None
+    cfg = None
+    if cfg_doc:
+        values = {f.name: cfg_doc[f.name] for f in fields(MlpConfig)}
+        for name in ("batch_size", "max_epochs", "early_stop_patience", "seed"):
+            json_int(values[name], f"config.{name}")
+        values["hidden_layers"] = [json_int(h, "config.hidden_layers") for h in values["hidden_layers"]]
+        cfg = MlpConfig(**values)
     return MlpParams(
         weights=weights,
         biases=biases,

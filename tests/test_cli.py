@@ -125,6 +125,45 @@ class TestCleanCommand:
         assert "stop_intervals" in sidecar
 
 
+    @pytest.mark.usefixtures("one_worker")
+    def test_two_trips_of_one_driver_keep_their_names(self, corpus_dir, config_path, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        for name in ("monday.csv", "tuesday.csv"):
+            shutil.copy(corpus_dir / "driver01.csv", logs / name)
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(
+            [(logs / "monday.csv", "driver01", 2.0), (logs / "tuesday.csv", "driver01", 2.0),
+             (corpus_dir / "driver02.csv", "driver02", 2.0)],
+            manifest,
+        )
+        out = tmp_path / "cleaned"
+        assert main(["clean", "--manifest", str(manifest), "--config", str(config_path), "--out", str(out)]) == 0
+        cleaned = read_manifest(out / "manifest.csv")
+        assert [(p.name, d) for p, d, _ in cleaned.entries] == [
+            ("monday.clean.npz", "driver01"), ("tuesday.clean.npz", "driver01"), ("driver02.clean.npz", "driver02"),
+        ]
+        assert main(["train", "--manifest", str(out / "manifest.csv"), "--config", str(config_path),
+                     "--out", str(tmp_path / "model")]) == 0
+
+    @pytest.mark.usefixtures("one_worker")
+    def test_two_logs_of_one_name_exit_2_before_any_log_is_read(
+        self, corpus_dir, config_path, tmp_path, monkeypatch, capsys
+    ):
+        reads = []
+        monkeypatch.setattr(ingest, "read_log", lambda *args: reads.append(args))
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            shutil.copy(corpus_dir / "driver01.csv", tmp_path / sub / "trip.csv")
+        manifest = tmp_path / "manifest.csv"
+        write_manifest([(tmp_path / "a" / "trip.csv", "driver01", 2.0), (tmp_path / "b" / "trip.csv", "driver02", 2.0)], manifest)
+        out = tmp_path / "cleaned"
+        assert main(["clean", "--manifest", str(manifest), "--config", str(config_path), "--out", str(out)]) == 2
+        assert reads == []
+        assert not out.exists()
+        assert "manifest has 2 logs that `clean` would write as trip.clean.npz" in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def test_train_writes_model_and_report(self, corpus_dir, config_path, tmp_path):
         out = tmp_path / "model"
@@ -958,6 +997,35 @@ class TestConfigParsing:
         assert reads == []
         assert not (tmp_path / "out").exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, section, value",
+        [
+            ("train", "segmentation", "0.001"),
+            ("train", "segmentation", "1e-300"),
+            ("evaluate", "segmentation", "0.001"),
+            ("grid", "grid", "4, 0.001"),
+        ],
+    )
+    @pytest.mark.usefixtures("one_worker")
+    def test_window_of_under_two_samples_fails_before_any_log_is_read(
+        self, corpus_dir, tmp_path, monkeypatch, capsys, command, section, value
+    ):
+        reads = []
+        monkeypatch.setattr(ingest, "read_log", lambda *args: reads.append(args))
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\nwindow_minutes = {value}\n")
+        read_run_config(path)  # a positive window is a valid setting; only the manifest's rate rules it out
+        model = ["--model", str(tmp_path / "model.json")] if command == "evaluate" else []
+        code = main(
+            [command, "--manifest", str(corpus_dir / "manifest.csv"),
+             "--config", str(path), "--out", str(tmp_path / "out"), *model]
+        )
+        assert code == 2
+        assert reads == []
+        assert not (tmp_path / "out").exists()
+        assert re.search(rf"\[{section}\] window_minutes = \S+ gives a window of 0 samples at 2.0 Hz",
+                         capsys.readouterr().err)
 
     @pytest.mark.parametrize("text", ["[DEFAULT]\nsede = 3\n", "[DEFAULT]\nseed = 3\n[run]\nmodel = knn\n"])
     def test_default_section_keys_rejected(self, tmp_path, text):

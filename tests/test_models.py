@@ -21,7 +21,7 @@ from driverid.features import Standardizer
 from driverid.models import LabeledDataset, MlpConfig, TrainedModel, load_model, predict, save_model
 from driverid.models import base as model_base
 from driverid.models import io as model_io
-from driverid.models.base import DECODE_SLICE_CHARS, ENCODE_PIECE_BYTES, array_doc, decode_array
+from driverid.models.base import ENCODE_PIECE_BYTES, array_doc, decode_array
 from driverid.models.io import FORMAT_VERSION
 from driverid.models.knn import QUERY_BLOCK, KnnParams
 from driverid.models.mlp import MlpParams, forward, init_params, loss_and_grads
@@ -831,6 +831,13 @@ class TestSaveLoad:
             ("dtree", {("params", "nodes", 0, "right"): True}, "tree node 0: right: expected an integer"),
             ("dtree", {("params", "nodes", -1, "leaf"): 0.0}, r"tree node \d+: leaf: expected an integer"),
             ("mlp", {("params", "epochs_run"): 15.0}, "epochs_run: expected an integer, got 15.0"),
+            ("rforest", {("params", "max_depth"): "junk"}, "max_depth: expected an integer, got 'junk'"),
+            ("rforest", {("params", "max_depth"): 2.5}, "max_depth: expected an integer, got 2.5"),
+            ("mlp", {("params", "config", "batch_size"): 32.9}, "config.batch_size: expected an integer, got 32.9"),
+            ("mlp", {("params", "config", "hidden_layers"): [4.7]}, "config.hidden_layers: expected an integer, got 4.7"),
+            ("mlp", {("params", "config", "max_epochs"): 15.0}, "config.max_epochs: expected an integer, got 15.0"),
+            ("mlp", {("params", "config", "early_stop_patience"): True}, "config.early_stop_patience: expected an integer"),
+            ("mlp", {("params", "config", "seed"): 2.0}, "config.seed: expected an integer, got 2.0"),
         ],
     )
     def test_bad_stored_values_rejected(self, kind, edits, message, tmp_path):
@@ -894,7 +901,7 @@ class TestArrayDoc:
                 continue
             back = decode_array(json.loads(json.dumps(doc)), "x", code)
             assert back.dtype == dtype and back.shape == arr.shape
-            assert back.flags.c_contiguous and back.flags.writeable
+            assert back.flags.c_contiguous and not back.flags.writeable
             assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
 
 
@@ -1007,8 +1014,15 @@ class TestStreamedSave:
             return value
 
         stream = io.StringIO()
-        model_io._write_json(stream.write, pieces_as(False, doc), "\n")
+        model_io._dump(pieces_as(False, doc), stream.write)
         assert stream.getvalue() == json.dumps(pieces_as(True, doc), indent=1)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"AAAA", np.int64(1)])
+    def test_writer_refuses_what_json_dumps_refuses(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps({"a": [value]})
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            model_io._dump({"a": [value]}, io.StringIO().write)
 
     def test_save_and_load_leave_no_cycle_holding_the_rows(self, tmp_path):
         # a reference cycle would keep every training row until a full collection
@@ -1050,15 +1064,19 @@ def assert_decodes_as_whole_string(text, shape):
         assert str(caught.value) == f"x: {len(raw)} bytes of data for shape {shape}"
     else:
         arr = decode_array(doc, "x", "<i8")
-        assert arr.shape == tuple(shape) and arr.flags.c_contiguous and arr.flags.writeable
+        assert arr.shape == tuple(shape) and arr.flags.c_contiguous and not arr.flags.writeable
         assert np.array_equal(arr, np.frombuffer(raw, "<i8").reshape(shape))
+
+
+PIECE_CHARS = ENCODE_PIECE_BYTES // 3 * 4  # the base64 of one written piece
 
 
 class TestChunkedDecode:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_accepts_and_rejects_what_whole_string_decoding_does(self, data):
-        chars = data.draw(st.sampled_from([4, 8, 12, 16]), label="slice chars")
+        # edits cluster around multiples of `chars`, where base64's four-character groups meet
+        chars = data.draw(st.sampled_from([4, 8, 12, 16]), label="boundary step")
         payload = data.draw(st.binary(max_size=80), label="payload")
         text = base64.b64encode(payload).decode("ascii")
         near_boundary = st.integers(0, 6).flatmap(lambda k: st.integers(k * chars - 2, k * chars + 2))
@@ -1078,33 +1096,39 @@ class TestChunkedDecode:
         right = [len(raw) // 8] if raw is not None and len(raw) % 8 == 0 else []
         count = data.draw(st.sampled_from(right + [0, 1, 2, len(payload) // 8 + 1]), label="count")
         shape = data.draw(st.sampled_from([[count], [count, 1], [1, count]]), label="shape")
-        with patch.object(model_base, "DECODE_SLICE_CHARS", chars):
-            assert_decodes_as_whole_string(text, shape)
+        assert_decodes_as_whole_string(text, shape)
 
     @pytest.mark.parametrize(
         "edit",
         [
             lambda t: t,
-            lambda t: t[:-1],                                      # one character short
-            lambda t: t + "A",                                     # one character long
-            lambda t: t[: DECODE_SLICE_CHARS] + "=" + t[DECODE_SLICE_CHARS + 1 :],   # padding at a boundary
-            lambda t: t[: DECODE_SLICE_CHARS - 1] + "=" + t[DECODE_SLICE_CHARS:],    # padding ending a slice
-            lambda t: t[:100] + "==" + t[102:],                   # padding inside a slice
-            lambda t: t[: DECODE_SLICE_CHARS + 5] + " " + t[DECODE_SLICE_CHARS + 6 :],  # whitespace
-            lambda t: t[:7] + "-" + t[8:],                         # a character outside the alphabet
-            lambda t: t[:7] + "é" + t[8:],                         # not ASCII
+            lambda t: t[:-1],                                          # one character short
+            lambda t: t + "A",                                         # one character long
+            lambda t: t[:PIECE_CHARS] + "=" + t[PIECE_CHARS + 1 :],    # padding at a piece boundary
+            lambda t: t[: PIECE_CHARS - 1] + "=" + t[PIECE_CHARS:],    # padding ending a piece
+            lambda t: t[:100] + "==" + t[102:],                        # padding inside a piece
+            lambda t: t[: PIECE_CHARS + 5] + " " + t[PIECE_CHARS + 6 :],  # whitespace
+            lambda t: t[:7] + "-" + t[8:],                             # a character outside the alphabet
+            lambda t: t[:7] + "é" + t[8:],                             # not ASCII
         ],
     )
-    @pytest.mark.parametrize("rows", [DECODE_SLICE_CHARS // 32 * 3, DECODE_SLICE_CHARS // 16 * 3 + 1])
+    @pytest.mark.parametrize("rows", [PIECE_CHARS // 32 * 3, PIECE_CHARS // 16 * 3 + 1])
     def test_real_slice_size(self, edit, rows):
-        # `rows` int64 values: exactly one slice of base64, or two slices and a bit
+        # `rows` int64 values: exactly one piece of base64, or two pieces and a bit
         text = base64.b64encode(np.arange(rows, dtype="<i8").tobytes()).decode("ascii")
         for shape in ([rows], [rows + 1]):
             assert_decodes_as_whole_string(edit(text), shape)
 
     @pytest.mark.parametrize("data", [5, None, ["AAAA"], {"a": 1}, "AAAé", "AAAA AAAA"])
     def test_non_text_and_non_ascii_data_worded_as_b64decode(self, data):
-        assert_decodes_as_whole_string(data, [0])
+        if isinstance(data, str):
+            assert_decodes_as_whole_string(data, [0])
+        else:  # worded by binascii, which b64decode words "a bytes-like object or ASCII string"
+            with pytest.raises(ValueError) as caught:
+                decode_array({"dtype": "<i8", "shape": [0], "data": data}, "x", "<i8")
+            assert str(caught.value) == (
+                f"x: bad base64 data (argument should be bytes, buffer or ASCII string, not {type(data).__name__!r})"
+            )
 
 
 GOLDEN_DTREE_SHA256 = "1028714fa2b4d8a4d5394741ee05cef2a85b7a716e7bec4e44018f012b014013"

@@ -1,4 +1,5 @@
 """Checks on the repository's tooling against the package it measures."""
+import ast
 import importlib
 import importlib.util
 import sys
@@ -6,7 +7,18 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import driverid
+import driverid.models
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+SRC = ROOT / "src" / "driverid"
+
+# top-level src/ names kept with no caller in src/, each with its reason
+UNCALLED_ALLOWED = {
+    "tree_depth": "the grid's planned per-cell tree accounting; tests use it now",
+    "separability_achieved": "perfbench/workloads.py checks its synthetic corpus with it",
+}
 
 
 @pytest.fixture(scope="module")
@@ -33,3 +45,32 @@ def test_every_trace_boundary_resolves(tracing):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert boundaries and not missing
+
+
+def test_every_top_level_name_has_a_caller_in_src():
+    # A top-level function, class or constant of src/ must be loaded somewhere
+    # in src/ (an import does not count), exported by `driverid` or
+    # `driverid.models`, or be on UNCALLED_ALLOWED. Names match by spelling,
+    # so `entry.fit` counts as a caller of every `fit`.
+    defined, loaded = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined.update((name, path.relative_to(SRC)) for name in targets if not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    exported = set(vars(driverid)) | set(driverid.models.__all__)
+    uncalled = [f"{path}: {name}" for name, path in defined.items() if name not in loaded | exported]
+    assert sorted(uncalled) == sorted(
+        f"{defined[name]}: {name}" for name in UNCALLED_ALLOWED
+    ), "give each new name a caller in src/, or move it to tests/"
