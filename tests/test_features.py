@@ -20,6 +20,7 @@ from driverid.features import (
     standardize_in_place,
     trim_quantiles,
     trimmed_histogram,
+    trimmed_histograms,
 )
 from driverid.models import LabeledDataset, load_model, save_model
 from driverid.pipeline import build_datasets, train_model
@@ -27,6 +28,23 @@ from driverid.segment import TRAIN, SegmentationConfig, WindowBatch
 
 from conftest import window_batch
 from oracles import corr_oracle, histogram_oracle, mean_var_oracle
+
+
+WORKLOAD_WIDTHS = sorted({2**k + d for k in range(1, 12) for d in (-1, 0, 1)} - {1} | {600, 1200, 1800})
+
+
+def expected_histogram(signal, bins, keep):
+    """`histogram_oracle`'s row, or the refusal a trimmed histogram of `signal` must raise:
+    "too narrow" when the bin edges do not increase, "no sample" when the oracle's trimmed
+    range is empty."""
+    tail = (1.0 - keep) / 2.0
+    lo, hi = np.quantile(signal, [tail, 1.0 - tail])
+    if lo != hi and (np.diff(np.linspace(lo, hi, bins + 1)) <= 0).any():
+        return "too narrow"
+    try:
+        return histogram_oracle(signal, bins, keep)
+    except ZeroDivisionError:
+        return "no sample"
 
 
 def random_channels(rng, n=64):
@@ -126,6 +144,37 @@ class TestTrimmedHistogram:
         for i in range(n):
             for c in range(6):
                 assert rows[i, c].tolist() == histogram_oracle(channels[i, c], bins, keep)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_at_workload_widths(self, data):
+        # Widths up to the workloads' 1,800 samples and past them, the powers of two and
+        # their neighbours included. Values tie on edges and quantiles (quarter grid), or
+        # span a few ULPs of 1e6, so the range is just too narrow for `bins` or just wide enough.
+        m = data.draw(st.integers(1, 3))
+        w = data.draw(st.sampled_from(WORKLOAD_WIDTHS) | st.integers(2, 2049))
+        bins, keep = data.draw(st.integers(1, 120)), data.draw(st.sampled_from([0.5, 0.9, 0.95, 1.0]))
+        values = data.draw(st.sampled_from(["quarter grid", "magnitudes", "near degenerate"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if values == "quarter grid":
+            x = rng.integers(-8, 9, (m, w)) / 4
+        elif values == "magnitudes":
+            x = rng.standard_normal((m, w)) * 10.0 ** rng.uniform(-3, 6, (m, w))
+        else:
+            spread = data.draw(st.integers(1, 400))
+            x = 1e6 + rng.integers(0, spread + 1, (m, w)) * np.spacing(1e6)
+        for row in data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
+            x[row] = x[row, 0]  # constant rows mixed into the batch
+        expected = [expected_histogram(row, bins, keep) for row in x]
+        refusals = [e for e in expected if isinstance(e, str)]
+        try:
+            out = trimmed_histograms(x, bins, keep)
+        except ValueError as err:
+            assert refusals  # and the narrow-range check runs first, over every row
+            assert ("too narrow" if "too narrow" in refusals else "no sample") in str(err)
+            return
+        assert not refusals
+        assert out.tolist() == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
