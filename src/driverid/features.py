@@ -8,8 +8,8 @@ enabled families; `subset_families` reads a subset string such as
 "mean+variance" or "all". `extract_sequence` featurizes a whole
 `WindowBatch` into one `FeatureBlock` of rows. It computes the families
 over the sample axis for a chunk of windows at a time (`CHUNK_SAMPLES`
-samples), the histogram included (`trimmed_histograms`), so its
-temporaries stay the size of a chunk, not of the batch.
+samples), the histogram included (`trimmed_histograms`, a search of
+the sorted rows), so its temporaries stay the size of a chunk.
 """
 from __future__ import annotations
 
@@ -134,15 +134,15 @@ def trim_quantiles(s: np.ndarray, keep: float) -> tuple[np.ndarray, np.ndarray]:
 def trimmed_histograms(x: np.ndarray, bins: int, keep: float) -> np.ndarray:
     """`trimmed_histogram` of every row of an (m, w) array, w >= 2, as (m, bins).
 
-    Each row equals ``np.histogram(row[in_range], bins, range=(q_lo, q_hi))``
-    normalized, bit for bit. The rows are sorted once and the trim range
-    read off them (`trim_quantiles`). Samples are scaled to a bin index,
-    the index `bins` (a sample on q_hi) moves down one, and the index is
-    corrected by one against the lower edge ``index * step + q_lo`` and the
-    upper edge, as `np.histogram` does for uniform bins with the
-    ``np.linspace(q_lo, q_hi, bins + 1)`` edges. One `bincount` counts all
-    rows. Like `np.histogram`, a range too narrow for `bins` distinct edges
-    raises `ValueError`.
+    The edges are ``np.linspace(q_lo, q_hi, bins + 1)``'s values, and a
+    sample falls in the last bin whose lower edge it reaches, as in
+    `np.histogram`. Each row is sorted once and its trim range read off it
+    (`trim_quantiles`). Bin k then holds ``#{s < edge k+1} - #{s < edge k}``
+    samples (``#{s <= q_hi}`` closes the last bin), and one branch-free
+    lower-bound search finds these positions on every row at once (Khuong &
+    Morin, "Array Layouts for Comparison-Based Searching", 2017). Like
+    `np.histogram`, a range too narrow for `bins` distinct edges raises
+    `ValueError`.
     """
     m, w = x.shape
     if not np.isfinite(x).all():
@@ -150,8 +150,7 @@ def trimmed_histograms(x: np.ndarray, bins: int, keep: float) -> np.ndarray:
     s = np.sort(x, axis=-1)  # occupancy does not depend on sample order
     lo, hi = trim_quantiles(s, keep)
     constant = lo == hi
-    delta = np.where(constant, 1.0, hi - lo)  # constant rows are set below
-    step = delta / bins
+    step = np.where(constant, 1.0, hi - lo) / bins  # constant rows are set below
 
     edges = np.arange(bins + 1.0) * step + lo
     edges[:, -1:] = hi
@@ -159,24 +158,19 @@ def trimmed_histograms(x: np.ndarray, bins: int, keep: float) -> np.ndarray:
         raise ValueError(
             f"the trimmed range of a {w}-sample signal is too narrow for {bins} finite-sized bins"
         )
-    # A nonconstant row whose step underflows to 0 fails that check, so on every row
-    # that passes, index * step + lo is its edge at index (< bins).
-    z = np.clip(s, lo, hi)
-    scaled = z - lo
-    scaled /= delta
-    scaled *= bins
-    index = scaled.astype(np.intp)
-    index -= index == bins
-    edge = np.multiply(index, step, out=scaled)
-    edge += lo
-    index -= z < edge
-    np.multiply(index + 1, step, out=edge)
-    edge += lo
-    index += (z >= edge) & (index != bins - 1)
-    index = np.where(z != s, bins, index)  # samples outside the trimmed range go to a spare bin, dropped below
-    index += np.arange(m)[:, None] * (bins + 1)
-    counts = np.bincount(index.ravel(), minlength=m * (bins + 1)).reshape(m, bins + 1)[:, :bins]
-    total = counts.sum(axis=1, keepdims=True)
+    edges[:, -1:] = np.nextafter(hi, np.inf)  # #{s < next float up} = #{s <= q_hi}
+    # Lower-bound search over the flattened rows: each edge's row offset plus its
+    # count of smaller samples lies in [base, base + n]; the offsets cancel in the counts.
+    flat = s.ravel()
+    base = np.arange(0, m * w, w)[:, None].repeat(bins + 1, axis=1)
+    n = w
+    while n > 1:
+        half = n // 2
+        base += (flat[base + half] < edges) * half  # arithmetic, not a masked copy, so it never branches
+        n -= half
+    base += flat[base] < edges
+    counts = np.diff(base, axis=1)
+    total = base[:, -1:] - base[:, :1]
     if (total[~constant] == 0).any():
         raise ValueError(
             f"no sample of a {w}-sample signal lies inside its trimmed range "
