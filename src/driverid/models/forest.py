@@ -97,10 +97,11 @@ def from_doc(doc: dict, n_features: int, n_classes: int) -> ForestParams:
     n_trees = json_int(doc["n_trees"], "n_trees")
     if n_trees != len(doc["trees"]):
         raise ValueError(f"forest says n_trees={n_trees} but holds {len(doc['trees'])} trees")
+    max_depth = None if doc["max_depth"] is None else json_int(doc["max_depth"], "max_depth")
+    features_per_split = json_int(doc["features_per_split"], "features_per_split")
+    check({"n_trees": n_trees, "max_depth": max_depth, "features_per_split": features_per_split})
     return ForestParams(
         trees=[tree_from_nodes(nodes, n_features, n_classes) for nodes in doc["trees"]],
-        n_trees=n_trees,
-        max_depth=None if doc["max_depth"] is None else json_int(doc["max_depth"], "max_depth"),
-        features_per_split=json_int(doc["features_per_split"], "features_per_split"),
+        n_trees=n_trees, max_depth=max_depth, features_per_split=features_per_split,
         seed=json_int(doc["seed"], "seed"),
     )

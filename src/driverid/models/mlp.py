@@ -221,6 +221,8 @@ def from_doc(doc: dict, n_features: int, n_classes: int) -> MlpParams:
         values = {f.name: cfg_doc[f.name] for f in fields(MlpConfig)}
         for name in ("batch_size", "max_epochs", "early_stop_patience", "seed"):
             json_int(values[name], f"config.{name}")
+        if type(values["hidden_layers"]) is not list:
+            raise ValueError(f"config.hidden_layers: expected a list, got {values['hidden_layers']!r}")
         values["hidden_layers"] = [json_int(h, "config.hidden_layers") for h in values["hidden_layers"]]
         cfg = MlpConfig(**values)
     return MlpParams(

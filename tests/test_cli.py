@@ -344,6 +344,26 @@ class TestRejectedModelFile:
         assert re.search(message, err)
         assert not out.exists()
 
+    def test_mlp_hidden_layers_not_a_list_exits_2(self, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            RUN_CONFIG.replace("model = knn", "model = mlp") + "\n[model.mlp]\nhidden_layers = 4\nmax_epochs = 2\n"
+        )
+        manifest = str(corpus_dir / "manifest.csv")
+        assert main(["train", "--manifest", manifest, "--config", str(config), "--out", str(tmp_path)]) == 0
+        model_file = tmp_path / "model.json"
+        doc = json.loads(model_file.read_text())
+        doc["params"]["config"]["hidden_layers"] = 5
+        model_file.write_text(json.dumps(doc))
+        out = tmp_path / "eval"
+        code = main(
+            ["evaluate", "--model", str(model_file), "--manifest", manifest,
+             "--config", str(config), "--out", str(out)]
+        )
+        assert code == 2
+        assert "config.hidden_layers: expected a list, got 5" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainDeterminism:
     def test_same_seed_byte_identical_model_and_reports(

@@ -349,21 +349,24 @@ class TestTreeArrays:
         grow(0)
         return nodes
 
-    def test_predict_matches_walk_oracle_on_random_trees(self):
-        rng = np.random.default_rng(25)
-        for _ in range(20):
-            nodes = self.random_nodes(rng, n_features=4, max_depth=7)
-            tree = tree_from_nodes(nodes, 4, len(self.CLASSES))
-            assert tree_to_nodes(tree) == nodes
-            model = TrainedModel(kind="dtree", params=tree, class_list=self.CLASSES, n_features=4)
-            # on the same 0.1 grid, many queries land exactly on a threshold
-            queries = np.round(rng.standard_normal((200, 4)), 1)
-            expected = [self.CLASSES[tree_walk_oracle(nodes, q)] for q in queries]
-            assert list(predict(model, queries)) == expected
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_depth=st.integers(0, 7))
+    def test_predict_matches_walk_oracle_on_random_trees(self, seed, max_depth):
+        rng = np.random.default_rng(seed)
+        nodes = self.random_nodes(rng, n_features=4, max_depth=max_depth)
+        tree = tree_from_nodes(nodes, 4, len(self.CLASSES))
+        assert tree_to_nodes(tree) == nodes
+        model = TrainedModel(kind="dtree", params=tree, class_list=self.CLASSES, n_features=4)
+        # on the same 0.1 grid, many queries land exactly on a threshold
+        queries = np.round(rng.standard_normal((200, 4)), 1)
+        expected = [self.CLASSES[tree_walk_oracle(nodes, q)] for q in queries]
+        assert list(predict(model, queries)) == expected
 
-    def test_predict_matches_walk_oracle_on_trained_tree(self):
-        rng = np.random.default_rng(26)
-        data = make_dataset(rng, n=80)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 120))
+    def test_predict_matches_walk_oracle_on_trained_tree(self, seed, n):
+        rng = np.random.default_rng(seed)
+        data = make_dataset(rng, n=n)
         model = train_model("dtree", data)
         nodes = tree_to_nodes(model.params)
         queries = rng.standard_normal((100, data.n_features)) * 2
@@ -818,6 +821,11 @@ class TestSaveLoad:
             ("dtree", {("params", "nodes", 0, "threshold"): float("-inf")},
              "tree node 0: threshold -inf is not finite"),
             ("rforest", {("params", "n_trees"): 6}, "n_trees=6 but holds 5 trees"),
+            # limits a config refuses
+            ("rforest", {("params", "max_depth"): -3}, "max_depth must be >= 1"),
+            ("rforest", {("params", "max_depth"): 0}, "max_depth must be >= 1"),
+            ("rforest", {("params", "features_per_split"): 0}, "features_per_split must be >= 1"),
+            ("rforest", {("params", "features_per_split"): -7}, "features_per_split must be >= 1"),
             # counts and indices must be JSON integers, not floats or booleans
             ("knn", {("format_version",): 2.0}, "format_version: expected an integer, got 2.0"),
             ("knn", {("n_features",): 5.0}, "n_features: expected an integer, got 5.0"),
@@ -835,6 +843,8 @@ class TestSaveLoad:
             ("rforest", {("params", "max_depth"): 2.5}, "max_depth: expected an integer, got 2.5"),
             ("mlp", {("params", "config", "batch_size"): 32.9}, "config.batch_size: expected an integer, got 32.9"),
             ("mlp", {("params", "config", "hidden_layers"): [4.7]}, "config.hidden_layers: expected an integer, got 4.7"),
+            ("mlp", {("params", "config", "hidden_layers"): 5}, "config.hidden_layers: expected a list, got 5"),
+            ("mlp", {("params", "config", "hidden_layers"): None}, "config.hidden_layers: expected a list, got None"),
             ("mlp", {("params", "config", "max_epochs"): 15.0}, "config.max_epochs: expected an integer, got 15.0"),
             ("mlp", {("params", "config", "early_stop_patience"): True}, "config.early_stop_patience: expected an integer"),
             ("mlp", {("params", "config", "seed"): 2.0}, "config.seed: expected an integer, got 2.0"),
