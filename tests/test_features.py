@@ -299,17 +299,20 @@ class TestCorrelation:
             if i == 3 or j == 3:
                 assert out[k] == 0.0
 
-    def test_matches_direct_oracle(self):
-        rng = np.random.default_rng(41)
-        for _ in range(100):
-            w = random_channels(rng, n=int(rng.integers(8, 120)))
-            ours = family_row("correlation", w)
-            k = 0
-            for i in range(6):
-                for j in range(i + 1, 6):
-                    expected = corr_oracle(list(w[i]), list(w[j]))
-                    assert ours[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
-                    k += 1
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_direct_oracle(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        w = random_channels(rng, n=data.draw(st.integers(2, 120)))
+        for c in data.draw(st.sets(st.integers(0, 5))):
+            w[c] = data.draw(st.integers(-8, 8)) / 4  # zero variance: a quarter-grid mean is exact
+        ours = family_row("correlation", w)
+        k = 0
+        for i in range(6):
+            for j in range(i + 1, 6):
+                expected = corr_oracle(list(w[i]), list(w[j]))
+                assert ours[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                k += 1
 
     def test_reconstructed_matrix_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(51)

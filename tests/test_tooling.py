@@ -11,6 +11,7 @@ import driverid
 import driverid.models
 
 ROOT = Path(__file__).resolve().parent.parent
+TESTS = ROOT / "tests"
 TRACING = ROOT / "perfbench" / "tracing.py"
 SRC = ROOT / "src" / "driverid"
 
@@ -74,3 +75,18 @@ def test_every_top_level_name_has_a_caller_in_src():
     assert sorted(uncalled) == sorted(
         f"{defined[name]}: {name}" for name in UNCALLED_ALLOWED
     ), "give each new name a caller in src/, or move it to tests/"
+
+
+def test_every_oracle_is_called_from_a_property():
+    # Each rewrite lands with an oracle in tests/oracles.py and a hypothesis
+    # property against it, so every oracle must be named inside some @given test.
+    tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    oracles = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called = set()
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "given" for d in node.decorator_list
+            ):
+                called.update(name.id for name in ast.walk(node) if isinstance(name, ast.Name))
+    assert oracles and sorted(oracles - called) == []
