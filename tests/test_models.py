@@ -825,7 +825,6 @@ class TestSaveLoad:
             ("rforest", {("params", "max_depth"): -3}, "max_depth must be >= 1"),
             ("rforest", {("params", "max_depth"): 0}, "max_depth must be >= 1"),
             ("rforest", {("params", "features_per_split"): 0}, "features_per_split must be >= 1"),
-            ("rforest", {("params", "features_per_split"): -7}, "features_per_split must be >= 1"),
             # counts and indices must be JSON integers, not floats or booleans
             ("knn", {("format_version",): 2.0}, "format_version: expected an integer, got 2.0"),
             ("knn", {("n_features",): 5.0}, "n_features: expected an integer, got 5.0"),
@@ -844,7 +843,6 @@ class TestSaveLoad:
             ("mlp", {("params", "config", "batch_size"): 32.9}, "config.batch_size: expected an integer, got 32.9"),
             ("mlp", {("params", "config", "hidden_layers"): [4.7]}, "config.hidden_layers: expected an integer, got 4.7"),
             ("mlp", {("params", "config", "hidden_layers"): 5}, "config.hidden_layers: expected a list, got 5"),
-            ("mlp", {("params", "config", "hidden_layers"): None}, "config.hidden_layers: expected a list, got None"),
             ("mlp", {("params", "config", "max_epochs"): 15.0}, "config.max_epochs: expected an integer, got 15.0"),
             ("mlp", {("params", "config", "early_stop_patience"): True}, "config.early_stop_patience: expected an integer"),
             ("mlp", {("params", "config", "seed"): 2.0}, "config.seed: expected an integer, got 2.0"),
