@@ -4,7 +4,8 @@ A trip log is UTF-8 CSV with the fixed header ``t,ax,ay,az,gx,gy,gz``:
 one row per sample, timestamps in seconds, acceleration in m/s^2, angular
 velocity in rad/s, decimal point ``.``, missing channel values written as
 the literal ``NaN``. The driver label and nominal rate are not part of the
-file; they come from the manifest.
+file; they come from the manifest. `parse_log` reads every log through one
+array pass, malformed or not.
 """
 from __future__ import annotations
 
@@ -84,16 +85,14 @@ def parse_log(text: str, driver_id: str, rate_hz: float) -> Trip:
     """Parse the text of a trip log into a Trip (`read_log` reads a file).
 
     Rows whose channel fields do not parse as finite numbers keep the row
-    with those channels flagged missing; rows whose timestamp does not parse
-    are dropped and counted in a single summary warning. Non-monotonic
-    timestamps abort with an error naming the line.
+    with those channels flagged missing; rows without 7 fields or whose
+    timestamp does not parse as a finite number are dropped and counted in
+    a single summary warning. A negative or non-monotonic timestamp aborts
+    with an error naming its line.
 
-    A log that can be proved clean is read in bulk: every nonblank line has
-    7 fields, every field converts to a float, and the timestamps are
-    finite, nonnegative and strictly increasing. numpy's str-to-float cast
-    calls Python's ``float``, so bulk and line-by-line reading accept the
-    same strings. Any other log is read one line at a time, which gives the
-    warning and the line-numbered errors; the result is the same either way.
+    Every field is converted in one numpy str-to-float cast, which calls
+    Python's ``float``; only when some field does not parse are the fields
+    converted one at a time.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -102,63 +101,28 @@ def parse_log(text: str, driver_id: str, rate_hz: float) -> Trip:
     if header != LOG_HEADER:
         raise ValueError(f"malformed header: expected {LOG_HEADER!r}, got {header!r}")
 
-    table = _clean_table(lines)
-    if table is None:
-        table = _table_by_line(lines)
+    body = [line for line in lines[1:] if line.strip()]
+    rows = [line for line in body if line.count(",") == 6]
+    fields = ",".join(rows).split(",") if rows else []
+    try:
+        table = np.array(fields, dtype=np.float64).reshape(-1, 7)
+    except ValueError:  # a field that does not parse
+        table = np.array([_float_or_nan(field) for field in fields]).reshape(-1, 7)
+    kept = np.isfinite(table[:, 0])
+    table = table[kept]
+    t = table[:, 0]
+    bad = np.flatnonzero((t < 0) | (np.diff(t, prepend=-np.inf) <= 0))
+    if bad.size:  # the line of the first bad stamp, found only on this path
+        linenos = [n for n, line in enumerate(lines[1:], start=2) if line.count(",") == 6]
+        kind = "negative" if t[bad[0]] < 0 else "non-monotonic"
+        raise ValueError(f"{kind} timestamp at line {np.array(linenos)[kept][bad[0]]}")
+    if len(body) > t.size:
+        warnings.warn(f"rejected {len(body) - t.size} rows with unparseable timestamps or field counts")
+    if not t.size:
+        raise ValueError("empty log")
     data = np.ascontiguousarray(table[:, 1:])
     data[~np.isfinite(data)] = np.nan
-    return Trip(driver_id, np.ascontiguousarray(table[:, 0]), data, rate_hz)
-
-
-def _clean_table(lines: list[str]) -> np.ndarray | None:
-    """The (n, 7) table of a log whose body is provably clean, else None."""
-    body = [line for line in lines[1:] if line.strip()]
-    if not body or any(line.count(",") != 6 for line in body):
-        return None
-    try:
-        table = np.array(",".join(body).split(","), dtype=np.float64).reshape(-1, 7)
-    except ValueError:  # a field that does not parse
-        return None
-    t = table[:, 0]
-    if not (np.isfinite(t).all() and t[0] >= 0 and (np.diff(t) > 0).all()):
-        return None
-    return table
-
-
-def _table_by_line(lines: list[str]) -> np.ndarray:
-    """The (n, 7) table of any log body, with a summary warning for dropped
-    rows and an error naming the line of a bad timestamp."""
-    rows: list[list[float]] = []
-    rejected = 0
-    prev_t = -np.inf
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            rejected += 1
-            continue
-        try:
-            t = float(fields[0])
-        except ValueError:
-            rejected += 1
-            continue
-        if not np.isfinite(t):
-            rejected += 1
-            continue
-        if t < 0:
-            raise ValueError(f"negative timestamp at line {lineno}")
-        if t <= prev_t:
-            raise ValueError(f"non-monotonic timestamp at line {lineno}")
-        prev_t = t
-        rows.append([t, *map(_float_or_nan, fields[1:])])
-
-    if rejected:
-        warnings.warn(f"rejected {rejected} rows with unparseable timestamps or field counts")
-    if not rows:
-        raise ValueError("empty log")
-    return np.array(rows)
+    return Trip(driver_id, np.ascontiguousarray(t), data, rate_hz)
 
 
 def serialize_log(trip: Trip) -> str:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driverid import ingest
 from driverid.ingest import (
     LOG_HEADER,
     Trip,
@@ -19,6 +20,7 @@ from driverid.features import Standardizer
 from driverid.models import LabeledDataset
 from driverid.preprocess import CleanTrip, StopInterval
 from driverid.segment import WindowBatch
+from driverid.synth import generate_trip, make_profiles
 from oracles import parse_log_oracle
 
 
@@ -120,6 +122,17 @@ class TestRoundTrip:
 
     def test_serialization_is_deterministic(self, quiet_trip):
         assert serialize_log(quiet_trip) == serialize_log(quiet_trip)
+
+    def test_clean_log_converts_in_one_cast(self, monkeypatch):
+        """Every field of a written log parses, NaN included, so the per-field conversion never runs."""
+        trip, _ = generate_trip(make_profiles(2)[0], 1200.0, 2.0, driver_id="d", missing_rate_per_hour=20.0)
+        assert np.isnan(trip.data).any()
+
+        def per_field(field):
+            raise AssertionError(f"converted {field!r} one field at a time")
+
+        monkeypatch.setattr(ingest, "_float_or_nan", per_field)
+        assert parse_log(serialize_log(trip), "d", 2.0) == trip
 
 
 # Field texts that float() reads besides repr of a float (odd spellings and
