@@ -95,6 +95,8 @@ def cmd_synth(args) -> int:
         raise ConfigError("--hours must be finite and cover at least one minute")
     if not (math.isfinite(args.rate) and args.rate > 0):
         raise ConfigError(f"--rate must be finite and positive, got {args.rate}")
+    if not math.isfinite(args.hours * 3600.0 * args.rate):
+        raise ConfigError(f"--hours {args.hours} at --rate {args.rate} gives a non-finite sample count")
     seed = args.seed
     if args.config:
         cfg = read_run_config(args.config)
@@ -165,10 +167,14 @@ def _log_tasks(manifest: Manifest, cfg: RunConfig) -> list[tuple]:
 
 
 def _check_windows(manifest: Manifest, key: str, window_minutes) -> None:
-    """Refuse, before any log is read, a window of fewer than 2 samples at a rate the manifest lists."""
+    """Refuse, before any log is read, a window of fewer than 2 samples, or of
+    a sample count that overflows, at a rate the manifest lists."""
     rates = dict.fromkeys(rate for _, _, rate in manifest.entries)
     for minutes, rate in product(window_minutes, rates):
-        w = SegmentationConfig(window_minutes=minutes).window_samples(rate)
+        try:
+            w = SegmentationConfig(window_minutes=minutes).window_samples(rate)
+        except ValueError as err:
+            raise ConfigError(f"{key}: {err}") from None
         if w < 2:
             raise ConfigError(f"{key} = {minutes} gives a window of {w} samples at {rate} Hz, fewer than 2")
 

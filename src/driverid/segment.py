@@ -46,7 +46,10 @@ class SegmentationConfig:
             raise ValueError("train_fraction must be in (0, 1)")
 
     def window_samples(self, rate_hz: float) -> int:
-        return int(round(self.window_minutes * 60.0 * rate_hz))
+        w = self.window_minutes * 60.0 * rate_hz
+        if not np.isfinite(w):
+            raise ValueError(f"a {self.window_minutes}-minute window at {rate_hz} Hz has a non-finite sample count")
+        return int(round(w))
 
     def stride_samples(self, rate_hz: float) -> int:
         w = self.window_samples(rate_hz)

@@ -83,6 +83,9 @@ class TestSynthCommand:
             ("--rate", "inf", "--rate must be finite and positive"),
             ("--hours", "0.01", "--hours must be finite and cover at least one minute"),
             ("--hours", "nan", "--hours must be finite and cover at least one minute"),
+            # finite settings whose sample count overflows to infinity
+            ("--rate", "1e308", "--hours 0.05 at --rate 1e+308 gives a non-finite sample count"),
+            ("--hours", "1e308", "--hours 1e+308 at --rate 2.0 gives a non-finite sample count"),
         ],
     )
     def test_bad_rate_or_duration_is_usage_error(self, tmp_path, capsys, flag, value, message):
@@ -344,7 +347,14 @@ class TestRejectedModelFile:
         assert re.search(message, err)
         assert not out.exists()
 
-    def test_mlp_hidden_layers_not_a_list_exits_2(self, corpus_dir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("hidden_layers", 5, "config.hidden_layers: expected a list, got 5"),
+            ("activation", "tanh", "config.activation 'relu' differs from activation 'tanh'"),
+        ],
+    )
+    def test_bad_stored_mlp_value_exits_2(self, corpus_dir, tmp_path, capsys, key, value, message):
         config = tmp_path / "run.ini"
         config.write_text(
             RUN_CONFIG.replace("model = knn", "model = mlp") + "\n[model.mlp]\nhidden_layers = 4\nmax_epochs = 2\n"
@@ -353,7 +363,7 @@ class TestRejectedModelFile:
         assert main(["train", "--manifest", manifest, "--config", str(config), "--out", str(tmp_path)]) == 0
         model_file = tmp_path / "model.json"
         doc = json.loads(model_file.read_text())
-        doc["params"]["config"]["hidden_layers"] = 5
+        (doc["params"]["config"] if key == "hidden_layers" else doc["params"])[key] = value
         model_file.write_text(json.dumps(doc))
         out = tmp_path / "eval"
         code = main(
@@ -361,7 +371,7 @@ class TestRejectedModelFile:
              "--config", str(config), "--out", str(out)]
         )
         assert code == 2
-        assert "config.hidden_layers: expected a list, got 5" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1019,33 +1029,40 @@ class TestConfigParsing:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, section, value",
+        "command, section, value, rate, message",
         [
-            ("train", "segmentation", "0.001"),
-            ("train", "segmentation", "1e-300"),
-            ("evaluate", "segmentation", "0.001"),
-            ("grid", "grid", "4, 0.001"),
+            ("train", "segmentation", "0.001", 2.0, " = 0.001 gives a window of 0 samples at 2.0 Hz"),
+            ("train", "segmentation", "1e-300", 2.0, " = 1e-300 gives a window of 0 samples at 2.0 Hz"),
+            ("evaluate", "segmentation", "0.001", 2.0, " = 0.001 gives a window of 0 samples at 2.0 Hz"),
+            ("grid", "grid", "4, 0.001", 2.0, " = 0.001 gives a window of 0 samples at 2.0 Hz"),
+            # finite settings whose sample count overflows to infinity
+            ("train", "segmentation", "1e308", 2.0, ": a 1e+308-minute window at 2.0 Hz has a non-finite"),
+            ("evaluate", "segmentation", "1e308", 2.0, ": a 1e+308-minute window at 2.0 Hz has a non-finite"),
+            ("grid", "grid", "5, 1e308", 2.0, ": a 1e+308-minute window at 2.0 Hz has a non-finite"),
+            ("train", "segmentation", "15", 1e308, ": a 15.0-minute window at 1e+308 Hz has a non-finite"),
         ],
     )
     @pytest.mark.usefixtures("one_worker")
     def test_window_of_under_two_samples_fails_before_any_log_is_read(
-        self, corpus_dir, tmp_path, monkeypatch, capsys, command, section, value
+        self, corpus_dir, tmp_path, monkeypatch, capsys, command, section, value, rate, message
     ):
         reads = []
         monkeypatch.setattr(ingest, "read_log", lambda *args: reads.append(args))
         path = tmp_path / "bad.ini"
         path.write_text(f"[{section}]\nwindow_minutes = {value}\n")
         read_run_config(path)  # a positive window is a valid setting; only the manifest's rate rules it out
+        manifest = tmp_path / "manifest.csv"  # the corpus's logs, listed at `rate`
+        logs = sorted(corpus_dir.glob("driver*.csv"))
+        write_manifest([(str(log), log.stem, rate) for log in logs], manifest)
         model = ["--model", str(tmp_path / "model.json")] if command == "evaluate" else []
         code = main(
-            [command, "--manifest", str(corpus_dir / "manifest.csv"),
+            [command, "--manifest", str(manifest),
              "--config", str(path), "--out", str(tmp_path / "out"), *model]
         )
         assert code == 2
         assert reads == []
         assert not (tmp_path / "out").exists()
-        assert re.search(rf"\[{section}\] window_minutes = \S+ gives a window of 0 samples at 2.0 Hz",
-                         capsys.readouterr().err)
+        assert f"[{section}] window_minutes{message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[DEFAULT]\nsede = 3\n", "[DEFAULT]\nseed = 3\n[run]\nmodel = knn\n"])
     def test_default_section_keys_rejected(self, tmp_path, text):
