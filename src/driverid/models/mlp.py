@@ -225,6 +225,8 @@ def from_doc(doc: dict, n_features: int, n_classes: int) -> MlpParams:
             raise ValueError(f"config.hidden_layers: expected a list, got {values['hidden_layers']!r}")
         values["hidden_layers"] = [json_int(h, "config.hidden_layers") for h in values["hidden_layers"]]
         cfg = MlpConfig(**values)
+        if cfg.activation != doc["activation"]:
+            raise ValueError(f"config.activation {cfg.activation!r} differs from activation {doc['activation']!r}")
     return MlpParams(
         weights=weights,
         biases=biases,

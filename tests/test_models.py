@@ -814,6 +814,7 @@ class TestSaveLoad:
             ("mlp", {("params", "biases", 0): encode_array(np.zeros(99), "<f8")}, "layer 0 has"),
             ("mlp", {("params", "weights", 1): encode_array(np.zeros((99, 3)), "<f8")}, "layer 1 has"),
             ("mlp", {("params", "activation"): "sigmoid"}, "activation must be one of"),
+            ("mlp", {("params", "activation"): "tanh"}, "config.activation 'relu' differs from activation 'tanh'"),
             ("knn", {("params", "train_x"): encode_array(np.full((50, 5), np.nan), "<f8")},
              "train_x: non-finite value"),
             ("dtree", {("params", "nodes", 0, "threshold"): float("nan")},
