@@ -172,6 +172,46 @@ def tree_walk_oracle(nodes, query):
     return node["leaf"]
 
 
+def tree_to_nodes(tree):
+    """Preorder node list of a ``Tree``'s arrays, as ``cart_oracle`` returns
+    it: ``{"leaf": class}`` where ``feature`` is negative, else ``{"feature",
+    "threshold", "left", "right"}``."""
+    columns = (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_class)
+    return [
+        {"leaf": cls} if f < 0 else {"feature": f, "threshold": thr, "left": lo, "right": hi}
+        for f, thr, lo, hi, cls in zip(*(np.asarray(c).tolist() for c in columns))
+    ]
+
+
+def tree_check_oracle(nodes, n_features, n_classes):
+    """Raise ValueError unless NODES (``tree_to_nodes``'s form) is a tree,
+    checked one node at a time in preorder: a leaf's class and a split's
+    feature in range, a split's two children distinct and after it (which
+    rules out cycles), its threshold finite; then every node but the root
+    the child of exactly one split. The first failure found is raised."""
+    if not nodes:
+        raise ValueError("tree has no nodes")
+    parents = [0] * len(nodes)
+    for i, spec in enumerate(nodes):
+        if "leaf" in spec:
+            if not 0 <= spec["leaf"] < n_classes:
+                raise ValueError(f"tree node {i}: leaf class {spec['leaf']} outside [0, {n_classes})")
+            continue
+        dim, lo, hi = spec["feature"], spec["left"], spec["right"]
+        if not 0 <= dim < n_features:
+            raise ValueError(f"tree node {i}: feature {dim} outside [0, {n_features})")
+        if lo == hi or not (i < lo < len(nodes) and i < hi < len(nodes)):
+            raise ValueError(f"tree node {i}: children {lo}, {hi} not two nodes in ({i}, {len(nodes)})")
+        parents[lo] += 1
+        parents[hi] += 1
+        threshold = float(spec["threshold"])
+        if not math.isfinite(threshold):
+            raise ValueError(f"tree node {i}: threshold {threshold} is not finite")
+    for i, count in enumerate(parents[1:], 1):
+        if count != 1:
+            raise ValueError(f"tree node {i} is the child of {count} splits, not 1")
+
+
 def window_starts_oracle(t, break_after, w, stride):
     """Start time of every stride offset whose w samples cross no break."""
     starts = []

@@ -26,10 +26,18 @@ from driverid.models.io import FORMAT_VERSION
 from driverid.models.knn import QUERY_BLOCK, KnnParams
 from driverid.models.mlp import MlpParams, forward, init_params, loss_and_grads
 from driverid.models.registry import MODEL_KINDS, REGISTRY
-from driverid.models.tree import grow_tree, tree_depth, tree_from_nodes, tree_to_nodes
+from driverid.models.tree import Tree, grow_tree, tree_depth, tree_from_nodes
 from driverid.pipeline import train_model
 from driverid.segment import InsufficientData
-from oracles import array_doc_oracle, cart_oracle, knn_oracle, mlp_fit_oracle, tree_walk_oracle
+from oracles import (
+    array_doc_oracle,
+    cart_oracle,
+    knn_oracle,
+    mlp_fit_oracle,
+    tree_check_oracle,
+    tree_to_nodes,
+    tree_walk_oracle,
+)
 
 
 KIND_PARAMS = {"knn": {"k": 3}, "dtree": {"max_depth": 4}, "rforest": {"n_trees": 5}, "mlp": {"max_epochs": 15}}
@@ -46,6 +54,22 @@ def make_dataset(rng, n=60, dim=5, classes=("a", "b", "c")):
     for i, c in enumerate(classes):
         x[labels == c] += i * 2.0
     return LabeledDataset(features=x, labels=labels, class_list=tuple(sorted(classes)))
+
+
+def arrays_sha256(params) -> str:
+    """sha256 over the dtype, shape and C-order bytes of each trained array
+    of a tree, forest or MLP: a digest of training that no file format enters."""
+    if isinstance(params, Tree):
+        arrays = [params.feature, params.threshold, params.left, params.right, params.leaf_class]
+    elif hasattr(params, "trees"):
+        arrays = [a for tree in params.trees for a in vars(tree).values()]
+    else:
+        arrays = [*params.weights, *params.biases]
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(f"{a.dtype.str} {a.shape}".encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
 
 
 def materialized(value):
@@ -310,50 +334,110 @@ class TestCartOracle:
         assert tree.feature[0] == 1
 
     def test_saved_trees_match_golden_digests(self):
-        """A dtree and a 7-tree forest on a fixed data set save to the same
-        bytes as when these digests were taken, so the split search still
-        grows the same trees."""
+        """A dtree and a 7-tree forest on a fixed data set grow the same arrays,
+        and save to the same bytes, as when these digests were taken."""
         data = make_dataset(np.random.default_rng(40), n=120, dim=8, classes=("a", "b", "c", "d"))
-        for kind, params, digest in (
-            ("dtree", {}, GOLDEN_DTREE_SHA256),
-            ("rforest", {"n_trees": 7}, GOLDEN_RFOREST_SHA256),
+        for kind, params, digest, arrays_digest in (
+            ("dtree", {}, GOLDEN_DTREE_SHA256, GOLDEN_DTREE_ARRAYS_SHA256),
+            ("rforest", {"n_trees": 7}, GOLDEN_RFOREST_SHA256, GOLDEN_RFOREST_ARRAYS_SHA256),
         ):
+            model = train_model(kind, data, params, seed=5)
+            assert arrays_sha256(model.params) == arrays_digest, kind
             buf = io.StringIO()
-            save_model(train_model(kind, data, params, seed=5), buf)
+            save_model(model, buf)
             assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, kind
             resaved = io.StringIO()  # and the saved trees load as trees
             save_model(load_model(io.StringIO(buf.getvalue())), resaved)
             assert resaved.getvalue() == buf.getvalue(), kind
 
 
+def random_nodes(rng, n_features, n_classes, max_depth):
+    """Preorder node list of a random tree with thresholds on a 0.1 grid."""
+    nodes = []
+
+    def grow(depth):
+        slot = len(nodes)
+        nodes.append({})
+        if depth == max_depth or rng.random() < 0.25:
+            nodes[slot] = {"leaf": int(rng.integers(n_classes))}
+        else:
+            feature = int(rng.integers(n_features))
+            threshold = float(np.round(rng.standard_normal(), 1))
+            left = grow(depth + 1)
+            right = grow(depth + 1)
+            nodes[slot] = {"feature": feature, "threshold": threshold, "left": left, "right": right}
+        return slot
+
+    grow(0)
+    return nodes
+
+
+def tree_of(nodes):
+    """The unchecked ``Tree`` of a node list in ``tree_to_nodes``'s form."""
+    rows = [
+        (-1, 0.0, -1, -1, spec["leaf"]) if "leaf" in spec
+        else (spec["feature"], spec["threshold"], spec["left"], spec["right"], -1)
+        for spec in nodes
+    ]
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64)
+    return Tree(*(np.array(column, dtype) for column, dtype in zip(zip(*rows), dtypes)))
+
+
+THRESHOLDS = st.sampled_from([0.5, -1.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def tree_arrays(draw):
+    """(Tree, n_features, n_classes), most of them not a tree: a random
+    tree with up to three entries overwritten, or five arrays drawn at random."""
+    n_features, n_classes = draw(st.integers(1, 3), "features"), draw(st.integers(1, 3), "classes")
+    if draw(st.booleans(), "from a tree"):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), "tree seed"))
+        tree = tree_of(random_nodes(rng, n_features, n_classes, draw(st.integers(0, 3), "depth")))
+        columns = [a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_class)]
+        n = len(columns[0])
+        for _ in range(draw(st.integers(0, 3), "edits")):
+            column, at = draw(st.integers(0, 4)), draw(st.integers(0, n - 1))
+            # a link to a later node's child leaves one node two parents and another none
+            later = [v for v in columns[2] + columns[3] if v > at] or [n]
+            values = st.integers(-2, n + 1) | st.sampled_from(later)
+            columns[column][at] = draw(THRESHOLDS if column == 1 else values)
+    else:
+        n = draw(st.integers(1, 6), "nodes")
+        ints = st.lists(st.integers(-2, n + 1), min_size=n, max_size=n)
+        columns = [draw(ints), draw(st.lists(THRESHOLDS, min_size=n, max_size=n)), draw(ints), draw(ints), draw(ints)]
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64)
+    return Tree(*(np.array(c, dtype) for c, dtype in zip(columns, dtypes))), n_features, n_classes
+
+
+def error_of(fn, *args):
+    """The message of the ValueError fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+class TestTreeCheck:
+    @settings(max_examples=500, deadline=None)
+    @given(tree_arrays())
+    def test_rejects_what_the_per_node_oracle_rejects_with_its_message(self, drawn):
+        tree, n_features, n_classes = drawn
+        nodes = tree_to_nodes(tree)
+        assert error_of(tree_from_nodes, nodes, n_features, n_classes) == error_of(
+            tree_check_oracle, nodes, n_features, n_classes
+        )
+
+
 class TestTreeArrays:
     CLASSES = ("a", "b", "c")
-
-    def random_nodes(self, rng, n_features, max_depth):
-        """Preorder node list of a random tree with thresholds on a 0.1 grid."""
-        nodes = []
-
-        def grow(depth):
-            slot = len(nodes)
-            nodes.append({})
-            if depth == max_depth or rng.random() < 0.25:
-                nodes[slot] = {"leaf": int(rng.integers(len(self.CLASSES)))}
-            else:
-                feature = int(rng.integers(n_features))
-                threshold = float(np.round(rng.standard_normal(), 1))
-                left = grow(depth + 1)
-                right = grow(depth + 1)
-                nodes[slot] = {"feature": feature, "threshold": threshold, "left": left, "right": right}
-            return slot
-
-        grow(0)
-        return nodes
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), max_depth=st.integers(0, 7))
     def test_predict_matches_walk_oracle_on_random_trees(self, seed, max_depth):
         rng = np.random.default_rng(seed)
-        nodes = self.random_nodes(rng, n_features=4, max_depth=max_depth)
+        nodes = random_nodes(rng, 4, len(self.CLASSES), max_depth)
         tree = tree_from_nodes(nodes, 4, len(self.CLASSES))
         assert tree_to_nodes(tree) == nodes
         model = TrainedModel(kind="dtree", params=tree, class_list=self.CLASSES, n_features=4)
@@ -561,13 +645,15 @@ class TestMlp:
         assert all(map(np.array_equal, fitted.biases, biases))
 
     def test_saved_model_matches_golden_digest(self):
-        """A two-layer MLP that stops early (epoch 23 of 60) saves to the same
-        bytes as when this digest was taken."""
+        """A two-layer MLP that stops early (epoch 23 of 60) has the same
+        weights, and saves to the same bytes, as when these digests were taken."""
         data = make_dataset(np.random.default_rng(40), n=120, dim=8, classes=("a", "b", "c", "d"))
         params = {"hidden_layers": (16, 8), "max_epochs": 60, "early_stop_patience": 4,
                   "learning_rate": 0.1, "batch_size": 16}
+        model = train_model("mlp", data, params, seed=5)
+        assert arrays_sha256(model.params) == GOLDEN_MLP_ARRAYS_SHA256
         buf = io.StringIO()
-        save_model(train_model("mlp", data, params, seed=5), buf)
+        save_model(model, buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_MLP_SHA256
 
     def test_validation_fraction_bounds(self):
@@ -1143,6 +1229,10 @@ class TestChunkedDecode:
 GOLDEN_DTREE_SHA256 = "1028714fa2b4d8a4d5394741ee05cef2a85b7a716e7bec4e44018f012b014013"
 GOLDEN_RFOREST_SHA256 = "e7add055691c9d90beb9750dfe21501188929a82c6354a469e1f6f811dd7050f"
 GOLDEN_MLP_SHA256 = "f217092ea4b665a715fc1bdd1bd942888e7a94b5b2f39c93b00aec0be6cf076e"
+# the same models' trained arrays (``arrays_sha256``), whatever the file format
+GOLDEN_DTREE_ARRAYS_SHA256 = "46c3cc65c4cdc2efb6af620eacb7e5fa4d225d19880bfbad7830ec4bc146ea09"
+GOLDEN_RFOREST_ARRAYS_SHA256 = "d6bc14eacc4b9222d1d5a118e62e6c2106aa4af8b71a1a2403bfd45ea1eb970f"
+GOLDEN_MLP_ARRAYS_SHA256 = "b83705e31e0cbef253c1e33e70245a761de348342b09064fa42bd5d5030f768e"
 
 # a knn model, k = 1, rows (1, -2) and (0.5, 3) of classes a and b, standardizer
 # mean (0, 1) and std (1, 2): 1.0 is 00 00 00 00 00 00 f0 3f as "<f8", 1 is
