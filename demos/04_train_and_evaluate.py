@@ -43,7 +43,7 @@ recalls = ", ".join(
 )
 print("per-class recall:", recalls)
 
-# models persist to a versioned JSON container and round-trip exactly
+# models persist as a versioned JSON header plus an .npz of their arrays, and round-trip exactly
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "mlp.json"
     save_model(mlp, path)

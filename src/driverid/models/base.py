@@ -5,14 +5,11 @@ rows into a TrainedModel, whatever the kind. Predictions always take vectors in 
 (standardized) space the model was trained in; the fitted Standardizer is
 carried on the model so persisted models can transform fresh raw features.
 
-``array_doc``/``decode_array`` are the one conversion between a numeric
-array and its JSON form in a model file.
+``stored_array`` checks each array a kind's ``from_doc`` takes from a
+model file.
 """
 from __future__ import annotations
 
-import base64
-import binascii
-import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -21,9 +18,6 @@ import numpy as np
 from ..features import Standardizer
 from ..segment import InsufficientData
 
-# A model file's arrays are written in pieces: ENCODE_PIECE_BYTES of array
-# data (a multiple of 3) become one 131,072-character base64 piece.
-ENCODE_PIECE_BYTES = 3 * 2**15
 # LabeledDataset checks its features for finiteness about this many values at a time.
 FINITE_CHECK_VALUES = 2**16
 
@@ -94,51 +88,15 @@ def json_int(value, name: str) -> int:
     return value
 
 
-def array_doc(a, dtype: str) -> dict:
-    """``{"dtype", "shape", "data"}``: the array as C-order little-endian
-    ``dtype`` ("<f8" or "<i8") bytes in base64, which keeps every bit.
-
-    ``data`` is an iterator of base64 pieces, each the encoding of the next
-    ``ENCODE_PIECE_BYTES`` bytes of a memoryview of the array, so a writer
-    can stream it without ever holding the whole encoding.
-    """
-    arr = np.asarray(a, dtype=dtype)
-    return {"dtype": dtype, "shape": list(arr.shape), "data": _base64_pieces(arr.reshape(-1).view(np.uint8))}
-
-
-def _base64_pieces(raw: np.ndarray):
-    data = memoryview(raw)
-    for start in range(0, len(data), ENCODE_PIECE_BYTES):
-        yield base64.b64encode(data[start : start + ENCODE_PIECE_BYTES]).decode("ascii")
-
-
-def decode_array(doc, name: str, dtype: str) -> np.ndarray:
-    """Inverse of array_doc: a native-order, C-contiguous, read-only array
-    over the bytes of one ``binascii.a2b_base64(data, strict_mode=True)``,
-    the call ``base64.b64decode(data, validate=True)`` makes.
-
-    Raises ValueError naming ``name`` when the object is not an array of
-    ``dtype``, its data is not base64 text, its byte count does not match
-    its shape or a "<f8" value is NaN or infinite.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{name}: expected an array object, got {type(doc).__name__}")
-    if doc["dtype"] != dtype:
-        raise ValueError(f"{name}: dtype {doc['dtype']!r}, expected {dtype!r}")
-    shape = doc["shape"]
-    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
-        raise ValueError(f"{name}: shape {shape!r} is not a list of sizes")
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    try:
-        raw = binascii.a2b_base64(doc["data"], strict_mode=True)
-    except (ValueError, TypeError) as err:  # binascii.Error is a ValueError
-        raise ValueError(f"{name}: bad base64 data ({err})") from None
-    if len(raw) != size:
-        raise ValueError(f"{name}: {len(raw)} bytes of data for shape {shape}")
-    arr = np.frombuffer(raw, dtype).reshape(shape).astype(np.dtype(dtype).newbyteorder("="), copy=False)
-    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-        raise ValueError(f"{name}: non-finite value")
-    return arr
+def stored_array(value, name: str, dtype: str, ndim: int) -> np.ndarray:
+    """``value`` if it is an array of ``dtype`` ("<f8" or "<i8") with
+    ``ndim`` dimensions, as a model file's archive holds it; anything else,
+    such as a number or a list left in the header, raises ValueError
+    naming ``name``."""
+    if not (isinstance(value, np.ndarray) and value.dtype == np.dtype(dtype) and value.ndim == ndim):
+        got = f"{value.dtype} array of shape {value.shape}" if isinstance(value, np.ndarray) else repr(value)
+        raise ValueError(f"{name}: expected a {ndim}-d {np.dtype(dtype)} array, got {got}")
+    return value
 
 
 def check_training_data(data: LabeledDataset) -> None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import LabeledDataset, TrainedModel, json_int
-from .tree import Tree, grow_tree, predict_tree, tree_from_nodes, tree_to_nodes
+from .tree import Tree, from_doc as tree_from_doc, grow_tree, predict_tree, to_doc as tree_to_doc
 
 defaults = {"n_trees": 25, "max_depth": None, "features_per_split": None}
 seeded = True
@@ -89,19 +89,21 @@ def to_doc(p: ForestParams) -> dict:
         "features_per_split": p.features_per_split,
         "bootstrap": True,
         "seed": p.seed,
-        "trees": [tree_to_nodes(t) for t in p.trees],
+        "trees": [tree_to_doc(t) for t in p.trees],
     }
 
 
 def from_doc(doc: dict, n_features: int, n_classes: int) -> ForestParams:
     n_trees = json_int(doc["n_trees"], "n_trees")
+    if type(doc["trees"]) is not list:
+        raise ValueError(f"trees: expected a list, got {doc['trees']!r}")
     if n_trees != len(doc["trees"]):
         raise ValueError(f"forest says n_trees={n_trees} but holds {len(doc['trees'])} trees")
     max_depth = None if doc["max_depth"] is None else json_int(doc["max_depth"], "max_depth")
     features_per_split = json_int(doc["features_per_split"], "features_per_split")
     check({"n_trees": n_trees, "max_depth": max_depth, "features_per_split": features_per_split})
     return ForestParams(
-        trees=[tree_from_nodes(nodes, n_features, n_classes) for nodes in doc["trees"]],
+        trees=[tree_from_doc(t, n_features, n_classes) for t in doc["trees"]],
         n_trees=n_trees, max_depth=max_depth, features_per_split=features_per_split,
         seed=json_int(doc["seed"], "seed"),
     )

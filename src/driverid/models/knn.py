@@ -39,7 +39,7 @@ import numpy as np
 
 from ..parallel import ordered_map
 from ..segment import InsufficientData
-from .base import LabeledDataset, TrainedModel, array_doc, decode_array, json_int
+from .base import LabeledDataset, TrainedModel, json_int, stored_array
 
 QUERY_BLOCK = 64  # queries screened per matrix product: a 64 x 3,000-row block is 1.5 MB
 defaults = {"k": 5}
@@ -101,17 +101,13 @@ def _predict_block(p: KnnParams, n_classes: int, x_norms, margin: float, matrix,
 
 
 def to_doc(p: KnnParams) -> dict:
-    return {
-        "k": p.k,
-        "train_x": array_doc(p.train_x, "<f8"),
-        "train_y": array_doc(p.train_y, "<i8"),
-    }
+    return {"k": p.k, "train_x": p.train_x, "train_y": p.train_y}
 
 
 def from_doc(doc: dict, n_features: int, n_classes: int) -> KnnParams:
-    train_x = decode_array(doc["train_x"], "train_x", "<f8")
-    train_y = decode_array(doc["train_y"], "train_y", "<i8")
-    if train_x.ndim != 2 or train_x.shape[1] != n_features:
+    train_x = stored_array(doc["train_x"], "train_x", "<f8", 2)
+    train_y = stored_array(doc["train_y"], "train_y", "<i8", 1)
+    if train_x.shape[1] != n_features:
         raise ValueError(
             f"schema mismatch: stored rows have shape {train_x.shape}, "
             f"header says {n_features} features"

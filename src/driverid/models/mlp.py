@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..segment import InsufficientData
-from .base import LabeledDataset, TrainedModel, array_doc, decode_array, json_int
+from .base import LabeledDataset, TrainedModel, json_int, stored_array
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -189,21 +189,23 @@ def predict(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:
 def to_doc(p: MlpParams) -> dict:
     return {
         "activation": p.activation,
-        "weights": [array_doc(w, "<f8") for w in p.weights],
-        "biases": [array_doc(b, "<f8") for b in p.biases],
+        "weights": list(p.weights),
+        "biases": list(p.biases),
         "epochs_run": p.epochs_run,
         "config": asdict(p.config) if p.config is not None else None,
     }
 
 
 def from_doc(doc: dict, n_features: int, n_classes: int) -> MlpParams:
-    weights = [decode_array(w, f"weights[{i}]", "<f8") for i, w in enumerate(doc["weights"])]
-    biases = [decode_array(b, f"biases[{i}]", "<f8") for i, b in enumerate(doc["biases"])]
+    if type(doc["weights"]) is not list or type(doc["biases"]) is not list:
+        raise ValueError("weights and biases must be lists of arrays")
+    weights = [stored_array(w, f"weights[{i}]", "<f8", 2) for i, w in enumerate(doc["weights"])]
+    biases = [stored_array(b, f"biases[{i}]", "<f8", 1) for i, b in enumerate(doc["biases"])]
     if not weights or len(biases) != len(weights):
         raise ValueError(f"{len(weights)} weight and {len(biases)} bias layers stored")
     width = n_features
     for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+        if w.shape[0] != width or b.shape != w.shape[1:]:
             raise ValueError(
                 f"schema mismatch: layer {i} has weights {w.shape} and biases {b.shape}, "
                 f"its input is {width} wide"
@@ -217,10 +219,15 @@ def from_doc(doc: dict, n_features: int, n_classes: int) -> MlpParams:
         raise ValueError(f"activation must be one of {ACTIVATIONS}")
     cfg_doc = doc.get("config")
     cfg = None
-    if cfg_doc:
+    if cfg_doc is not None:
+        if type(cfg_doc) is not dict:
+            raise ValueError(f"config: expected an object, got {cfg_doc!r}")
         values = {f.name: cfg_doc[f.name] for f in fields(MlpConfig)}
         for name in ("batch_size", "max_epochs", "early_stop_patience", "seed"):
             json_int(values[name], f"config.{name}")
+        for name in ("learning_rate", "validation_fraction"):
+            if type(values[name]) not in (int, float):
+                raise ValueError(f"config.{name}: expected a number, got {values[name]!r}")
         if type(values["hidden_layers"]) is not list:
             raise ValueError(f"config.hidden_layers: expected a list, got {values['hidden_layers']!r}")
         values["hidden_layers"] = [json_int(h, "config.hidden_layers") for h in values["hidden_layers"]]

@@ -15,16 +15,17 @@ counts each row once, and a forest tree its distinct bootstrap rows by
 their draw counts, which gives the tree of the bootstrap copy.
 
 A fitted tree is a ``Tree`` of parallel arrays indexed by node, numbered in
-preorder (root 0, then the whole left subtree, then the right one).
+preorder (root 0, then the whole left subtree, then the right one). A model
+file stores the five arrays as they are, and ``check_tree`` checks a loaded
+one in a few array operations.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import LabeledDataset, TrainedModel, json_int
+from .base import LabeledDataset, TrainedModel, stored_array
 
 defaults = {"max_depth": None, "min_leaf": 1}
 seeded = False
@@ -62,11 +63,44 @@ def predict(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:
 
 
 def to_doc(tree: Tree) -> dict:
-    return {"nodes": tree_to_nodes(tree)}
+    return dict(vars(tree))
 
 
 def from_doc(doc: dict, n_features: int, n_classes: int) -> Tree:
-    return tree_from_nodes(doc["nodes"], n_features, n_classes)
+    if type(doc) is not dict:
+        raise ValueError(f"a tree must be an object of arrays, got {doc!r}")
+    tree = Tree(*(stored_array(doc[f.name], f.name, "<f8" if f.name == "threshold" else "<i8", 1) for f in fields(Tree)))
+    check_tree(tree, n_features, n_classes)
+    return tree
+
+
+def check_tree(tree: Tree, n_features: int, n_classes: int) -> None:
+    """Raise ValueError unless ``tree`` is a preorder tree: each leaf's class
+    and each split's feature in range, each split's two children distinct
+    and after it (no cycles) and its threshold finite, and each node but the
+    root one split's child. The message is the one the per-node check
+    (``tests/oracles.py::tree_check_oracle``) gives at the first failing node."""
+    n = len(tree.feature)
+    if n == 0 or any(a.shape != (n,) for a in vars(tree).values()):
+        raise ValueError("tree has no nodes" if n == 0 else "tree arrays differ in length")
+    at, split, lo, hi, cls = np.arange(n), tree.feature >= 0, tree.left, tree.right, tree.leaf_class
+    failed = np.array([  # per node, in the order one node is checked
+        ~split & ((cls < 0) | (cls >= n_classes)),
+        split & (tree.feature >= n_features),
+        split & ((lo == hi) | (lo <= at) | (lo >= n) | (hi <= at) | (hi >= n)),
+        split & ~np.isfinite(tree.threshold),
+    ])
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=0)))
+        message = (
+            f"leaf class {cls[i]} outside [0, {n_classes})", f"feature {tree.feature[i]} outside [0, {n_features})",
+            f"children {lo[i]}, {hi[i]} not two nodes in ({i}, {n})", f"threshold {tree.threshold[i]} is not finite",
+        )[int(np.argmax(failed[:, i]))]
+        raise ValueError(f"tree node {i}: {message}")
+    parents = np.bincount(np.concatenate([lo[split], hi[split]]), minlength=n)
+    if (parents[1:] != 1).any():
+        i = int(np.argmax(parents[1:] != 1)) + 1
+        raise ValueError(f"tree node {i} is the child of {parents[i]} splits, not 1")
 
 
 def grow_tree(
@@ -110,7 +144,7 @@ def grow_tree(
         go_left = xt[dim, rows] <= thr
         stack.append((rows[~go_left], depth + 1, slot))
         stack.append((rows[go_left], depth + 1, -1))
-    return _to_tree(nodes)
+    return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
 def _find_split(xt, y, w, rows, n_classes, max_depth, min_leaf, rng, features_per_split, depth):
@@ -179,53 +213,3 @@ def tree_depth(tree: Tree) -> int:
     for i in np.flatnonzero(tree.feature >= 0):  # children follow their parent
         depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
     return int(depth.max())
-
-
-def tree_to_nodes(tree: Tree) -> list[dict]:
-    """Preorder node list with child index links, for serialization."""
-    columns = (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_class)
-    return [
-        {"leaf": cls} if f < 0 else {"feature": f, "threshold": thr, "left": lo, "right": hi}
-        for f, thr, lo, hi, cls in zip(*(c.tolist() for c in columns))
-    ]
-
-
-def tree_from_nodes(nodes: list[dict], n_features: int, n_classes: int) -> Tree:
-    """Inverse of tree_to_nodes. Rejects a class, feature or child index
-    that is not a JSON integer or is out of range, children that do not
-    follow their parent, which rules out cycles, a node other than the root
-    that is not exactly one split's child, and thresholds that are NaN or
-    infinite (JSON readers accept ``NaN`` and ``Infinity``)."""
-    if not nodes:
-        raise ValueError("empty tree serialization")
-    rows = []
-    parents = [0] * len(nodes)
-    for i, spec in enumerate(nodes):
-        if "leaf" in spec:
-            cls = json_int(spec["leaf"], f"tree node {i}: leaf")
-            if not 0 <= cls < n_classes:
-                raise ValueError(f"tree node {i}: leaf class {cls} outside [0, {n_classes})")
-            rows.append((-1, 0.0, -1, -1, cls))
-            continue
-        dim = json_int(spec["feature"], f"tree node {i}: feature")
-        lo = json_int(spec["left"], f"tree node {i}: left")
-        hi = json_int(spec["right"], f"tree node {i}: right")
-        if not 0 <= dim < n_features:
-            raise ValueError(f"tree node {i}: feature {dim} outside [0, {n_features})")
-        if lo == hi or not (i < lo < len(nodes) and i < hi < len(nodes)):
-            raise ValueError(f"tree node {i}: children {lo}, {hi} not two nodes in ({i}, {len(nodes)})")
-        parents[lo] += 1
-        parents[hi] += 1
-        threshold = float(spec["threshold"])
-        if not math.isfinite(threshold):
-            raise ValueError(f"tree node {i}: threshold {threshold} is not finite")
-        rows.append((dim, threshold, lo, hi, -1))
-    for i, count in enumerate(parents[1:], 1):
-        if count != 1:
-            raise ValueError(f"tree node {i} is the child of {count} splits, not 1")
-    return _to_tree(rows)
-
-
-def _to_tree(nodes) -> Tree:
-    """Tree from per-node (feature, threshold, left, right, leaf_class) rows."""
-    return Tree(*(np.array(column) for column in zip(*nodes)))

@@ -7,14 +7,14 @@ past the last stopped sample, so interval durations add up exactly to the
 removed data time.
 
 `write_clean` stores a CleanTrip as two files, its samples in an ``.npz``
-and its cleaning record in a JSON sidecar, and `read_clean` rebuilds the
+(through `npz.write_arrays`, as model files store their arrays) and its
+cleaning record in a JSON sidecar, and `read_clean` rebuilds the
 equal CleanTrip from them, so a trip the `driverid clean` command wrote is
 read back, not cleaned again.
 """
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import ACCEL_COLUMNS, Trip, continuity_breaks
+from .npz import read_arrays, write_arrays
 
 GRAVITY = 9.81
 CLEAN_FORMAT = 1  # the sidecar's "format": the layout of a cleaned trip's two files
@@ -125,7 +126,7 @@ def write_clean(trip: CleanTrip, arrays: Path, sidecar: Path, cleaning: dict) ->
     """Write TRIP as ARRAYS, an ``.npz`` of float64 ``t`` (n,) and ``data``
     (n, 6), and SIDECAR, a JSON object of its cleaning record plus
     ``"format"`` and the ``cleaning`` settings that made it."""
-    np.savez(arrays, t=trip.t, data=trip.data)
+    write_arrays(arrays, {"t": trip.t, "data": trip.data})
     doc = {"format": CLEAN_FORMAT, "cleaning": cleaning, **trip.sidecar()}
     sidecar.write_text(json.dumps(doc, indent=1, allow_nan=False), encoding="utf-8")
 
@@ -169,28 +170,17 @@ def read_clean(arrays: Path, sidecar: dict) -> CleanTrip:
     """The CleanTrip that `write_clean` wrote as ARRAYS, with SIDECAR, the
     object `read_sidecar` read from its sidecar.
 
-    Nothing in the archive is trusted: it must hold exactly the float64
-    arrays ``t`` (n,) and ``data`` (n, 6), no pickled object is loaded,
-    and the trip is rebuilt through the CleanTrip constructor, whose checks
-    all hold and which derives ``break_after`` again. Raises ValueError.
+    Nothing in the archive is trusted: `npz.read_arrays` requires exactly
+    the finite float64 arrays ``t`` and ``data``, and the trip is rebuilt
+    through the CleanTrip constructor, whose checks all hold (``t`` (n,)
+    and ``data`` (n, 6) among them) and which derives ``break_after``
+    again. Raises ValueError.
     """
-    if not zipfile.is_zipfile(arrays):  # np.load would take the file for a .npy or a pickle
-        raise ValueError("not an .npz archive")
-    try:
-        with np.load(arrays, allow_pickle=False) as loaded:
-            names = sorted(loaded.files)
-            if names != ["data", "t"]:
-                raise ValueError(f"expected arrays ['data', 't'], got {names}")
-            t, data = loaded["t"], loaded["data"]
-    except (OSError, EOFError, zipfile.BadZipFile) as err:
-        raise ValueError(f"unreadable .npz archive: {err}") from None
-    for name, arr in (("t", t), ("data", data)):
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64):  # a member not in .npy is bytes
-            raise ValueError(f"array {name} must be float64, got {getattr(arr, 'dtype', type(arr).__name__)}")
+    loaded = read_arrays(arrays, ("t", "data"), ("<f8",))
     return CleanTrip(
         driver_id=sidecar["driver_id"],
-        t=t,
-        data=data,
+        t=loaded["t"],
+        data=loaded["data"],
         nominal_rate_hz=float(sidecar["nominal_rate_hz"]),
         removed_gap_seconds=float(sidecar["removed_gap_seconds"]),
         stop_intervals=tuple(StopInterval(float(a), float(b)) for a, b in sidecar["stop_intervals"]),

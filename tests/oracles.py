@@ -6,9 +6,7 @@ arithmetic, and says why).
 """
 from __future__ import annotations
 
-import base64
 import math
-import struct
 import warnings
 
 import numpy as np
@@ -81,17 +79,6 @@ def knn_oracle(train_x, train_y, class_list, query, k):
     for label in class_list:  # class order breaks vote ties
         if votes.get(label) == best:
             return label
-
-
-def array_doc_oracle(doc):
-    """(shape, flat values in C order) of a model file's array object,
-    unpacked as little-endian float64 ("<f8") or int64 ("<i8")."""
-    shape = tuple(doc["shape"])
-    raw = base64.b64decode(doc["data"])
-    code = {"<f8": "d", "<i8": "q"}[doc["dtype"]]
-    count = math.prod(shape)
-    assert len(raw) == 8 * count
-    return shape, struct.unpack(f"<{count}{code}", raw)
 
 
 def cart_oracle(x, y, n_classes, max_depth, min_leaf, rng=None, features_per_split=None):

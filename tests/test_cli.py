@@ -1,9 +1,12 @@
+import hashlib
 import io
 import json
 import multiprocessing
+import pickle
 import re
 import shutil
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -296,8 +299,16 @@ def _fractional_feature_count(doc):
     doc["n_features"] += 0.9
 
 
+def _set(key, value):
+    def damage(doc):
+        doc[key] = value
+    damage.__name__ = f"{key}_{value!r}"
+    return damage
+
+
 @pytest.fixture(scope="module")
-def trained_model_json(corpus_dir, tmp_path_factory):
+def trained_model(corpus_dir, tmp_path_factory):
+    """The directory where `train` wrote a knn model's model.json and model.npz."""
     model_dir = tmp_path_factory.mktemp("model")
     config_file = model_dir / "run.ini"
     config_file.write_text(RUN_CONFIG)
@@ -305,7 +316,49 @@ def trained_model_json(corpus_dir, tmp_path_factory):
         ["train", "--manifest", str(corpus_dir / "manifest.csv"),
          "--config", str(config_file), "--out", str(model_dir)]
     ) == 0
-    return (model_dir / "model.json").read_text()
+    return model_dir
+
+
+def copy_model(model_dir: Path, dest: Path) -> Path:
+    """MODEL_DIR's model.json and model.npz copied into DEST; the copy's header."""
+    for name in ("model.json", "model.npz"):
+        shutil.copy(model_dir / name, dest / name)
+    return dest / "model.json"
+
+
+def _rewrite_members(name, edit):
+    """Damage: model.npz rewritten with EDIT done to its arrays, by name."""
+    def damage(npz):
+        with np.load(npz, allow_pickle=True) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        edit(arrays)
+        np.savez(npz, **arrays)
+    damage.__name__ = name
+    return damage
+
+
+def _pickled_member(npz):
+    """Damage: one member of model.npz a pickle in place of its .npy."""
+    with np.load(npz) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    with zipfile.ZipFile(npz, "w") as archive:
+        for key, value in arrays.items():
+            archive.writestr(f"{key}.npy", pickle.dumps(value) if key == "params.train_y" else _npy_bytes_of(value))
+
+
+def _npy_bytes_of(value):
+    sink = io.BytesIO()
+    np.save(sink, value)
+    return sink.getvalue()
+
+
+def _another_models_arrays(npz):
+    """Damage: model.npz replaced by the archive of a model with other rows."""
+    model = load_model(npz.with_suffix(".json"))
+    model.params.train_x = model.params.train_x + 1.0
+    (npz.parent / "other").mkdir()
+    save_model(model, npz.parent / "other" / "model.json")
+    shutil.copy(npz.parent / "other" / "model.npz", npz)
 
 
 class TestRejectedModelFile:
@@ -317,21 +370,27 @@ class TestRejectedModelFile:
             (_one_feature_more, "schema mismatch"),
             (_classes_reversed, "class_list must be sorted and distinct"),
             (_class_duplicated, "class_list must be sorted and distinct"),
-            (_version_as_float, "format_version: expected an integer, got 2.0"),
+            (_set("format_version", 2), "version 2, .*retrain"),
+            (_version_as_float, r"format_version: expected an integer, got 3\.0"),
             (_fractional_feature_count, r"n_features: expected an integer, got \d+\.9"),
             ("[]", "not a JSON object"),   # the whole file
+            # a field of another JSON type
+            (_set("class_list", None), "class_list must be a list of strings, got None"),
+            (_set("standardizer", "x"), "standardizer must be null or an object, got 'x'"),
+            (_set("schema_labels", 1.5), "schema_labels must be null or a list of strings, got 1.5"),
         ],
     )
     def test_exits_2_before_writing_anything(
-        self, corpus_dir, config_path, trained_model_json, tmp_path, capsys, damage, message
+        self, corpus_dir, config_path, trained_model, tmp_path, capsys, damage, message
     ):
-        model_file = tmp_path / "model.json"
+        model_file = copy_model(trained_model, tmp_path)
+        text = model_file.read_text()
         if damage is None:
-            model_file.write_text(trained_model_json[: len(trained_model_json) // 2])
+            model_file.write_text(text[: len(text) // 2])
         elif isinstance(damage, str):
             model_file.write_text(damage)
         else:
-            doc = json.loads(trained_model_json)
+            doc = json.loads(text)
             assert doc["format_version"] == FORMAT_VERSION
             damage(doc)
             model_file.write_text(json.dumps(doc))
@@ -339,6 +398,45 @@ class TestRejectedModelFile:
         code = main(
             ["evaluate", "--model", str(model_file),
              "--manifest", str(corpus_dir / "manifest.csv"),
+             "--config", str(config_path), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model_file) in err
+        assert re.search(message, err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "damage, pin, message",
+        [
+            (lambda npz: npz.unlink(), False, "model.npz: .*No such file"),
+            (_another_models_arrays, False, "model.npz: sha256 differs from the header's arrays_sha256"),
+            (lambda npz: npz.write_bytes(npz.read_bytes()[:-100]), False, "model.npz: sha256 differs"),  # truncated
+            (_rewrite_members("extra_member", lambda a: a.update(extra=np.zeros(1))), True,
+             r"model.npz: expected arrays \[.*\], got \[.*'extra'"),
+            (_rewrite_members("missing_member", lambda a: a.pop("params.train_y")), True,
+             r"model.npz: expected arrays \[.*'params.train_y'.*\], got \[(?!.*train_y)"),
+            (_rewrite_members("object_member", lambda a: a.update({"params.train_y": a["params.train_y"].astype(object)})),
+             True, "model.npz: Object arrays cannot be loaded"),
+            (_pickled_member, True, "model.npz: array params.train_y must be float64 or int64, got bytes"),
+            (_rewrite_members("big_endian", lambda a: a.update({"params.train_x": a["params.train_x"].astype(">f8")})),
+             True, "model.npz: array params.train_x must be float64 or int64, got >f8"),
+            (lambda npz: npz.write_bytes(_npy_bytes_of(np.zeros(3))), True, "model.npz: not an .npz archive"),
+        ],
+        ids=["missing", "another_models", "truncated", "extra_member", "missing_member", "object_member",
+             "pickled_member", "big_endian", "npy_in_place_of_zip"],
+    )
+    def test_archive_fault_exits_2(self, corpus_dir, config_path, trained_model, tmp_path, capsys, damage, pin, message):
+        model_file = copy_model(trained_model, tmp_path)
+        damage(model_file.with_suffix(".npz"))
+        if pin:  # the header's digest made the damaged archive's, so the damage reaches the reader's checks
+            doc = json.loads(model_file.read_text())
+            with open(model_file.with_suffix(".npz"), "rb") as fh:
+                doc["arrays_sha256"] = hashlib.file_digest(fh, "sha256").hexdigest()
+            model_file.write_text(json.dumps(doc))
+        out = tmp_path / "eval"
+        code = main(
+            ["evaluate", "--model", str(model_file), "--manifest", str(corpus_dir / "manifest.csv"),
              "--config", str(config_path), "--out", str(out)]
         )
         assert code == 2
@@ -660,7 +758,7 @@ CLEANED_DAMAGE = [
     (_rewrite_npz("decreasing_t", t=lambda a: a["t"][::-1].copy(), data=lambda a: a["data"]),
      "strictly increasing"),
     (_rewrite_npz("nan_data", t=lambda a: a["t"], data=lambda a: np.where(a["data"] > 0, np.nan, a["data"])),
-     "may not contain missing channels"),
+     "array data holds a NaN or infinite value"),
     (_replace_npz("truncated", lambda old: old[: len(old) // 2]), "not an .npz archive"),
     (_replace_npz("text", lambda old: b"t,ax,ay,az,gx,gy,gz\n"), "not an .npz archive"),
     (_replace_npz("single_npy", _npy_bytes), "not an .npz archive"),
@@ -714,7 +812,7 @@ class TestCleanedManifest:
     @pytest.mark.parametrize("command", ["clean", "train", "evaluate", "grid"])
     @pytest.mark.parametrize("damage", [_old_clean_csv, _no_format], ids=["old_csv", "no_format"])
     def test_sidecar_refused_before_any_worker_starts(
-        self, cleaned_dir, config_path, trained_model_json, tmp_path, monkeypatch, workers, capsys,
+        self, cleaned_dir, config_path, trained_model, tmp_path, monkeypatch, workers, capsys,
         command, damage,
     ):
         import driverid.cli as cli
@@ -723,8 +821,7 @@ class TestCleanedManifest:
         maps = []
         monkeypatch.setattr(cli, "ordered_map", lambda fn, items: maps.append(fn) or iter(()))
         manifest, culprit = self.damaged_manifest(cleaned_dir, tmp_path, damage)
-        model_file = tmp_path / "model.json"
-        model_file.write_text(trained_model_json)
+        model_file = copy_model(trained_model, tmp_path)
         extra = ["--model", str(model_file)] if command == "evaluate" else []
         out = tmp_path / "out"
         code = main([command, "--manifest", manifest, "--config", str(config_path), "--out", str(out), *extra])

@@ -1,15 +1,16 @@
-import base64
+import functools
 import gc
 import hashlib
 import io
 import json
 import math
+import pickle
+import struct
 import tempfile
 import weakref
-from collections.abc import Iterator
+import zipfile
 from dataclasses import fields
 from pathlib import Path
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,17 +21,16 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from driverid.features import Standardizer
 from driverid.models import LabeledDataset, MlpConfig, TrainedModel, load_model, predict, save_model
 from driverid.models import base as model_base
-from driverid.models import io as model_io
-from driverid.models.base import ENCODE_PIECE_BYTES, array_doc, decode_array
 from driverid.models.io import FORMAT_VERSION
+from driverid.models.forest import ForestParams
 from driverid.models.knn import QUERY_BLOCK, KnnParams
 from driverid.models.mlp import MlpParams, forward, init_params, loss_and_grads
 from driverid.models.registry import MODEL_KINDS, REGISTRY
-from driverid.models.tree import Tree, grow_tree, tree_depth, tree_from_nodes
+from driverid.models.tree import Tree, check_tree, grow_tree, tree_depth
+from driverid.npz import read_arrays, write_arrays
 from driverid.pipeline import train_model
 from driverid.segment import InsufficientData
 from oracles import (
-    array_doc_oracle,
     cart_oracle,
     knn_oracle,
     mlp_fit_oracle,
@@ -72,20 +72,45 @@ def arrays_sha256(params) -> str:
     return digest.hexdigest()
 
 
-def materialized(value):
-    """A model document with each streamed base64 string joined, as json.dumps takes it."""
-    if isinstance(value, dict):
-        return {key: materialized(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [materialized(item) for item in value]
-    if isinstance(value, Iterator):
-        return "".join(value)
-    return value
+def saved_bytes(model) -> tuple[bytes, bytes]:
+    """The bytes of the header and the archive that save_model writes for ``model``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        return path.read_bytes(), path.with_suffix(".npz").read_bytes()
 
 
-def encode_array(a, dtype: str) -> dict:
-    """``array_doc`` with its base64 pieces joined into one string, as a model file holds it."""
-    return materialized(array_doc(a, dtype))
+def edit_saved(path: Path, edits: dict) -> None:
+    """Apply EDITS to the saved model at PATH. A key path (a tuple) maps to
+    a new value, DELETE or a function of the old value. An array, or a
+    function, at the place of an archive member replaces that member, and
+    the header's digest is then pinned to the new archive, so the edit
+    reaches the checks behind the digest; anything else edits the header."""
+    npz = path.with_suffix(".npz")
+    doc = json.loads(path.read_text())
+    with np.load(npz) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    members = {}
+    for key, value in edits.items():
+        place = ".".join(map(str, key))
+        if place in arrays and (callable(value) or isinstance(value, np.ndarray)):
+            members[place] = value(arrays[place]) if callable(value) else value
+            continue
+        holder = doc
+        for step in key[:-1]:
+            holder = holder[step]
+        if value is DELETE:
+            del holder[key[-1]]
+        else:
+            holder[key[-1]] = value(holder[key[-1]]) if callable(value) else value
+    if members:
+        np.savez(npz, **{**arrays, **members})
+        with open(npz, "rb") as fh:
+            doc["arrays_sha256"] = hashlib.file_digest(fh, "sha256").hexdigest()
+    path.write_text(json.dumps(doc))
+
+
+DELETE = object()  # an edit_saved value: delete the key
 
 
 class TestLabeledDataset:
@@ -244,10 +269,7 @@ class TestDecisionTree:
         data = make_dataset(rng, n=50)
         a = train_model("dtree", data, {"max_depth": 5})
         b = train_model("dtree", data, {"max_depth": 5})
-        buf_a, buf_b = io.StringIO(), io.StringIO()
-        save_model(a, buf_a)
-        save_model(b, buf_b)
-        assert buf_a.getvalue() == buf_b.getvalue()
+        assert saved_bytes(a) == saved_bytes(b)
 
 
 def draw_node_data(data):
@@ -343,12 +365,13 @@ class TestCartOracle:
         ):
             model = train_model(kind, data, params, seed=5)
             assert arrays_sha256(model.params) == arrays_digest, kind
-            buf = io.StringIO()
-            save_model(model, buf)
-            assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, kind
-            resaved = io.StringIO()  # and the saved trees load as trees
-            save_model(load_model(io.StringIO(buf.getvalue())), resaved)
-            assert resaved.getvalue() == buf.getvalue(), kind
+            saved = saved_bytes(model)  # the header records the archive's sha256
+            assert hashlib.sha256(saved[0]).hexdigest() == digest, kind
+            with tempfile.TemporaryDirectory() as tmp:  # and the saved trees load as trees
+                path = Path(tmp) / "model.json"
+                path.write_bytes(saved[0])
+                path.with_suffix(".npz").write_bytes(saved[1])
+                assert saved_bytes(load_model(path)) == saved, kind
 
 
 def random_nodes(rng, n_features, n_classes, max_depth):
@@ -424,10 +447,39 @@ class TestTreeCheck:
     @given(tree_arrays())
     def test_rejects_what_the_per_node_oracle_rejects_with_its_message(self, drawn):
         tree, n_features, n_classes = drawn
-        nodes = tree_to_nodes(tree)
-        assert error_of(tree_from_nodes, nodes, n_features, n_classes) == error_of(
-            tree_check_oracle, nodes, n_features, n_classes
+        assert error_of(check_tree, tree, n_features, n_classes) == error_of(
+            tree_check_oracle, tree_to_nodes(tree), n_features, n_classes
         )
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            (   # both children are node 2, node 1 is no node's child
+                [{"feature": 0, "threshold": 0.5, "left": 2, "right": 2}, {"leaf": 1}, {"leaf": 0}],
+                "tree node 0: children 2, 2",
+            ),
+            (   # node 3 is no node's child
+                [{"feature": 0, "threshold": 0.5, "left": 1, "right": 2}, {"leaf": 1}, {"leaf": 0},
+                 {"leaf": 0}],
+                "tree node 3 is the child of 0 splits",
+            ),
+            (   # node 3 is the child of nodes 0 and 1
+                [{"feature": 0, "threshold": 0.5, "left": 1, "right": 3},
+                 {"feature": 1, "threshold": 0.5, "left": 2, "right": 3}, {"leaf": 1}, {"leaf": 0}],
+                "tree node 3 is the child of 2 splits",
+            ),
+            ([], "tree has no nodes"),
+        ],
+    )
+    def test_node_lists_that_are_not_trees_rejected(self, nodes, message):
+        tree = tree_of(nodes) if nodes else Tree(*(np.zeros(0, dtype) for dtype in "qdqqq"))
+        with pytest.raises(ValueError, match=message):
+            check_tree(tree, 2, 2)
+
+    def test_arrays_of_different_lengths_rejected(self):
+        tree = tree_of([{"leaf": 0}])
+        with pytest.raises(ValueError, match="tree arrays differ in length"):
+            check_tree(Tree(tree.feature, tree.threshold, tree.left, np.zeros(2, np.int64), tree.leaf_class), 2, 2)
 
 
 class TestTreeArrays:
@@ -438,7 +490,8 @@ class TestTreeArrays:
     def test_predict_matches_walk_oracle_on_random_trees(self, seed, max_depth):
         rng = np.random.default_rng(seed)
         nodes = random_nodes(rng, 4, len(self.CLASSES), max_depth)
-        tree = tree_from_nodes(nodes, 4, len(self.CLASSES))
+        tree = tree_of(nodes)
+        check_tree(tree, 4, len(self.CLASSES))
         assert tree_to_nodes(tree) == nodes
         model = TrainedModel(kind="dtree", params=tree, class_list=self.CLASSES, n_features=4)
         # on the same 0.1 grid, many queries land exactly on a threshold
@@ -482,10 +535,7 @@ class TestRandomForest:
         data = make_dataset(rng, n=60)
         a = train_model("rforest", data, {"n_trees": 7}, seed=3)
         b = train_model("rforest", data, {"n_trees": 7}, seed=3)
-        buf_a, buf_b = io.StringIO(), io.StringIO()
-        save_model(a, buf_a)
-        save_model(b, buf_b)
-        assert buf_a.getvalue() == buf_b.getvalue()
+        assert saved_bytes(a) == saved_bytes(b)
         q = rng.standard_normal((20, data.n_features))
         assert (predict(a, q) == predict(b, q)).all()
 
@@ -579,10 +629,7 @@ class TestMlp:
         rng = np.random.default_rng(14)
         data = make_dataset(rng, n=50)
         a, b = (train_model("mlp", data, {"max_epochs": 20}, seed=9) for _ in range(2))
-        buf_a, buf_b = io.StringIO(), io.StringIO()
-        save_model(a, buf_a)
-        save_model(b, buf_b)
-        assert buf_a.getvalue() == buf_b.getvalue()
+        assert saved_bytes(a) == saved_bytes(b)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reported_with_epoch(self):
@@ -652,9 +699,7 @@ class TestMlp:
                   "learning_rate": 0.1, "batch_size": 16}
         model = train_model("mlp", data, params, seed=5)
         assert arrays_sha256(model.params) == GOLDEN_MLP_ARRAYS_SHA256
-        buf = io.StringIO()
-        save_model(model, buf)
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_MLP_SHA256
+        assert hashlib.sha256(saved_bytes(model)[0]).hexdigest() == GOLDEN_MLP_SHA256
 
     def test_validation_fraction_bounds(self):
         with pytest.raises(ValueError):
@@ -671,11 +716,7 @@ class TestRegistry:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_only_seeded_kinds_depend_on_the_seed(self, kind):
         data = make_dataset(np.random.default_rng(27), n=50)
-        saved = []
-        for seed in (1, 2):
-            buf = io.StringIO()
-            save_model(train_model(kind, data, KIND_PARAMS[kind], seed=seed), buf)
-            saved.append(buf.getvalue())
+        saved = [saved_bytes(train_model(kind, data, KIND_PARAMS[kind], seed=seed)) for seed in (1, 2)]
         assert (saved[0] != saved[1]) == REGISTRY[kind].seeded
 
 
@@ -750,6 +791,7 @@ class TestSaveLoad:
         resaved = tmp_path / f"{kind}-resaved.json"
         save_model(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
+        assert resaved.with_suffix(".npz").read_bytes() == path.with_suffix(".npz").read_bytes()
         queries = rng.standard_normal((100, data.n_features)) * 3
         assert (predict(model, queries) == predict(loaded, queries)).all()
         if kind == "mlp":
@@ -761,9 +803,9 @@ class TestSaveLoad:
         "kind, path",
         [
             ("knn", ("n_features",)),
-            ("knn", ("params", "train_y")),
-            ("dtree", ("params", "nodes", 0, "threshold")),
-            ("rforest", ("params", "trees", 0, 0, "left")),
+            ("knn", ("params", "k")),
+            ("dtree", ("arrays_sha256",)),
+            ("rforest", ("params", "seed")),
             ("mlp", ("params", "config", "batch_size")),
         ],
     )
@@ -771,59 +813,30 @@ class TestSaveLoad:
         rng = np.random.default_rng(23)
         file = tmp_path / "model.json"
         save_model(train_kind(kind, make_dataset(rng, n=50)), file)
-        doc = json.loads(file.read_text())
-        holder = doc
-        for step in path[:-1]:
-            holder = holder[step]
-        del holder[path[-1]]
-        file.write_text(json.dumps(doc))
+        edit_saved(file, {path: DELETE})
         with pytest.raises(ValueError, match=f"missing key '{path[-1]}'"):
             load_model(file)
 
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("left", 99, "children"),       # child index past the end
-            ("right", 0, "children"),       # self-loop at the root
-            ("feature", 5, "feature 5"),    # == n_features
-            ("feature", -1, "feature -1"),
-            ("leaf", 3, "leaf class 3"),    # == len(class_list)
+            ("left", 99, "tree node 0: children 99, "),      # child index past the end
+            ("right", 0, "tree node 0: children 1, 0"),      # self-loop at the root
+            ("feature", 5, "tree node 0: feature 5 outside"),  # == n_features
+            ("feature", -1, "tree node 0: leaf class -1"),   # a split made a leaf that holds no class
+            ("leaf_class", 3, r"tree node \d+: leaf class 3"),  # == len(class_list)
         ],
     )
     def test_malformed_tree_rejected(self, field, value, message, tmp_path):
         rng = np.random.default_rng(24)
         file = tmp_path / "model.json"
-        save_model(train_model("dtree", make_dataset(rng), {"max_depth": 4}), file)
-        doc = json.loads(file.read_text())
-        nodes = doc["params"]["nodes"]
-        node = next(spec for spec in nodes if (field == "leaf") == ("leaf" in spec))
-        node[field] = value
-        file.write_text(json.dumps(doc))
+        tree = train_model("dtree", make_dataset(rng), {"max_depth": 4}).params
+        save_model(TrainedModel("dtree", tree, ("a", "b", "c"), 5), file)
+        column = getattr(tree, field).copy()
+        column[np.argmax(tree.feature < 0) if field == "leaf_class" else 0] = value
+        edit_saved(file, {("params", field): column})
         with pytest.raises(ValueError, match=message):
             load_model(file)
-
-    @pytest.mark.parametrize(
-        "nodes, message",
-        [
-            (   # both children are node 2, node 1 is no node's child
-                [{"feature": 0, "threshold": 0.5, "left": 2, "right": 2}, {"leaf": 1}, {"leaf": 0}],
-                "tree node 0: children 2, 2",
-            ),
-            (   # node 3 is no node's child
-                [{"feature": 0, "threshold": 0.5, "left": 1, "right": 2}, {"leaf": 1}, {"leaf": 0},
-                 {"leaf": 0}],
-                "tree node 3 is the child of 0 splits",
-            ),
-            (   # node 3 is the child of nodes 0 and 1
-                [{"feature": 0, "threshold": 0.5, "left": 1, "right": 3},
-                 {"feature": 1, "threshold": 0.5, "left": 2, "right": 3}, {"leaf": 1}, {"leaf": 0}],
-                "tree node 3 is the child of 2 splits",
-            ),
-        ],
-    )
-    def test_node_lists_that_are_not_trees_rejected(self, nodes, message):
-        with pytest.raises(ValueError, match=message):
-            tree_from_nodes(nodes, 2, 2)
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -856,74 +869,87 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
-    def test_version_1_refused_with_retrain_hint(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_versions_refused_with_retrain_hint(self, version, tmp_path):
         path = tmp_path / "model.json"
-        version = f'"format_version": {FORMAT_VERSION}'
-        path.write_text(GOLDEN_KNN_V2.replace(version, '"format_version": 1'))
-        with pytest.raises(ValueError, match="version 1, .*retrain the model with `driverid train`"):
+        path.write_text(GOLDEN_KNN_V2.replace('"format_version": 2', f'"format_version": {version}'))
+        with pytest.raises(ValueError, match=f"version {version}, .*retrain the model with `driverid train`"):
             load_model(path)
 
-    def test_golden_v2_file_pins_little_endian_layout(self, tmp_path):
+    def test_golden_pair_pins_the_layout(self, tmp_path):
+        model = TrainedModel(
+            kind="knn",
+            params=KnnParams(k=1, train_x=np.array([[1.0, -2.0], [0.5, 3.0]]), train_y=np.array([0, 1])),
+            class_list=("a", "b"),
+            n_features=2,
+            standardizer=Standardizer(np.array([0.0, 1.0]), np.array([1.0, 2.0])),
+        )
         path = tmp_path / "model.json"
-        path.write_text(GOLDEN_KNN_V2)
-        model = load_model(path)
-        assert np.array_equal(model.params.train_x, [[1.0, -2.0], [0.5, 3.0]])
-        assert model.params.train_y.tolist() == [0, 1]
-        assert model.standardizer.mean.tolist() == [0.0, 1.0]
-        assert model.standardizer.std.tolist() == [1.0, 2.0]
-        assert predict(model, np.array([[0.4, 2.0], [1.2, -1.0]])).tolist() == ["b", "a"]
-        resaved = tmp_path / "resaved.json"
-        save_model(model, resaved)
-        assert resaved.read_text() == GOLDEN_KNN_V2
+        save_model(model, path)
+        assert path.read_text() == GOLDEN_KNN_V3  # its arrays_sha256 pins the archive's bytes
+        with zipfile.ZipFile(path.with_suffix(".npz")) as archive:
+            assert archive.namelist() == [
+                "standardizer.mean.npy", "standardizer.std.npy", "params.train_x.npy", "params.train_y.npy",
+            ]
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+            member = archive.read("params.train_x.npy")
+            assert member.startswith(b"\x93NUMPY\x01\x00") and b"'descr': '<f8'" in member
+            assert member[-32:] == struct.pack("<4d", 1.0, -2.0, 0.5, 3.0)  # C order, little-endian
+            assert archive.read("params.train_y.npy")[-16:] == struct.pack("<2q", 0, 1)
+        loaded = load_model(path)
+        assert predict(loaded, np.array([[0.4, 2.0], [1.2, -1.0]])).tolist() == ["b", "a"]
+        assert loaded.standardizer.std.tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize(
         "kind, edits, message",
         [
             ("knn", {("params", "k"): 0}, "k must be >= 1"),
             ("knn", {("params", "k"): 51}, "k=51 exceeds 50 stored rows"),
-            ("knn", {("params", "train_y"): encode_array(np.full(50, 3), "<i8")}, "class index in"),
-            ("knn", {("standardizer", "mean"): encode_array(np.zeros(4), "<f8")}, "standardizer"),
-            ("knn", {("params", "train_x", "dtype"): "<f4"}, "train_x: dtype '<f4'"),
-            ("knn", {("params", "train_y", "dtype"): "<f8"}, "train_y: dtype '<f8'"),
-            ("knn", {("params", "train_x", "shape"): [49, 5]}, "train_x: 2000 bytes of data"),
-            ("knn", {("params", "train_x", "shape"): [50, -5]}, "train_x: shape"),
-            ("knn", {("params", "train_x", "data"): "AAAA AAAA"}, "train_x: bad base64"),
-            ("knn", {("params", "train_x"): [[0.0] * 5] * 50}, "train_x: expected an array object"),
+            ("knn", {("params", "train_y"): np.full(50, 3)}, "class index in"),
+            ("knn", {("standardizer", "mean"): np.zeros(4)}, "standardizer"),
+            ("knn", {("params", "train_x"): np.zeros((50, 5), np.float32)},
+             "model.npz: array params.train_x must be float64 or int64, got float32"),
+            ("knn", {("params", "train_y"): np.zeros(50)}, "train_y: expected a 1-d int64 array, got float64 array"),
+            ("knn", {("params", "train_x"): np.zeros((49, 5))}, "train_y must hold one class index"),
+            ("knn", {("params", "train_x"): np.zeros(250)}, "train_x: expected a 2-d float64 array"),
+            # an array left in the header is not one of the archive's
+            ("knn", {("params", "train_x"): [[0.0] * 5] * 50}, r"expected arrays \[.*\], got \[.*'params.train_x'"),
             (
                 "mlp",
                 {
-                    ("params", "weights", 1): encode_array(np.zeros((100, 4)), "<f8"),
-                    ("params", "biases", 1): encode_array(np.zeros(4), "<f8"),
+                    ("params", "weights", 1): np.zeros((100, 4)),
+                    ("params", "biases", 1): np.zeros(4),
                 },
                 "output layer is 4 wide, header has 3 classes",
             ),
-            ("mlp", {("params", "biases", 0): encode_array(np.zeros(99), "<f8")}, "layer 0 has"),
-            ("mlp", {("params", "weights", 1): encode_array(np.zeros((99, 3)), "<f8")}, "layer 1 has"),
+            ("mlp", {("params", "biases", 0): np.zeros(99)}, "layer 0 has"),
+            ("mlp", {("params", "weights", 1): np.zeros((99, 3))}, "layer 1 has"),
+            ("mlp", {("params", "weights"): lambda w: dict(enumerate(w))}, "weights and biases must be lists of arrays"),
             ("mlp", {("params", "activation"): "sigmoid"}, "activation must be one of"),
             ("mlp", {("params", "activation"): "tanh"}, "config.activation 'relu' differs from activation 'tanh'"),
-            ("knn", {("params", "train_x"): encode_array(np.full((50, 5), np.nan), "<f8")},
-             "train_x: non-finite value"),
-            ("dtree", {("params", "nodes", 0, "threshold"): float("nan")},
-             "tree node 0: threshold nan is not finite"),
-            ("dtree", {("params", "nodes", 0, "threshold"): float("-inf")},
-             "tree node 0: threshold -inf is not finite"),
+            ("knn", {("params", "train_x"): np.full((50, 5), np.nan)},
+             "model.npz: array params.train_x holds a NaN or infinite value"),
+            ("dtree", {("params", "threshold"): lambda a: np.full_like(a, np.nan)}, "params.threshold holds a NaN"),
+            ("dtree", {("params", "threshold"): lambda a: np.full_like(a, -np.inf)}, "params.threshold holds a NaN"),
             ("rforest", {("params", "n_trees"): 6}, "n_trees=6 but holds 5 trees"),
+            ("rforest", {("params", "trees"): lambda trees: dict(enumerate(trees))}, "trees: expected a list"),
             # limits a config refuses
             ("rforest", {("params", "max_depth"): -3}, "max_depth must be >= 1"),
             ("rforest", {("params", "max_depth"): 0}, "max_depth must be >= 1"),
             ("rforest", {("params", "features_per_split"): 0}, "features_per_split must be >= 1"),
-            # counts and indices must be JSON integers, not floats or booleans
-            ("knn", {("format_version",): 2.0}, "format_version: expected an integer, got 2.0"),
+            # counts and indices must be JSON integers or int64 arrays, not floats or booleans
+            ("knn", {("format_version",): 3.0}, "format_version: expected an integer, got 3.0"),
             ("knn", {("n_features",): 5.0}, "n_features: expected an integer, got 5.0"),
             ("knn", {("params", "k"): 2.7}, "k: expected an integer, got 2.7"),
             ("knn", {("params", "k"): True}, "k: expected an integer, got True"),
             ("rforest", {("params", "n_trees"): 5.0}, "n_trees: expected an integer, got 5.0"),
             ("rforest", {("params", "features_per_split"): 3.0}, "features_per_split: expected an integer"),
             ("rforest", {("params", "seed"): 2.0}, "seed: expected an integer, got 2.0"),
-            ("rforest", {("params", "trees", 0, 0, "left"): 1.0}, "tree node 0: left: expected an integer"),
-            ("dtree", {("params", "nodes", 0, "feature"): 0.0}, "tree node 0: feature: expected an integer"),
-            ("dtree", {("params", "nodes", 0, "right"): True}, "tree node 0: right: expected an integer"),
-            ("dtree", {("params", "nodes", -1, "leaf"): 0.0}, r"tree node \d+: leaf: expected an integer"),
+            ("rforest", {("params", "trees", 0, "left"): lambda a: a.astype(np.float64)},
+             "left: expected a 1-d int64 array, got float64"),
+            ("dtree", {("params", "feature"): lambda a: a.astype(np.float64)}, "feature: expected a 1-d int64 array"),
+            ("dtree", {("params", "right"): lambda a: a > 0}, "array params.right must be float64 or int64, got bool"),
+            ("dtree", {("params", "leaf_class"): lambda a: a[:, None]}, "leaf_class: expected a 1-d int64 array"),
             ("mlp", {("params", "epochs_run"): 15.0}, "epochs_run: expected an integer, got 15.0"),
             ("rforest", {("params", "max_depth"): "junk"}, "max_depth: expected an integer, got 'junk'"),
             ("rforest", {("params", "max_depth"): 2.5}, "max_depth: expected an integer, got 2.5"),
@@ -933,6 +959,18 @@ class TestSaveLoad:
             ("mlp", {("params", "config", "max_epochs"): 15.0}, "config.max_epochs: expected an integer, got 15.0"),
             ("mlp", {("params", "config", "early_stop_patience"): True}, "config.early_stop_patience: expected an integer"),
             ("mlp", {("params", "config", "seed"): 2.0}, "config.seed: expected an integer, got 2.0"),
+            ("mlp", {("params", "config", "learning_rate"): None}, "config.learning_rate: expected a number, got None"),
+            ("mlp", {("params", "config"): "x"}, "config: expected an object, got 'x'"),
+            # envelope fields of another JSON type
+            ("knn", {("class_list",): None}, "class_list must be a list of strings, got None"),
+            ("knn", {("class_list", 1): 1.5}, "class_list must be a list of strings"),
+            ("knn", {("standardizer",): "x"}, "standardizer must be null or an object, got 'x'"),
+            ("knn", {("schema_labels",): 1.5}, "schema_labels must be null or a list of strings, got 1.5"),
+            ("knn", {("kind",): []}, r"kind must be a string, got \[\]"),
+            ("knn", {("params",): None}, "params must be an object, got None"),
+            ("knn", {("pipeline",): {"cleaning": 1}}, "pipeline must be null or an object of sections"),
+            ("knn", {("arrays_sha256",): 1.5}, "arrays_sha256 must be a string, got 1.5"),
+            ("knn", {("n_features",): 0}, "n_features must be positive, got 0"),
         ],
     )
     def test_bad_stored_values_rejected(self, kind, edits, message, tmp_path):
@@ -941,20 +979,28 @@ class TestSaveLoad:
         model.standardizer = Standardizer(mean=np.zeros(5), std=np.ones(5))
         file = tmp_path / "model.json"
         save_model(model, file)
-        doc = json.loads(file.read_text())
-        for path, value in edits.items():
-            holder = doc
-            for step in path[:-1]:
-                holder = holder[step]
-            holder[path[-1]] = value
-        file.write_text(json.dumps(doc))
+        edit_saved(file, edits)
         with pytest.raises(ValueError, match=message):
             load_model(file)
 
     @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
-    def test_non_object_file_rejected(self, text):
+    def test_non_object_file_rejected(self, text, tmp_path):
+        (tmp_path / "model.json").write_text(text)
         with pytest.raises(ValueError, match="model file is not a JSON object"):
-            load_model(io.StringIO(text))
+            load_model(tmp_path / "model.json")
+
+    def test_archive_of_another_model_rejected(self, tmp_path):
+        for name, seed in (("one", 26), ("two", 27)):  # the same shapes, other rows
+            save_model(train_model("knn", make_dataset(np.random.default_rng(seed), n=50)), tmp_path / f"{name}.json")
+        (tmp_path / "two.npz").replace(tmp_path / "one.npz")
+        with pytest.raises(ValueError, match="one.npz: sha256 differs from the header's arrays_sha256"):
+            load_model(tmp_path / "one.json")
+
+    def test_header_named_like_its_archive_refused(self, tmp_path):
+        model = train_model("knn", make_dataset(np.random.default_rng(27), n=50), {"k": 1})
+        with pytest.raises(ValueError, match="may not end in .npz"):
+            save_model(model, tmp_path / "model.npz")
+        assert not list(tmp_path.iterdir())
 
     def test_standardizer_round_trips(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -971,153 +1017,194 @@ class TestSaveLoad:
         assert np.array_equal(loaded.standardizer.std, model.standardizer.std)
 
 
-class TestArrayDoc:
-    @settings(max_examples=300, deadline=None)
+@functools.cache
+def saved_pair(kind):
+    """(header, archive) of a small trained model of KIND with a standardizer,
+    schema labels and a pipeline record, as the CLI saves one."""
+    model = train_kind(kind, make_dataset(np.random.default_rng(28), n=40))
+    model.standardizer = Standardizer(np.zeros(5), np.ones(5))
+    model.schema_labels = tuple(f"f{i}" for i in range(5))
+    model.pipeline = {"cleaning": {"denoise_window": 5}, "features": {"families": ["mean"]}}
+    return saved_bytes(model)
+
+
+def header_places(value, place=()):
+    """Every key path in a JSON header: each object key and list index, at any depth."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield (*place, key)
+        yield from header_places(item, (*place, key))
+
+
+class TestHeaderFields:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_every_field_of_any_type_is_refused_or_loads_a_working_model(self, kind, data):
+        header, archive = saved_pair(kind)
+        doc = json.loads(header)
+        place = data.draw(st.sampled_from(sorted(header_places(doc), key=str)), label="field")
+        value = data.draw(st.sampled_from([None, "x", 1.5, -1, True, [], {}, 10**30, DELETE]), label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_bytes(header)
+            path.with_suffix(".npz").write_bytes(archive)
+            edit_saved(path, {place: value})
+            try:
+                model = load_model(path)
+            except ValueError:
+                return
+        assert set(predict(model, np.zeros((3, model.n_features)))) <= set(model.class_list)
+
+
+def zip_bytes(members: dict[str, bytes]) -> bytes:
+    sink = io.BytesIO()
+    with zipfile.ZipFile(sink, "w") as archive:
+        for name, content in members.items():
+            archive.writestr(name, content)
+    return sink.getvalue()
+
+
+def npy_bytes(a) -> bytes:
+    sink = io.BytesIO()
+    np.save(sink, a)
+    return sink.getvalue()
+
+
+NPY_BYTES = npy_bytes(np.zeros(3))
+
+
+class TestArrayArchive:
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_round_trip_is_bit_identical_and_matches_oracle(self, data):
-        code = data.draw(st.sampled_from(["<f8", "<i8"]))
-        dtype = np.dtype(code).newbyteorder("=")
-        elements = (
-            st.floats(width=64)  # NaN payloads, +-inf, -0.0, subnormals, huge values
-            if code == "<f8"
-            else st.integers(-(2**63), 2**63 - 1)
-        )
-        shape = data.draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
-        a = data.draw(arrays(dtype, shape, elements=elements))
-        for arr in (a, a.T):  # a transposed array is written in C order too
-            doc = encode_array(arr, code)
-            oracle_shape, values = array_doc_oracle(doc)
-            assert oracle_shape == arr.shape
-            expected = np.array(values, dtype=dtype).reshape(oracle_shape)
-            assert np.array_equal(expected.view(np.uint64), arr.view(np.uint64))
-            if code == "<f8" and not np.isfinite(arr).all():
-                with pytest.raises(ValueError, match="x: non-finite value"):
-                    decode_array(json.loads(json.dumps(doc)), "x", code)
-                continue
-            back = decode_array(json.loads(json.dumps(doc)), "x", code)
-            assert back.dtype == dtype and back.shape == arr.shape
-            assert back.flags.c_contiguous and not back.flags.writeable
-            assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
+    def test_round_trip_is_bit_identical_and_the_bytes_savez_writes(self, data):
+        written = {}
+        for i in range(data.draw(st.integers(0, 4), label="arrays")):
+            code = data.draw(st.sampled_from(["<f8", "<i8"]))
+            elements = (  # -0.0, subnormals and huge values; the reader refuses NaN and infinities
+                st.floats(allow_nan=False, allow_infinity=False) if code == "<f8"
+                else st.integers(-(2**63), 2**63 - 1)
+            )
+            shape = data.draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5), label="shape")
+            a = data.draw(arrays(np.dtype(code), shape, elements=elements))
+            written[f"a.{i}"] = a.T if data.draw(st.booleans(), label="transposed") else a
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, theirs = Path(tmp) / "ours.npz", Path(tmp) / "theirs.npz"
+            write_arrays(ours, written)
+            np.savez(theirs, **{name: np.array(a, order="C") for name, a in written.items()})
+            assert ours.read_bytes() == theirs.read_bytes()  # stored C-order .npy members
+            back = read_arrays(ours, list(written), ("<f8", "<i8"))
+        assert list(back) == list(written)
+        for name, a in written.items():
+            assert back[name].dtype == a.dtype and back[name].shape == a.shape
+            assert back[name].tobytes() == a.tobytes() and not back[name].flags.writeable
 
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ({"a": np.array([1.0, np.nan])}, "array a holds a NaN or infinite value"),
+            ({"a": np.array([[-np.inf]])}, "array a holds a NaN or infinite value"),
+            ({"a": np.zeros(2, ">f8")}, "array a must be float64 or int64, got >f8"),
+            ({"a": np.zeros(2, ">i8")}, "array a must be float64 or int64, got >i8"),
+            ({"a": np.zeros(2, np.float32)}, "array a must be float64 or int64, got float32"),
+            ({"a": np.array([1, "x"], dtype=object)}, "Object arrays cannot be loaded when allow_pickle=False"),
+            ({"a": np.zeros(1), "b": np.zeros(1)}, r"expected arrays \['a'\], got \['a', 'b'\]"),
+            ({}, r"expected arrays \['a'\], got \[\]"),
+        ],
+    )
+    def test_refused_members(self, tmp_path, members, message):
+        np.savez(tmp_path / "x.npz", **members)
+        with pytest.raises(ValueError, match=message):
+            read_arrays(tmp_path / "x.npz", ["a"], ("<f8", "<i8"))
 
-    @pytest.mark.parametrize("pieces", [1, 2])
-    @pytest.mark.parametrize("delta", range(-3, 4))
-    def test_pieces_straddling_the_piece_size_join_to_one_encoding(self, pieces, delta):
-        raw = np.random.default_rng(pieces).integers(0, 256, pieces * ENCODE_PIECE_BYTES + delta, dtype=np.uint8)
-        parts = list(array_doc(raw, "|u1")["data"])
-        assert len(parts) == pieces + (delta > 0)
-        assert "".join(parts) == base64.b64encode(raw.tobytes()).decode("ascii")
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (NPY_BYTES, "not an .npz archive"),
+            (pickle.dumps(np.zeros(3)), "not an .npz archive"),
+            (zip_bytes({"a.npy": b"raw bytes"}), "array a must be float64 or int64, got bytes"),
+            (zip_bytes({"b.npy": NPY_BYTES}), r"expected arrays \['a'\], got \['b'\]"),
+            (zip_bytes({"a.npy": NPY_BYTES})[:-30], "not an .npz archive"),  # truncated
+        ],
+        ids=["npy", "pickle", "raw_member", "other_name", "truncated"],
+    )
+    def test_refused_files(self, tmp_path, content, message):
+        path = tmp_path / "x.npz"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=message):
+            read_arrays(path, ["a"], ("<f8", "<i8"))
 
 
 # class names and labels a writer must escape: quotes, backslashes, control
 # characters and non-ASCII text
-ODD_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\n\t\x7fé€😀\u2028'), max_size=6) | st.text(max_size=6)
+ODD_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\n\t\x7fé€😀 '), max_size=6) | st.text(max_size=6)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | ODD_TEXT,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ODD_TEXT, inner, max_size=3),
     max_leaves=12,
 )
-PIECE_ROWS = ENCODE_PIECE_BYTES // 8  # a 1-column "<f8" array of this many rows is one piece
 
 
 @st.composite
-def stored_arrays(draw, dtype, shape):
+def stored_arrays(draw, dtype, shape, elements=None):
     """An array of `shape`, or one drawn as the transpose of its reverse-shaped array."""
     if draw(st.booleans(), label="transposed"):
-        return draw(arrays(dtype, shape[::-1])).T
-    return draw(arrays(dtype, shape))
+        return draw(arrays(dtype, shape[::-1], elements=elements)).T
+    return draw(arrays(dtype, shape, elements=elements))
 
 
-class TestStreamedSave:
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.data())
-    def test_file_equals_json_dumps_of_the_materialized_document(self, data):
-        kind = data.draw(st.sampled_from(MODEL_KINDS), label="kind")
-        piece = data.draw(st.sampled_from([3, 6, 24, ENCODE_PIECE_BYTES]), label="piece bytes")
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestSavedPair:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_a_load_gives_the_arrays_and_a_resave_the_bytes(self, kind, data):
         d = data.draw(st.integers(1, 4), label="d")
         classes = tuple(sorted(data.draw(st.sets(ODD_TEXT, min_size=1, max_size=4), label="classes")))
         if kind == "knn":
-            n = data.draw(st.integers(0, 4) | st.integers(PIECE_ROWS - 3, PIECE_ROWS + 3), label="rows")
-            cols = 1 if n > 4 else d
+            n = data.draw(st.integers(1, 6), label="rows")
             params = KnnParams(
-                k=data.draw(st.integers(1, 9)),
-                train_x=data.draw(stored_arrays(np.float64, (n, cols))),
-                train_y=data.draw(stored_arrays(np.int64, (n,))),
+                k=data.draw(st.integers(1, n)),
+                train_x=data.draw(stored_arrays(np.float64, (n, d), FINITE)),
+                train_y=data.draw(arrays(np.int64, n, elements=st.integers(0, len(classes) - 1))),
             )
         elif kind == "mlp":
-            layer = st.tuples(array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3), st.booleans())
-            shapes = data.draw(st.lists(layer, min_size=1, max_size=3), label="layer shapes")
+            widths = [d, *data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2), label="hidden"), len(classes)]
             params = MlpParams(
-                weights=[data.draw(stored_arrays(np.float64, shape)) for shape, _ in shapes],
-                biases=[data.draw(arrays(np.float64, shape[-1:])) for shape, _ in shapes],
-                activation=data.draw(st.sampled_from(["relu", "tanh"])),
-                config=data.draw(st.none() | st.just(MlpConfig(hidden_layers=(3, 2)))),
+                weights=[data.draw(stored_arrays(np.float64, shape, FINITE)) for shape in zip(widths, widths[1:])],
+                biases=[data.draw(arrays(np.float64, w, elements=FINITE)) for w in widths[1:]],
+                activation="relu",
+                config=data.draw(st.none() | st.just(MlpConfig(hidden_layers=tuple(widths[1:-1])))),
                 epochs_run=data.draw(st.integers(0, 10**6)),
             )
         else:
-            params = train_kind(kind, make_dataset(np.random.default_rng(d), n=30, dim=d)).params
+            names = tuple(f"c{i}" for i in range(len(classes)))
+            rows = make_dataset(np.random.default_rng(d), n=30, dim=d, classes=names) if len(classes) > 1 else None
+            params = train_kind(kind, rows).params if rows else Tree(*(np.array([v]) for v in (-1, 0.0, -1, -1, 0)))
+            if kind == "rforest" and rows is None:
+                params = ForestParams([params], 1, None, 1, 0)
         model = TrainedModel(
             kind=kind,
             params=params,
             class_list=classes,
             n_features=d,
             standardizer=data.draw(st.none() | st.builds(
-                Standardizer, arrays(np.float64, d), arrays(np.float64, d, elements=st.floats(0.5, 2.0))
+                Standardizer, arrays(np.float64, d, elements=FINITE), arrays(np.float64, d, elements=st.floats(0.5, 2.0))
             )),
             schema_labels=data.draw(st.none() | st.lists(ODD_TEXT, min_size=1, max_size=d).map(tuple)),
-            pipeline=data.draw(st.none() | st.dictionaries(ODD_TEXT, JSON_VALUES, max_size=4), label="pipeline"),
+            pipeline=data.draw(st.none() | st.dictionaries(ODD_TEXT, st.dictionaries(ODD_TEXT, JSON_VALUES, max_size=3),
+                                                           max_size=3), label="pipeline"),
         )
-        std = model.standardizer
-        expected = json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "kind": kind,
-                "class_list": list(classes),
-                "n_features": d,
-                "pipeline": model.pipeline,
-                "schema_labels": list(model.schema_labels) if model.schema_labels else None,
-                "standardizer": None if std is None else {
-                    "mean": encode_array(std.mean, "<f8"), "std": encode_array(std.std, "<f8"),
-                },
-                "params": materialized(REGISTRY[kind].to_doc(params)),
-            },
-            indent=1,
-        )
-        stream = io.StringIO()
-        with patch.object(model_base, "ENCODE_PIECE_BYTES", piece), tempfile.TemporaryDirectory() as tmp:
-            save_model(model, stream)
-            save_model(model, Path(tmp) / "model.json")
-            written = (Path(tmp) / "model.json").read_bytes()
-        assert stream.getvalue() == expected
-        assert written == expected.encode("ascii")
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.recursive(
-        JSON_VALUES | st.lists(st.text("AZaz09+/=", max_size=5), max_size=3).map(tuple),
-        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ODD_TEXT, inner, max_size=3),
-        max_leaves=12,
-    ))
-    def test_writer_streams_iterators_anywhere(self, doc):
-        # a tuple of text stands for the base64 pieces of one array
-        def pieces_as(join, value):
-            if isinstance(value, dict):
-                return {key: pieces_as(join, item) for key, item in value.items()}
-            if isinstance(value, tuple):
-                return "".join(value) if join else iter(value)
-            if isinstance(value, list):
-                return [pieces_as(join, item) for item in value]
-            return value
-
-        stream = io.StringIO()
-        model_io._dump(pieces_as(False, doc), stream.write)
-        assert stream.getvalue() == json.dumps(pieces_as(True, doc), indent=1)
-
-    @pytest.mark.parametrize("value", [object(), {1, 2}, b"AAAA", np.int64(1)])
-    def test_writer_refuses_what_json_dumps_refuses(self, value):
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            json.dumps({"a": [value]})
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            model_io._dump({"a": [value]}, io.StringIO().write)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(model, path)
+            loaded = load_model(path)
+            saved = path.read_bytes(), path.with_suffix(".npz").read_bytes()
+        assert saved_bytes(loaded) == saved
+        for ours, theirs in zip(stored(model), stored(loaded), strict=True):
+            assert theirs.dtype == ours.dtype and theirs.shape == ours.shape and theirs.tobytes() == ours.tobytes()
 
     def test_save_and_load_leave_no_cycle_holding_the_rows(self, tmp_path):
         # a reference cycle would keep every training row until a full collection
@@ -1136,107 +1223,60 @@ class TestStreamedSave:
             gc.enable()
 
 
-def b64_or_error(text):
-    try:
-        return base64.b64decode(text, validate=True), None
-    except (ValueError, TypeError) as err:
-        return None, err
+def stored(model) -> list[np.ndarray]:
+    """Every array a model file stores for MODEL, in the order it stores them."""
+    std = [] if model.standardizer is None else [model.standardizer.mean, model.standardizer.std]
+    doc = REGISTRY[model.kind].to_doc(model.params)
+    leaves = []
+
+    def walk(value):
+        if isinstance(value, dict):
+            for item in value.values():
+                walk(item)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item)
+        elif isinstance(value, np.ndarray):
+            leaves.append(value)
+
+    walk(doc)
+    return std + leaves
 
 
-def assert_decodes_as_whole_string(text, shape):
-    """decode_array accepts `text` and `shape` exactly when whole-string
-    b64decode(validate=True) gives the shape's byte count, with its bits,
-    and otherwise raises that call's error or the byte-count error."""
-    raw, err = b64_or_error(text)
-    doc = {"dtype": "<i8", "shape": shape, "data": text}
-    if err is not None:
-        with pytest.raises(ValueError) as caught:
-            decode_array(doc, "x", "<i8")
-        assert str(caught.value) == f"x: bad base64 data ({err})"
-    elif len(raw) != 8 * math.prod(shape):
-        with pytest.raises(ValueError) as caught:
-            decode_array(doc, "x", "<i8")
-        assert str(caught.value) == f"x: {len(raw)} bytes of data for shape {shape}"
-    else:
-        arr = decode_array(doc, "x", "<i8")
-        assert arr.shape == tuple(shape) and arr.flags.c_contiguous and not arr.flags.writeable
-        assert np.array_equal(arr, np.frombuffer(raw, "<i8").reshape(shape))
-
-
-PIECE_CHARS = ENCODE_PIECE_BYTES // 3 * 4  # the base64 of one written piece
-
-
-class TestChunkedDecode:
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_accepts_and_rejects_what_whole_string_decoding_does(self, data):
-        # edits cluster around multiples of `chars`, where base64's four-character groups meet
-        chars = data.draw(st.sampled_from([4, 8, 12, 16]), label="boundary step")
-        payload = data.draw(st.binary(max_size=80), label="payload")
-        text = base64.b64encode(payload).decode("ascii")
-        near_boundary = st.integers(0, 6).flatmap(lambda k: st.integers(k * chars - 2, k * chars + 2))
-        for _ in range(data.draw(st.integers(0, 3), label="edits")):
-            at = min(max(data.draw(near_boundary | st.integers(0, len(text)), label="at"), 0), len(text))
-            edit = data.draw(st.sampled_from(["insert", "replace", "delete", "cut"]), label="edit")
-            char = data.draw(st.sampled_from(list("==A/+ \n\t!-_.é\x00")), label="char")
-            if edit == "insert":
-                text = text[:at] + char + text[at:]
-            elif edit == "replace":
-                text = text[:at] + char + text[at + 1 :]
-            elif edit == "delete":
-                text = text[:at] + text[at + 1 :]
-            else:  # the length one character around a slice boundary
-                text = text[:at] if at < len(text) else text + "A" * (at - len(text) + 1)
-        raw, _ = b64_or_error(text)
-        right = [len(raw) // 8] if raw is not None and len(raw) % 8 == 0 else []
-        count = data.draw(st.sampled_from(right + [0, 1, 2, len(payload) // 8 + 1]), label="count")
-        shape = data.draw(st.sampled_from([[count], [count, 1], [1, count]]), label="shape")
-        assert_decodes_as_whole_string(text, shape)
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda t: t,
-            lambda t: t[:-1],                                          # one character short
-            lambda t: t + "A",                                         # one character long
-            lambda t: t[:PIECE_CHARS] + "=" + t[PIECE_CHARS + 1 :],    # padding at a piece boundary
-            lambda t: t[: PIECE_CHARS - 1] + "=" + t[PIECE_CHARS:],    # padding ending a piece
-            lambda t: t[:100] + "==" + t[102:],                        # padding inside a piece
-            lambda t: t[: PIECE_CHARS + 5] + " " + t[PIECE_CHARS + 6 :],  # whitespace
-            lambda t: t[:7] + "-" + t[8:],                             # a character outside the alphabet
-            lambda t: t[:7] + "é" + t[8:],                             # not ASCII
-        ],
-    )
-    @pytest.mark.parametrize("rows", [PIECE_CHARS // 32 * 3, PIECE_CHARS // 16 * 3 + 1])
-    def test_real_slice_size(self, edit, rows):
-        # `rows` int64 values: exactly one piece of base64, or two pieces and a bit
-        text = base64.b64encode(np.arange(rows, dtype="<i8").tobytes()).decode("ascii")
-        for shape in ([rows], [rows + 1]):
-            assert_decodes_as_whole_string(edit(text), shape)
-
-    @pytest.mark.parametrize("data", [5, None, ["AAAA"], {"a": 1}, "AAAé", "AAAA AAAA"])
-    def test_non_text_and_non_ascii_data_worded_as_b64decode(self, data):
-        if isinstance(data, str):
-            assert_decodes_as_whole_string(data, [0])
-        else:  # worded by binascii, which b64decode words "a bytes-like object or ASCII string"
-            with pytest.raises(ValueError) as caught:
-                decode_array({"dtype": "<i8", "shape": [0], "data": data}, "x", "<i8")
-            assert str(caught.value) == (
-                f"x: bad base64 data (argument should be bytes, buffer or ASCII string, not {type(data).__name__!r})"
-            )
-
-
-GOLDEN_DTREE_SHA256 = "1028714fa2b4d8a4d5394741ee05cef2a85b7a716e7bec4e44018f012b014013"
-GOLDEN_RFOREST_SHA256 = "e7add055691c9d90beb9750dfe21501188929a82c6354a469e1f6f811dd7050f"
-GOLDEN_MLP_SHA256 = "f217092ea4b665a715fc1bdd1bd942888e7a94b5b2f39c93b00aec0be6cf076e"
+GOLDEN_DTREE_SHA256 = "8d3a67d6bdbf46f84362642bad914eac6de0370fbb3bbb273de77363b2600136"
+GOLDEN_RFOREST_SHA256 = "02546ffd38c28c7dd14331a82e91f4c777212d0363ce201740b7c1b121491314"
+GOLDEN_MLP_SHA256 = "8a47821e35edcf6093de203214597a09c236f8e90d940f72a84bdd93bb27c1ec"
 # the same models' trained arrays (``arrays_sha256``), whatever the file format
 GOLDEN_DTREE_ARRAYS_SHA256 = "46c3cc65c4cdc2efb6af620eacb7e5fa4d225d19880bfbad7830ec4bc146ea09"
 GOLDEN_RFOREST_ARRAYS_SHA256 = "d6bc14eacc4b9222d1d5a118e62e6c2106aa4af8b71a1a2403bfd45ea1eb970f"
 GOLDEN_MLP_ARRAYS_SHA256 = "b83705e31e0cbef253c1e33e70245a761de348342b09064fa42bd5d5030f768e"
 
 # a knn model, k = 1, rows (1, -2) and (0.5, 3) of classes a and b, standardizer
-# mean (0, 1) and std (1, 2): 1.0 is 00 00 00 00 00 00 f0 3f as "<f8", 1 is
-# 01 00 00 00 00 00 00 00 as "<i8"
+# mean (0, 1) and std (1, 2), as format 3 saves its header; the digest is that
+# of the archive's bytes
+GOLDEN_KNN_V3 = """{
+ "format_version": 3,
+ "kind": "knn",
+ "class_list": [
+  "a",
+  "b"
+ ],
+ "n_features": 2,
+ "pipeline": null,
+ "schema_labels": null,
+ "standardizer": {
+  "mean": "standardizer.mean",
+  "std": "standardizer.std"
+ },
+ "params": {
+  "k": 1,
+  "train_x": "params.train_x",
+  "train_y": "params.train_y"
+ },
+ "arrays_sha256": "614a94aacc734044b8b55f1ed602bd654e27ab54d984d04246f91daca176c3a3"
+}"""
+
+# the same model as format 2 saved it, arrays in base64 inside the JSON
 GOLDEN_KNN_V2 = """{
  "format_version": 2,
  "kind": "knn",
