@@ -97,6 +97,8 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--rate must be finite and positive, got {args.rate}")
     if not math.isfinite(args.hours * 3600.0 * args.rate):
         raise ConfigError(f"--hours {args.hours} at --rate {args.rate} gives a non-finite sample count")
+    if args.hours * 3600.0 * args.rate > sys.maxsize:  # np.intp's largest value, an array's largest size
+        raise ConfigError(f"--hours {args.hours} at --rate {args.rate} gives more samples than an array can hold")
     seed = args.seed
     if args.config:
         cfg = read_run_config(args.config)

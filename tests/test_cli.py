@@ -89,6 +89,9 @@ class TestSynthCommand:
             # finite settings whose sample count overflows to infinity
             ("--rate", "1e308", "--hours 0.05 at --rate 1e+308 gives a non-finite sample count"),
             ("--hours", "1e308", "--hours 1e+308 at --rate 2.0 gives a non-finite sample count"),
+            # finite sample counts above the largest array size (np.intp's maximum)
+            ("--rate", "1e300", "--hours 0.05 at --rate 1e+300 gives more samples than an array can hold"),
+            ("--rate", "1e17", "--hours 0.05 at --rate 1e+17 gives more samples than an array can hold"),
         ],
     )
     def test_bad_rate_or_duration_is_usage_error(self, tmp_path, capsys, flag, value, message):
