@@ -42,4 +42,9 @@ from .segment import (
 )
 from .synth import DriverProfile, SyntheticTruth, generate_trip, make_profiles
 
+__all__ = [  # the public names: those README and the demos import from here
+    "CleaningConfig", "FeatureConfig", "GridSpec", "SegmentationConfig", "apply_standardizer", "clean", "denoise",
+    "detect_stops", "evaluate", "extract_sequence", "fill_gaps", "fit_standardizer", "generate_trip",
+    "make_profiles", "reorient", "run_grid", "segment_trip", "validate_trip",
+]
 __version__ = "0.1.0"
