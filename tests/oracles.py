@@ -151,7 +151,7 @@ def cart_oracle(x, y, n_classes, max_depth, min_leaf, rng=None, features_per_spl
 
 
 def tree_walk_oracle(nodes, query):
-    """Class index reached by one query walking a saved CART node list."""
+    """Class index reached by one query walking a CART node list (``tree_to_nodes``'s form)."""
     node = nodes[0]
     while "leaf" not in node:
         go_left = query[node["feature"]] <= node["threshold"]
