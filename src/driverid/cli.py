@@ -17,7 +17,7 @@ from pathlib import Path
 from . import evaluation as ev
 from . import ingest, preprocess, synth
 from .config import ConfigError, Manifest, RunConfig, read_manifest, read_run_config, write_manifest
-from .models import load_model, save_model
+from .models import load_model, lookup, save_model
 from .parallel import ordered_map
 from .pipeline import build_datasets, build_test_dataset, train_model
 from .seeds import derive_seed
@@ -275,6 +275,9 @@ def cmd_evaluate(args) -> int:
             "retrain it with `driverid train`"
         )
     _check_pipeline_record(cfg.pipeline_record(), model.pipeline, args.model)
+    unknown = sorted({driver for _, driver, _ in manifest.entries} - set(model.class_list))
+    if unknown:
+        raise ConfigError(f"manifest drivers {unknown} are not among the classes {args.model} was trained on")
     cleaned = _clean_all(manifest, cfg)
 
     test = build_test_dataset(cleaned, cfg.segmentation, cfg.features, model)
@@ -325,7 +328,9 @@ def cmd_grid(args) -> int:
     except KeyboardInterrupt:
         complete = False
     rows = ev.sort_rows(rows)
-    ev.write_reports(rows, out, complete=complete, extra={"seed": cfg.master_seed})
+    params = {kind: {**lookup(kind).defaults, **cfg.model_params.get(kind, {})} for kind in cfg.grid.model_list}
+    extra = {"seed": cfg.master_seed, "config_snapshot": cfg.snapshot(), "model_params": params}
+    ev.write_reports(rows, out, complete=complete, extra=extra)
     print(ev.render_report(rows), end="")
     if not complete:
         print("interrupted: partial results flagged incomplete", file=sys.stderr)

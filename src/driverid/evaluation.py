@@ -80,12 +80,12 @@ def evaluate(
             f"schema mismatch: test rows have {test.n_features} features, "
             f"model expects {model.n_features}"
         )
-    unknown = set(test.labels) - set(model.class_list)
+    index = {label: i for i, label in enumerate(model.class_list)}
+    unknown = [test.class_list[i] for i in np.unique(test.label_indices) if test.class_list[i] not in index]
     if unknown:
-        raise ValueError(f"test labels outside the model's class list: {sorted(unknown)}")
+        raise ValueError(f"test labels outside the model's class list: {unknown}")
 
     c = len(model.class_list)
-    index = {label: i for i, label in enumerate(model.class_list)}
     truth = np.array([index.get(label, -1) for label in test.class_list], dtype=np.int64)
     guessed, inverse = np.unique(predict(model, test.features), return_inverse=True)
     guess = np.array([index[label] for label in guessed], dtype=np.int64)
@@ -145,15 +145,7 @@ class GridRow:
     accuracies: tuple[float, ...] = field(default_factory=tuple)
 
     def as_record(self) -> dict:
-        return {
-            "window_minutes": self.window_minutes,
-            "overlap": self.overlap,
-            "features": self.features,
-            "model": self.model,
-            "mean_accuracy": self.mean_accuracy,
-            "std": self.std,
-            "error": self.error,
-        }
+        return {column: getattr(self, column) for column in REPORT_COLUMNS}
 
 
 def iter_grid(
@@ -230,15 +222,7 @@ def run_grid(
 
 def sort_rows(rows: Sequence[GridRow]) -> list[GridRow]:
     """Best mean accuracy first, failed cells last, stable within ties."""
-    indexed = list(enumerate(rows))
-    indexed.sort(
-        key=lambda pair: (
-            pair[1].mean_accuracy is None,
-            -(pair[1].mean_accuracy or 0.0),
-            pair[0],
-        )
-    )
-    return [row for _, row in indexed]
+    return sorted(rows, key=lambda row: (row.mean_accuracy is None, -(row.mean_accuracy or 0.0)))
 
 
 def _run_cell(bundles, columns, repetitions, model_params, master_seed, cell) -> GridRow:
@@ -279,7 +263,7 @@ def _slice_dataset(ds: LabeledDataset, columns: np.ndarray) -> LabeledDataset:
         labels = tuple(ds.schema_labels[i] for i in columns)
     return LabeledDataset(
         features=ds.features[:, columns],
-        labels=ds.labels,
+        label_indices=ds.label_indices,
         class_list=ds.class_list,
         schema_labels=labels,
     )

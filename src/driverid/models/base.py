@@ -10,7 +10,7 @@ model file.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -25,29 +25,27 @@ FINITE_CHECK_VALUES = 2**16
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     features: np.ndarray          # (n, d)
-    labels: np.ndarray            # (n,) driver ids
+    label_indices: np.ndarray     # (n,) int64 positions in class_list, one per row
     class_list: tuple[str, ...]   # sorted distinct driver ids
     schema_labels: Optional[tuple[str, ...]] = None
-    label_indices: np.ndarray = field(init=False, repr=False)  # (n,) int64 positions in class_list
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64).view()
-        labels = np.asarray(self.labels, dtype=object).view()
-        if features.ndim != 2 or features.shape[0] != labels.shape[0]:
-            raise ValueError("features must be (n, d) with one label per row")
+        indices = np.asarray(self.label_indices)
+        if not np.issubdtype(indices.dtype, np.integer):
+            raise ValueError(f"label_indices must be integers, got {indices.dtype}")
+        if features.ndim != 2 or indices.shape != features.shape[:1]:
+            raise ValueError("features must be (n, d) with one label index per row")
         rows = max(1, FINITE_CHECK_VALUES // max(features.shape[1], 1))  # no (n, d) bool temporary
         if not all(np.isfinite(features[i : i + rows]).all() for i in range(0, features.shape[0], rows)):
             raise ValueError("features must be finite")
         check_class_list(self.class_list)
-        lookup = {c: i for i, c in enumerate(self.class_list)}
-        unknown = set(labels) - lookup.keys()
-        if unknown:
-            raise ValueError(f"labels outside class_list: {sorted(unknown)}")
-        indices = np.array([lookup[label] for label in labels], dtype=np.int64)
-        for arr in (features, labels, indices):
+        if indices.size and not (0 <= indices.min() and indices.max() < len(self.class_list)):
+            raise ValueError(f"label_indices must lie in [0, {len(self.class_list)})")
+        indices = indices.astype(np.int64, copy=False).view()
+        for arr in (features, indices):
             arr.setflags(write=False)
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "label_indices", indices)
 
     def __len__(self) -> int:

@@ -140,13 +140,19 @@ def train_model(
 def _standardized_dataset(
     blocks: Sequence[FeatureBlock], standardizer: Standardizer, class_list, schema
 ) -> LabeledDataset:
-    """Stack feature blocks into z-scored rows labelled with each block's driver.
+    """Stack feature blocks into z-scored rows, each labelled with its block's
+    driver as a position in ``class_list``; a block with rows whose driver
+    is not in it raises ValueError naming the driver.
 
     The stacked matrix is fresh, so it is z-scored in place.
     """
+    position = {driver: i for i, driver in enumerate(class_list)}
+    for b in blocks:
+        if len(b) and b.driver_id not in position:
+            raise ValueError(f"driver {b.driver_id!r} is not in the class list {list(class_list)}")
     return LabeledDataset(
         features=standardize_in_place(standardizer, np.vstack([b.values for b in blocks], dtype=np.float64)),
-        labels=np.concatenate([np.full(len(b), b.driver_id, dtype=object) for b in blocks]),
+        label_indices=np.repeat([position.get(b.driver_id, 0) for b in blocks], [len(b) for b in blocks]),
         class_list=class_list,
         schema_labels=schema,
     )

@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import driverid as d
 from driverid import parallel
+from driverid.models import LabeledDataset
 from driverid.preprocess import StopInterval
 from driverid.segment import WindowBatch
 
@@ -85,3 +89,54 @@ def window_batch(*channels, driver="d", partition="train") -> WindowBatch:
     stacked = np.stack([np.asarray(c, dtype=float) for c in channels])
     start = np.arange(len(stacked)) * stacked.shape[2] / 2.0
     return WindowBatch(driver, partition, start, start + stacked.shape[2] / 2.0, stacked)
+
+
+def labeled(features, names, class_list=None) -> LabeledDataset:
+    """A dataset of FEATURES whose rows belong to the drivers NAMES, each held
+    as its position in CLASS_LIST (by default the sorted distinct names)."""
+    class_list = tuple(sorted(set(names)) if class_list is None else class_list)
+    return LabeledDataset(features, np.array([class_list.index(n) for n in names], dtype=np.int64), class_list)
+
+
+def edit_saved(path: Path, edits: dict) -> None:
+    """Apply EDITS to the saved model at PATH. A key path (a tuple) maps to
+    a new value, DELETE or a function of the old value. An array, or a
+    function, at the place of an archive member replaces that member, and
+    the header's digest is then pinned to the new archive, so the edit
+    reaches the checks behind the digest; anything else edits the header."""
+    npz = path.with_suffix(".npz")
+    doc = json.loads(path.read_text())
+    with np.load(npz) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    members = {}
+    for key, value in edits.items():
+        place = ".".join(map(str, key))
+        if place in arrays and (callable(value) or isinstance(value, np.ndarray)):
+            members[place] = value(arrays[place]) if callable(value) else value
+            continue
+        holder = doc
+        for step in key[:-1]:
+            holder = holder[step]
+        if value is DELETE:
+            del holder[key[-1]]
+        else:
+            holder[key[-1]] = value(holder[key[-1]]) if callable(value) else value
+    if members:
+        np.savez(npz, **{**arrays, **members})
+        with open(npz, "rb") as fh:
+            doc["arrays_sha256"] = hashlib.file_digest(fh, "sha256").hexdigest()
+    path.write_text(json.dumps(doc))
+
+
+DELETE = object()  # an edit_saved value: delete the key
+
+# values of every JSON type, and out-of-range ones, to put in a model file's header
+HEADER_VALUES = [None, "x", 1.5, -1, True, [], {}, 10**30, DELETE]
+
+
+def header_places(value, place=()):
+    """Every key path in a JSON header: each object key and list index, at any depth."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield (*place, key)
+        yield from header_places(item, (*place, key))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import driverid as d
-from conftest import BENCH_DRIVERS, stoppy_profile, window_batch
+from conftest import BENCH_DRIVERS, labeled, stoppy_profile, window_batch
 from driverid.cli import main as cli_main
 from driverid.evaluation import (
     GridSpec,
@@ -27,7 +27,7 @@ from driverid.features import (
     extract_sequence,
     trimmed_histogram,
 )
-from driverid.models import LabeledDataset, predict
+from driverid.models import predict
 from driverid.models.mlp import init_params, loss_and_grads
 from driverid.pipeline import train_model
 from driverid.preprocess import CleaningConfig, clean, detect_stops
@@ -101,9 +101,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(103)
         x = rng.standard_normal((150, 5))
         labels = np.array([f"c{i % 6}" for i in range(150)], dtype=object)
-        data = LabeledDataset(
-            features=x, labels=labels, class_list=tuple(sorted(set(labels)))
-        )
+        data = labeled(x, labels)
         model = train_model("knn", data, {"k": 5})
         for _ in range(100):
             q = rng.standard_normal(5) * rng.uniform(0.1, 4)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -22,6 +23,7 @@ from driverid.models.io import FORMAT_VERSION
 from driverid.models.registry import REGISTRY
 from driverid.preprocess import CLEAN_FORMAT, CleaningConfig, clean, read_clean, read_sidecar
 from driverid.synth import generate_trip
+from conftest import HEADER_VALUES, edit_saved, header_places
 
 RUN_CONFIG = """
 [run]
@@ -260,6 +262,31 @@ class TestEvaluateCommand:
         assert "features.trim_keep_fraction" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.usefixtures("one_worker")
+    def test_driver_the_model_was_not_trained_on_exits_2_before_any_log_is_read(
+        self, corpus_dir, config_path, tmp_path, monkeypatch, capsys
+    ):
+        entries = read_manifest(corpus_dir / "manifest.csv").entries
+        write_manifest(entries[:2], tmp_path / "two.csv")
+        write_manifest(entries[:3], tmp_path / "three.csv")
+        model_file = tmp_path / "model" / "model.json"
+        assert main(
+            ["train", "--manifest", str(tmp_path / "two.csv"),
+             "--config", str(config_path), "--out", str(model_file.parent)]
+        ) == 0
+        reads = []
+        monkeypatch.setattr(ingest, "read_log", lambda *args: reads.append(args))
+        out = tmp_path / "eval"
+        code = main(
+            ["evaluate", "--model", str(model_file), "--manifest", str(tmp_path / "three.csv"),
+             "--config", str(config_path), "--out", str(out)]
+        )
+        assert code == 2
+        assert reads == []
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"manifest drivers ['{entries[2][1]}'] are not among the classes {model_file} was trained on" in err
+
     def test_model_without_pipeline_record_rejected(self, corpus_dir, config_path, tmp_path):
         model_dir = tmp_path / "model"
         assert main(
@@ -322,6 +349,32 @@ def trained_model(corpus_dir, tmp_path_factory):
     return model_dir
 
 
+@pytest.fixture(scope="module")
+def kind_models(corpus_dir, tmp_path_factory):
+    """kind -> the directory where `train` wrote a small model of that kind,
+    with the run config it used, from the corpus cleaned once into a manifest
+    beside them (`cleaned.csv`)."""
+    root = tmp_path_factory.mktemp("kinds")
+    text = (  # 12 feature columns, so schema labels are not most of a header's fields
+        RUN_CONFIG + "[features]\nfamilies = mean+variance\n"
+        "[model.rforest]\nn_trees = 3\n[model.mlp]\nhidden_layers = 4\nmax_epochs = 2\n"
+    )
+    (root / "run.ini").write_text(text)
+    common = ["--config", str(root / "run.ini")]
+    assert main(["clean", "--manifest", str(corpus_dir / "manifest.csv"), *common, "--out", str(root / "clean")]) == 0
+    shutil.move(root / "clean" / "manifest.csv", root / "clean" / "cleaned.csv")
+    models = {}
+    for kind in MODEL_KINDS:
+        models[kind] = root / kind
+        models[kind].mkdir()
+        (models[kind] / "run.ini").write_text(text.replace("model = knn", f"model = {kind}"))
+        assert main(
+            ["train", "--manifest", str(root / "clean" / "cleaned.csv"),
+             "--config", str(models[kind] / "run.ini"), "--out", str(models[kind])]
+        ) == 0
+    return models
+
+
 def copy_model(model_dir: Path, dest: Path) -> Path:
     """MODEL_DIR's model.json and model.npz copied into DEST; the copy's header."""
     for name in ("model.json", "model.npz"):
@@ -365,6 +418,27 @@ def _another_models_arrays(npz):
 
 
 class TestRejectedModelFile:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.usefixtures("one_worker")
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_header_field_edit_exits_0_or_2(self, kind_models, kind, data):
+        header = json.loads((kind_models[kind] / "model.json").read_text())
+        place = data.draw(st.sampled_from(sorted(header_places(header), key=str)), label="field")
+        value = data.draw(st.sampled_from(HEADER_VALUES), label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            model_file = copy_model(kind_models[kind], Path(tmp))
+            edit_saved(model_file, {place: value})
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(
+                    ["evaluate", "--model", str(model_file),
+                     "--manifest", str(kind_models[kind].parent / "clean" / "cleaned.csv"),
+                     "--config", str(kind_models[kind] / "run.ini"), "--out", str(Path(tmp) / "eval")]
+                )
+            assert code in (0, 2), stderr.getvalue()
+            assert (Path(tmp) / "eval").exists() == (code == 0)
+
     @pytest.mark.parametrize(
         "damage, message",
         [
@@ -519,6 +593,36 @@ class TestGridCommand:
         assert csv_lines[0] == "window_minutes,overlap,features,model,mean_accuracy,std,error"
         assert len(csv_lines) == 5
 
+
+    @pytest.mark.usefixtures("one_worker")
+    def test_report_records_the_run_settings(self, corpus_dir, tmp_path):
+        # a 60-minute window does not fit the 0.8 h trips: every cell fails alike, so the rows match
+        base = (
+            "[run]\nmodel = knn\n"
+            "[grid]\nwindow_minutes = 60\noverlaps = 0.5\nfeatures = mean\nmodels = knn,mlp\nrepetitions = 1\n"
+        )
+        variants = {
+            "base": "", "mlp": "[model.mlp]\nlearning_rate = 0.01\n", "cleaning": "[cleaning]\ndenoise_window = 7\n"
+        }
+        reports = {}
+        for name, text in variants.items():
+            path = tmp_path / f"{name}.ini"
+            path.write_text(base + text)
+            out = tmp_path / name
+            assert main(
+                ["grid", "--manifest", str(corpus_dir / "manifest.csv"), "--config", str(path), "--out", str(out)]
+            ) == 0
+            reports[name] = (out / "grid_report.json").read_bytes()
+        assert len(set(reports.values())) == 3
+        docs = {name: json.loads(report) for name, report in reports.items()}
+        assert docs["base"]["rows"] == docs["mlp"]["rows"] == docs["cleaning"]["rows"]
+        assert all(row["error"] for row in docs["base"]["rows"])
+        snapshot = read_run_config(tmp_path / "base.ini").snapshot()
+        assert docs["base"]["config_snapshot"] == json.loads(json.dumps(snapshot))
+        assert docs["cleaning"]["config_snapshot"]["cleaning"]["denoise_window"] == 7
+        defaults = {kind: dict(REGISTRY[kind].defaults) for kind in ("knn", "mlp")}
+        assert docs["base"]["model_params"] == json.loads(json.dumps(defaults))
+        assert docs["mlp"]["model_params"]["mlp"] == {**docs["base"]["model_params"]["mlp"], "learning_rate": 0.01}
 
     @pytest.mark.usefixtures("one_worker")
     def test_grid_trains_each_kind_with_its_section(self, corpus_dir, tmp_path, monkeypatch):
@@ -1010,7 +1114,29 @@ class TestConfigRoundTrip:
         assert cfg.pipeline_record() == RunConfig().pipeline_record()
 
 
+SCHEMA_KEYS = sorted((section, key) for section, keys in config._SCHEMA.items() for key in keys)
+
+
 class TestConfigParsing:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        setting=st.sampled_from(SCHEMA_KEYS),
+        value=st.sampled_from(["nan", "inf", "-inf", "1e400", "1e308", "-1", "0", "0.5", "true"]),
+    )
+    def test_any_value_of_any_key_is_refused_or_snapshots_as_strict_json(self, setting, value):
+        section, key = setting
+        text = f"[{section}]\n{key} = {value}\n"
+        if section.startswith("model."):  # the snapshot records the run kind's params
+            text = f"[run]\nmodel = {section.removeprefix('model.')}\n" + text
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(text)
+            try:
+                cfg = read_run_config(path)
+            except ConfigError:
+                return
+        json.dumps(cfg.snapshot(), allow_nan=False)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[cleaning]\ndenose_window = 5\n")

@@ -27,23 +27,18 @@ from driverid.evaluation import _slice_dataset, _subset_columns
 from driverid.features import FAMILIES, FeatureConfig, subset_families
 from driverid.models import MODEL_KINDS, LabeledDataset
 from driverid.models.registry import REGISTRY
-from driverid.pipeline import build_datasets, train_model
+from driverid.pipeline import build_datasets, build_test_dataset, train_model
 from driverid.preprocess import CleanTrip
 from driverid.seeds import derive_seed
 from driverid.segment import InsufficientData, SegmentationConfig
-from conftest import stops_in_gaps
+from conftest import labeled, stops_in_gaps
 
 
 def dataset_from(labels, x=None, class_list=None):
-    labels = np.array(labels, dtype=object)
     rng = np.random.default_rng(0)
     if x is None:
         x = rng.standard_normal((len(labels), 3))
-    return LabeledDataset(
-        features=x,
-        labels=labels,
-        class_list=tuple(class_list or sorted(set(labels))),
-    )
+    return labeled(x, labels, class_list)
 
 
 class FixedModel:
@@ -127,13 +122,21 @@ class TestEvaluate:
         assert report.confusion.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 2]]
         assert report.accuracy == 0.5
 
+    def test_rows_of_a_class_the_model_lacks_rejected(self, patched_predict):
+        model = FixedModel(["a", "b", "a"], ("a", "b"))
+        with pytest.raises(ValueError, match=r"outside the model's class list: \['c'\]"):
+            evaluate(model, dataset_from(["a", "c", "b"]))
+        # a class of the test set's list with no rows is not a test class
+        report = evaluate(model, dataset_from(["a", "b", "b"], class_list=("a", "b", "c")))
+        assert report.confusion.tolist() == [[1, 0], [1, 1]]
+
     def test_empty_test_set_rejected(self):
         rng = np.random.default_rng(1)
         data = dataset_from(["a", "b"], x=rng.standard_normal((2, 3)))
         model = train_model("knn", data, {"k": 1})
         empty = LabeledDataset(
             features=np.zeros((0, 3)),
-            labels=np.array([], dtype=object),
+            label_indices=np.array([], dtype=np.int64),
             class_list=("a", "b"),
         )
         with pytest.raises(ValueError, match="empty test set"):
@@ -145,7 +148,7 @@ class TestEvaluate:
         model = train_model("knn", data, {"k": 1})
         wrong = LabeledDataset(
             features=rng.standard_normal((4, 5)),
-            labels=np.array(["a", "b", "a", "b"], dtype=object),
+            label_indices=np.array([0, 1, 0, 1]),
             class_list=("a", "b"),
         )
         with pytest.raises(ValueError, match="schema mismatch"):
@@ -180,6 +183,22 @@ class TestBuildDatasets:
         seg = SegmentationConfig(window_minutes=1.0, overlap_fraction=0.5)
         with pytest.raises(InsufficientData, match="driver 'c' has test windows but no training windows"):
             build_datasets(trips_one_without_train_windows(), seg, FeatureConfig())
+
+    def test_test_rows_of_a_driver_outside_the_class_list_rejected(self):
+        seg = SegmentationConfig(window_minutes=1.0, overlap_fraction=0.5)
+        a, b, c = trips_one_without_train_windows()  # c breaks only in its train span
+        bundle = build_datasets([a, b], seg, FeatureConfig())
+        model = train_model("knn", bundle.train, {"k": 1}, standardizer=bundle.standardizer)
+        with pytest.raises(ValueError, match=r"driver 'c' is not in the class list \['a', 'b'\]"):
+            build_test_dataset([a, b, c], seg, FeatureConfig(), model)
+        # a driver with no test windows adds no rows, whatever its name
+        breaks = np.zeros(len(c) - 1, dtype=bool)
+        breaks[1300::50] = True
+        silent = CleanTrip("c", c.t, c.data, 2.0, stop_intervals=stops_in_gaps(c.t, breaks))
+        test = build_test_dataset([a, b, silent], seg, FeatureConfig(), model)
+        assert np.array_equal(test.features, bundle.test.features)
+        assert np.array_equal(test.label_indices, bundle.test.label_indices)
+        assert test.class_list == ("a", "b")
 
 
 class TestSeparability:
@@ -390,7 +409,7 @@ class TestGrid:
         for whole, direct in ((full.train, own.train), (full.test, own.test)):
             sliced = _slice_dataset(whole, columns)
             assert np.array_equal(sliced.features, direct.features)
-            assert np.array_equal(sliced.labels, direct.labels)
+            assert np.array_equal(sliced.label_indices, direct.label_indices)
             assert (sliced.class_list, sliced.schema_labels) == (direct.class_list, direct.schema_labels)
 
     @pytest.mark.usefixtures("one_worker")
@@ -431,10 +450,17 @@ class TestGrid:
             GridRow(5, 0, "mean", "dtree", mean_accuracy=0.9, std=0.0),
             GridRow(5, 0, "mean", "mlp", error="boom"),
             GridRow(5, 0, "mean", "rforest", mean_accuracy=0.7, std=0.0),
+            GridRow(5, 0, "mean+variance", "knn", mean_accuracy=0.9, std=0.0),
+            GridRow(5, 0, "mean+variance", "mlp", error="bang"),
+            GridRow(5, 0, "mean+variance", "dtree", mean_accuracy=0.5, std=0.0),
         ]
         ordered = sort_rows(rows)
-        assert [r.mean_accuracy for r in ordered] == [0.9, 0.7, 0.5, None]
-        assert ordered[-1].error == "boom"
+        assert [r.mean_accuracy for r in ordered] == [0.9, 0.9, 0.7, 0.5, 0.5, None, None]
+        # ties keep their input order
+        assert [(r.features, r.model) for r in ordered] == [
+            ("mean", "dtree"), ("mean+variance", "knn"), ("mean", "rforest"), ("mean", "knn"),
+            ("mean+variance", "dtree"), ("mean", "mlp"), ("mean+variance", "mlp"),
+        ]
 
     def test_default_subsets_include_full_combination(self):
         assert "histogram+mean+variance+difference+correlation" in DEFAULT_FEATURE_SUBSETS

@@ -26,7 +26,7 @@ from driverid.models import LabeledDataset, load_model, save_model
 from driverid.pipeline import build_datasets, train_model
 from driverid.segment import TRAIN, SegmentationConfig, WindowBatch
 
-from conftest import window_batch
+from conftest import labeled, window_batch
 from oracles import corr_oracle, histogram_oracle, mean_var_oracle
 
 
@@ -460,14 +460,14 @@ class TestPeakMemory:
     def knn_model(self):
         rng = np.random.default_rng(10)
         labels = np.array([f"d{i % 5}" for i in range(2000)], dtype=object)
-        data = LabeledDataset(rng.standard_normal((2000, 633)), labels, tuple(sorted(set(labels))))
+        data = labeled(rng.standard_normal((2000, 633)), labels)
         return train_model("knn", data, {"k": 5})
 
     def test_a_labeled_dataset_checks_its_rows_without_a_temporary(self):
         rng = np.random.default_rng(11)
         features = rng.standard_normal((3000, 633))
-        labels = np.array([f"d{i % 10}" for i in range(3000)], dtype=object)
-        _, peak = traced_peak(lambda: LabeledDataset(features, labels, tuple(sorted(set(labels)))))
+        labels, classes = np.arange(3000) % 10, tuple(f"d{i}" for i in range(10))
+        _, peak = traced_peak(lambda: LabeledDataset(features, labels, classes))
         assert peak < features.nbytes / 16  # a bool per value would be features.nbytes / 8
 
     def test_saving_a_knn_model_holds_no_copy_of_its_rows(self, knn_model, tmp_path):

@@ -314,12 +314,12 @@ class TestTripInvariants:
         (lambda a: Trip("d", np.arange(3) / 2.0, a, 2.0), (3, 6), "data"),
         (lambda a: WindowBatch("d", "train", np.zeros(1), np.ones(1), a), (1, 6, 2), "channels"),
         (lambda a: Standardizer(a, np.ones(3)), (3,), "mean"),
-        (lambda a: LabeledDataset(a, np.array(["a", "b"], dtype=object), ("a", "b")), (2, 3), "features"),
-        (lambda a: LabeledDataset(np.zeros((2, 3)), a, (0,)), (2,), "labels"),  # an object array
+        (lambda a: LabeledDataset(a, np.array([0, 1]), ("a", "b")), (2, 3), "features"),
+        (lambda a: LabeledDataset(np.zeros((2, 3)), a, ("a", "b")), (2,), "label_indices"),
     ],
 )
 def test_freezes_a_view_not_the_callers_array(build, shape, attr):
-    array = np.zeros(shape, dtype=object if attr == "labels" else np.float64)
+    array = np.zeros(shape, dtype=np.int64 if attr == "label_indices" else np.float64)
     held = getattr(build(array), attr)
     assert not held.flags.writeable and np.shares_memory(held, array)
     array[...] = 1.0  # the caller's array stays writable

@@ -30,6 +30,7 @@ from driverid.models.tree import Tree, check_tree, grow_tree, tree_depth
 from driverid.npz import read_arrays, write_arrays
 from driverid.pipeline import train_model
 from driverid.segment import InsufficientData
+from conftest import DELETE, HEADER_VALUES, edit_saved, header_places, labeled
 from oracles import (
     cart_oracle,
     knn_oracle,
@@ -53,7 +54,7 @@ def make_dataset(rng, n=60, dim=5, classes=("a", "b", "c")):
     # give each class a mean offset so data is learnable
     for i, c in enumerate(classes):
         x[labels == c] += i * 2.0
-    return LabeledDataset(features=x, labels=labels, class_list=tuple(sorted(classes)))
+    return labeled(x, labels, sorted(classes))
 
 
 def arrays_sha256(params) -> str:
@@ -80,48 +81,32 @@ def saved_bytes(model) -> tuple[bytes, bytes]:
         return path.read_bytes(), path.with_suffix(".npz").read_bytes()
 
 
-def edit_saved(path: Path, edits: dict) -> None:
-    """Apply EDITS to the saved model at PATH. A key path (a tuple) maps to
-    a new value, DELETE or a function of the old value. An array, or a
-    function, at the place of an archive member replaces that member, and
-    the header's digest is then pinned to the new archive, so the edit
-    reaches the checks behind the digest; anything else edits the header."""
-    npz = path.with_suffix(".npz")
-    doc = json.loads(path.read_text())
-    with np.load(npz) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    members = {}
-    for key, value in edits.items():
-        place = ".".join(map(str, key))
-        if place in arrays and (callable(value) or isinstance(value, np.ndarray)):
-            members[place] = value(arrays[place]) if callable(value) else value
-            continue
-        holder = doc
-        for step in key[:-1]:
-            holder = holder[step]
-        if value is DELETE:
-            del holder[key[-1]]
-        else:
-            holder[key[-1]] = value(holder[key[-1]]) if callable(value) else value
-    if members:
-        np.savez(npz, **{**arrays, **members})
-        with open(npz, "rb") as fh:
-            doc["arrays_sha256"] = hashlib.file_digest(fh, "sha256").hexdigest()
-    path.write_text(json.dumps(doc))
-
-
-DELETE = object()  # an edit_saved value: delete the key
-
-
 class TestLabeledDataset:
     def test_label_indices_are_read_only_class_positions(self):
-        labels = np.array(["b", "a", "c", "b"], dtype=object)
-        data = LabeledDataset(features=np.zeros((4, 2)), labels=labels, class_list=("a", "b", "c"))
+        given = np.array([1, 0, 2, 1], dtype=np.int32)
+        data = LabeledDataset(features=np.zeros((4, 2)), label_indices=given, class_list=("a", "b", "c"))
         assert data.label_indices.tolist() == [1, 0, 2, 1]
         assert data.label_indices.dtype == np.int64
         assert data.label_indices is data.label_indices
         with pytest.raises(ValueError):
             data.label_indices[0] = 0
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            (np.array([0.0, 1.0]), "label_indices must be integers, got float64"),
+            (np.array([True, False]), "label_indices must be integers, got bool"),
+            (np.array(["a", "b"], dtype=object), "label_indices must be integers, got object"),
+            (np.array([0, 3]), r"label_indices must lie in \[0, 3\)"),
+            (np.array([-1, 0]), r"label_indices must lie in \[0, 3\)"),
+            (np.array([2**63, 0], dtype=np.uint64), r"label_indices must lie in \[0, 3\)"),
+            (np.array([0]), "one label index per row"),
+            (np.array([[0, 1]]), "one label index per row"),
+        ],
+    )
+    def test_label_indices_must_be_class_positions(self, indices, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledDataset(features=np.zeros((2, 2)), label_indices=indices, class_list=("a", "b", "c"))
 
     # three columns: the check reads FINITE_CHECK_VALUES // 3 rows at a time
     @pytest.mark.parametrize("row", [0, model_base.FINITE_CHECK_VALUES // 3 - 1, model_base.FINITE_CHECK_VALUES // 3, 39_999])
@@ -129,16 +114,16 @@ class TestLabeledDataset:
     def test_non_finite_features_rejected(self, value, row):
         features = np.zeros((40_000, 3))
         features[row, 1] = value
-        labels = np.array(["a"] * len(features), dtype=object)
+        labels = np.zeros(len(features), dtype=np.int64)
         with pytest.raises(ValueError, match="features must be finite"):
-            LabeledDataset(features=features, labels=labels, class_list=("a",))
+            LabeledDataset(features=features, label_indices=labels, class_list=("a",))
         with pytest.raises(ValueError, match="features must be finite"):  # a column view, not contiguous
-            LabeledDataset(features=np.hstack([features, features])[:, 1::2], labels=labels, class_list=("a",))
+            LabeledDataset(features=np.hstack([features, features])[:, 1::2], label_indices=labels, class_list=("a",))
 
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
     def test_empty_features_accepted(self, shape):
-        labels = np.array(["a"] * shape[0], dtype=object)
-        assert len(LabeledDataset(features=np.zeros(shape), labels=labels, class_list=("a",))) == shape[0]
+        labels = np.zeros(shape[0], dtype=np.int64)
+        assert len(LabeledDataset(features=np.zeros(shape), label_indices=labels, class_list=("a",))) == shape[0]
 
 
 class TestKnn:
@@ -147,13 +132,13 @@ class TestKnn:
         data = make_dataset(rng)
         model = train_model("knn", data, {"k": 1})
         for i in (0, 7, 31):
-            assert predict(model, data.features[i]) == data.labels[i]
+            assert predict(model, data.features[i]) == data.class_list[data.label_indices[i]]
 
     def test_k_equal_to_all_rows_gives_majority(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((9, 3))
         labels = np.array(["a"] * 5 + ["b"] * 4, dtype=object)
-        data = LabeledDataset(features=x, labels=labels, class_list=("a", "b"))
+        data = labeled(x, labels, ("a", "b"))
         model = train_model("knn", data, {"k": 9})
         assert predict(model, rng.standard_normal(3) * 10) == "a"
 
@@ -161,7 +146,7 @@ class TestKnn:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((200, 4))
         labels = np.array([f"c{i % 7}" for i in range(200)], dtype=object)
-        data = LabeledDataset(features=x, labels=labels, class_list=tuple(sorted(set(labels))))
+        data = labeled(x, labels)
         model = train_model("knn", data, {"k": 5})
         for _ in range(100):
             q = rng.standard_normal(4) * rng.uniform(0.2, 3.0)
@@ -184,7 +169,7 @@ class TestKnn:
         labels = np.array(data.draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n)), dtype=object)
         labels[:2] = ["a", "b"]
         k = data.draw(st.integers(1, n))
-        model = train_model("knn", LabeledDataset(x, labels, ("a", "b", "c")), {"k": k})
+        model = train_model("knn", labeled(x, labels, ("a", "b", "c")), {"k": k})
         at, to = (list(side) for side in zip(*data.draw(row_pairs.filter(len))))
         queries = np.vstack(
             [
@@ -201,7 +186,8 @@ class TestKnn:
         data = make_dataset(rng, n=80)
         model = train_model("knn", data, {"k": 4})
         queries = rng.standard_normal((2 * QUERY_BLOCK + 3, data.n_features)) * 3
-        expected = [knn_oracle(data.features, data.labels, data.class_list, q, 4) for q in queries]
+        names = np.take(data.class_list, data.label_indices)
+        expected = [knn_oracle(data.features, names, data.class_list, q, 4) for q in queries]
         assert predict(model, queries).tolist() == expected
 
     def test_k_zero_rejected(self):
@@ -221,7 +207,7 @@ class TestKnn:
         model = train_model("knn", data, {"k": 3})
         scaled = LabeledDataset(
             features=data.features * 7.5,
-            labels=data.labels,
+            label_indices=data.label_indices,
             class_list=data.class_list,
         )
         model_scaled = train_model("knn", scaled, {"k": 3})
@@ -233,7 +219,7 @@ class TestDecisionTree:
     def test_separable_1d_data_depth_one(self):
         x = np.array([[0.1], [0.2], [0.3], [1.1], [1.2], [1.3]])
         labels = np.array(["a"] * 3 + ["b"] * 3, dtype=object)
-        data = LabeledDataset(features=x, labels=labels, class_list=("a", "b"))
+        data = labeled(x, labels, ("a", "b"))
         model = train_model("dtree", data)
         assert tree_depth(model.params) == 1
         assert (predict(model, x) == labels).all()
@@ -243,7 +229,7 @@ class TestDecisionTree:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((50, 4))
         labels = np.array([("a" if v > 0 else "b") for v in x[:, 0] * x[:, 1]], dtype=object)
-        data = LabeledDataset(features=x, labels=labels, class_list=("a", "b"))
+        data = labeled(x, labels, ("a", "b"))
         full = train_model("dtree", data)
         stump = train_model("dtree", data, {"max_depth": 1})
         full_acc = (predict(full, x) == labels).mean()
@@ -256,9 +242,7 @@ class TestDecisionTree:
             r = np.random.default_rng(seed)
             x = r.standard_normal((40, 3))
             labels = np.array([f"c{int(v)}" for v in r.integers(0, 3, 40)], dtype=object)
-            data = LabeledDataset(
-                features=x, labels=labels, class_list=tuple(sorted(set(labels)))
-            )
+            data = labeled(x, labels)
             model = train_model("dtree", data, {"max_depth": 4})
             acc = (predict(model, x) == labels).mean()
             majority = max(np.bincount([list(data.class_list).index(l) for l in labels])) / len(labels)
@@ -316,7 +300,7 @@ class TestCartOracle:
         x, y, n_classes = draw_node_data(data)
         assume(len(y) >= 2)
         classes = tuple(f"c{i}" for i in range(n_classes))
-        ds = LabeledDataset(x, np.array(classes, dtype=object)[y], classes)
+        ds = LabeledDataset(x, y, classes)
         max_depth = data.draw(st.none() | st.integers(1, 5))
         min_leaf = data.draw(st.integers(1, 4))
         model = train_model("dtree", ds, {"max_depth": max_depth, "min_leaf": min_leaf})
@@ -524,7 +508,7 @@ class TestRandomForest:
         tree_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         rows = tree_rng.integers(0, len(data), size=len(data))
         bootstrap = LabeledDataset(
-            features=data.features[rows], labels=data.labels[rows], class_list=data.class_list
+            features=data.features[rows], label_indices=data.label_indices[rows], class_list=data.class_list
         )
         tree = train_model("dtree", bootstrap)
         queries = rng.standard_normal((40, 4)) * 2
@@ -544,9 +528,7 @@ class TestRandomForest:
             r = np.random.default_rng(seed)
             x = r.standard_normal((40, 3))
             labels = np.array([f"c{int(v)}" for v in r.integers(0, 3, 40)], dtype=object)
-            data = LabeledDataset(
-                features=x, labels=labels, class_list=tuple(sorted(set(labels)))
-            )
+            data = labeled(x, labels)
             model = train_model("rforest", data, {"n_trees": 15}, seed=seed)
             acc = (predict(model, x) == labels).mean()
             majority = max(
@@ -560,7 +542,7 @@ class TestRandomForest:
         labels = np.array([f"c{i % 3}" for i in range(120)], dtype=object)
         for i in range(3):
             x[np.arange(120) % 3 == i] += i * 1.5
-        data = LabeledDataset(features=x, labels=labels, class_list=("c0", "c1", "c2"))
+        data = labeled(x, labels, ("c0", "c1", "c2"))
         test_x = rng.standard_normal((60, 6))
         test_labels = np.array([f"c{i % 3}" for i in range(60)], dtype=object)
         for i in range(3):
@@ -578,7 +560,7 @@ class TestMlp:
         base_y = ["even", "odd", "odd", "even"]
         x = np.tile(base_x, (copies, 1))
         labels = np.array(base_y * copies, dtype=object)
-        return LabeledDataset(features=x, labels=labels, class_list=("even", "odd"))
+        return labeled(x, labels, ("even", "odd"))
 
     def test_xor_reaches_full_train_accuracy(self):
         data = self.xor_dataset()
@@ -588,7 +570,7 @@ class TestMlp:
         )
         model = train_model("mlp", data, params, seed=1)
         preds = predict(model, data.features)
-        assert (preds == data.labels).mean() == 1.0
+        assert (preds == np.take(data.class_list, data.label_indices)).mean() == 1.0
 
     def test_proba_sums_to_one(self):
         rng = np.random.default_rng(12)
@@ -664,7 +646,7 @@ class TestMlp:
         n_val = sum(max(1, round(cfg.validation_fraction * c)) for c in counts if c)
         assume((n - n_val) % cfg.batch_size)
         classes = tuple(f"c{i}" for i in range(n_classes))
-        dataset = LabeledDataset(x, np.array(classes, dtype=object)[y], classes)
+        dataset = LabeledDataset(x, y, classes)
         params = {f.name: getattr(cfg, f.name) for f in fields(MlpConfig) if f.name != "seed"}
         try:
             weights, biases, epochs_run = mlp_fit_oracle(x, y, n_classes, cfg)
@@ -725,7 +707,7 @@ class TestPredictContract:
     def test_single_class_data_rejected(self, kind):
         x = np.random.default_rng(0).standard_normal((10, 3))
         labels = np.array(["only"] * 10, dtype=object)
-        data = LabeledDataset(features=x, labels=labels, class_list=("only",))
+        data = labeled(x, labels, ("only",))
         with pytest.raises(InsufficientData, match="at least 2 classes"):
             train_model(kind, data)
 
@@ -741,7 +723,7 @@ class TestPredictContract:
     def test_out_of_range_params_rejected_before_data_checks(self, kind, params, message):
         x = np.random.default_rng(0).standard_normal((10, 3))
         labels = np.array(["only"] * 10, dtype=object)
-        data = LabeledDataset(features=x, labels=labels, class_list=("only",))
+        data = labeled(x, labels, ("only",))
         with pytest.raises(ValueError, match=message) as caught:
             train_model(kind, data, params)
         assert caught.type is ValueError  # not the single-class InsufficientData
@@ -1028,14 +1010,6 @@ def saved_pair(kind):
     return saved_bytes(model)
 
 
-def header_places(value, place=()):
-    """Every key path in a JSON header: each object key and list index, at any depth."""
-    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
-    for key, item in items:
-        yield (*place, key)
-        yield from header_places(item, (*place, key))
-
-
 class TestHeaderFields:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @settings(max_examples=120, deadline=None)
@@ -1044,7 +1018,7 @@ class TestHeaderFields:
         header, archive = saved_pair(kind)
         doc = json.loads(header)
         place = data.draw(st.sampled_from(sorted(header_places(doc), key=str)), label="field")
-        value = data.draw(st.sampled_from([None, "x", 1.5, -1, True, [], {}, 10**30, DELETE]), label="value")
+        value = data.draw(st.sampled_from(HEADER_VALUES), label="value")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.json"
             path.write_bytes(header)

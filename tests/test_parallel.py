@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from driverid.features import FeatureConfig
-from driverid.models import LabeledDataset, predict
+from driverid.models import predict
 from driverid.parallel import ordered_map
 from driverid.pipeline import build_datasets, build_test_dataset, train_model
 from driverid.preprocess import CleanTrip
 from driverid.segment import InsufficientData, SegmentationConfig
-from conftest import stops_in_gaps
+from conftest import labeled, stops_in_gaps
 from oracles import knn_oracle
 
 TIMEOUT_S = 10.0
@@ -173,7 +173,7 @@ class TestPipelineWorkers:
         one, two = at_one_and_two_workers(workers, lambda: build_datasets(random_trips(), SEG, FeatureConfig()))
         for a, b in ((one.train, two.train), (one.test, two.test)):
             assert np.array_equal(a.features, b.features)
-            assert a.labels.tolist() == b.labels.tolist()
+            assert a.label_indices.tolist() == b.label_indices.tolist()
             assert a.class_list == b.class_list == ("a", "b", "c")
         assert one.window_counts == two.window_counts
         assert one.window_counts["a"]["train"] > two.window_counts["b"]["train"] > 0
@@ -187,7 +187,8 @@ class TestPipelineWorkers:
         )
         for test in (one, two):
             assert np.array_equal(test.features, bundle.test.features)
-            assert test.labels.tolist() == bundle.test.labels.tolist()
+            assert test.label_indices.tolist() == bundle.test.label_indices.tolist()
+            assert test.class_list == bundle.test.class_list
 
     @pytest.mark.parametrize("test_only", [False, True])
     def test_first_short_trip_is_named(self, workers, test_only):
@@ -212,7 +213,7 @@ class TestPipelineWorkers:
         rng = np.random.default_rng(n_queries)
         x = rng.standard_normal((90, 5))
         labels = np.array([f"c{i % 4}" for i in range(90)], dtype=object)
-        model = train_model("knn", LabeledDataset(x, labels, ("c0", "c1", "c2", "c3")), {"k": 3})
+        model = train_model("knn", labeled(x, labels, ("c0", "c1", "c2", "c3")), {"k": 3})
         queries = rng.standard_normal((n_queries, 5))
         expected = [knn_oracle(x, labels, model.class_list, q, 3) for q in queries]
         for got in at_one_and_two_workers(workers, lambda: predict(model, queries)):
