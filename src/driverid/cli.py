@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -115,22 +116,23 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     profiles = synth.make_profiles(args.drivers, args.separation, seed)
-    entries = []
-    for i, profile in enumerate(profiles):
-        driver_id = f"driver{i + 1:02d}"
-        trip, truth = synth.generate_trip(
-            profile, args.hours * 3600.0, args.rate, driver_id=driver_id
-        )
-        log_path = out / f"{driver_id}.csv"
-        ingest.write_log(trip, log_path)
-        (out / f"{driver_id}.truth.json").write_text(
-            json.dumps(truth.to_dict(), indent=1), encoding="utf-8"
-        )
-        entries.append((log_path.name, driver_id, args.rate))
+    write = partial(_synth_to_disk, profiles, args.hours * 3600.0, args.rate, out)
+    entries = list(ordered_map(write, range(len(profiles))))
     manifest_path = Path(args.manifest) if args.manifest else out / "manifest.csv"
     write_manifest(entries, manifest_path)
     print(f"wrote {len(entries)} trips and {manifest_path}")
     return 0
+
+
+def _synth_to_disk(profiles, seconds: float, rate: float, out: Path, index: int) -> tuple:
+    """Generate driver INDEX's trip and write its log and truth file into
+    OUT; returns its manifest entry."""
+    driver_id = f"driver{index + 1:02d}"
+    trip, truth = synth.generate_trip(profiles[index], seconds, rate, driver_id=driver_id)
+    log_path = out / f"{driver_id}.csv"
+    ingest.write_log(trip, log_path)
+    (out / f"{driver_id}.truth.json").write_text(json.dumps(truth.to_dict(), indent=1), encoding="utf-8")
+    return log_path.name, driver_id, rate
 
 
 def _log_tasks(manifest: Manifest, cfg: RunConfig) -> list[tuple]:
@@ -193,7 +195,24 @@ def _clean_trip(cleaning, task) -> preprocess.CleanTrip:
 
 
 def _clean_all(manifest: Manifest, cfg: RunConfig) -> list[preprocess.CleanTrip]:
+    """Every manifest entry as a CleanTrip, all held at once: `grid` builds
+    each window/overlap group from the same trips, so it cleans them once."""
     return list(ordered_map(partial(_clean_trip, cfg.cleaning), _log_tasks(manifest, cfg)))
+
+
+class _CleanTrips(Sequence):
+    """The manifest entries' trips, each read and cleaned (`_clean_trip`) when
+    indexed: `build_datasets` and `build_test_dataset` index a trip in the
+    worker that windows and featurizes it, so no CleanTrip reaches this process."""
+
+    def __init__(self, cleaning, tasks):
+        self.cleaning, self.tasks = cleaning, tasks
+
+    def __len__(self) -> int:
+        return len(self.tasks)
+
+    def __getitem__(self, index: int) -> preprocess.CleanTrip:
+        return _clean_trip(self.cleaning, self.tasks[index])
 
 
 def _cleaned_name(path: Path) -> str:
@@ -230,9 +249,8 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     manifest = read_manifest(args.manifest)
     _check_windows(manifest, "[segmentation] window_minutes", [cfg.segmentation.window_minutes])
-    cleaned = _clean_all(manifest, cfg)
-
-    bundle = build_datasets(cleaned, cfg.segmentation, cfg.features)
+    trips = _CleanTrips(cfg.cleaning, _log_tasks(manifest, cfg))
+    bundle = build_datasets(trips, cfg.segmentation, cfg.features)
     sub_seed = derive_seed(cfg.master_seed, f"train:{cfg.model_kind}")
     model = train_model(
         cfg.model_kind,
@@ -278,9 +296,8 @@ def cmd_evaluate(args) -> int:
     unknown = sorted({driver for _, driver, _ in manifest.entries} - set(model.class_list))
     if unknown:
         raise ConfigError(f"manifest drivers {unknown} are not among the classes {args.model} was trained on")
-    cleaned = _clean_all(manifest, cfg)
-
-    test = build_test_dataset(cleaned, cfg.segmentation, cfg.features, model)
+    trips = _CleanTrips(cfg.cleaning, _log_tasks(manifest, cfg))
+    test = build_test_dataset(trips, cfg.segmentation, cfg.features, model)
     report = ev.evaluate(model, test, config_snapshot=cfg.snapshot())
 
     out = Path(args.out)

@@ -18,6 +18,7 @@ import numpy as np
 CHANNELS = ("ax", "ay", "az", "gx", "gy", "gz")
 ACCEL_COLUMNS = slice(0, 3)
 LOG_HEADER = "t," + ",".join(CHANNELS)
+LOG_CHUNK_ROWS = 512  # rows `write_log` renders at a time: a write holds one chunk's text, not the log's
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +140,14 @@ def serialize_log(trip: Trip) -> str:
 
 
 def write_log(trip: Trip, path) -> None:
-    Path(path).write_text(serialize_log(trip), encoding="utf-8")
+    """Write ``serialize_log(trip)`` to PATH as the logs of LOG_CHUNK_ROWS-row
+    slices in turn, each without its header but the first."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(LOG_HEADER + "\n")
+        for start in range(0, len(trip), LOG_CHUNK_ROWS):
+            rows = slice(start, start + LOG_CHUNK_ROWS)
+            chunk = serialize_log(Trip(trip.driver_id, trip.t[rows], trip.data[rows], trip.nominal_rate_hz))
+            fh.write(chunk[len(LOG_HEADER) + 1:])
 
 
 def read_log(path, driver_id: str, rate_hz: float) -> Trip:

@@ -11,7 +11,9 @@ thread holds memory of its own.
 A worker's exception reaches the caller with its own type and message, at
 its item's position: items before it are yielded first, just as `map` would
 have yielded them, whichever worker failed first; no item behind a failed
-one is sent. A call made inside a worker, or while this process already
+one is sent. A worker that dies on an item (killed, `os._exit`, a crash)
+fails that item with a RuntimeError naming its position and the worker's
+exit code or signal. A call made inside a worker, or while this process already
 has workers, runs in-process, so nested calls never start more processes
 than there are CPUs. Workers ignore SIGINT, so Ctrl-C interrupts only the
 caller, and they are terminated when the generator finishes, is closed or
@@ -42,14 +44,14 @@ def ordered_map(fn, items):
         yield from map(fn, items)
         return
     ctx = multiprocessing.get_context("fork")
-    workers, idle = [], []
+    workers, idle = {}, []  # workers by the end of their pipe this process holds
     _forked = True  # set before the fork: the workers inherit it
     try:
         for _ in range(n_workers):
             conn, theirs = ctx.Pipe()
             worker = ctx.Process(target=_serve, args=(fn, theirs), daemon=True)
             worker.start()
-            workers.append(worker)
+            workers[conn] = worker
             theirs.close()
             idle.append(conn)
         queued, busy, done, first = collections.deque(enumerate(items)), {}, {}, 0
@@ -69,16 +71,27 @@ def ordered_map(fn, items):
                 return
             else:
                 for conn in wait(list(busy)):
-                    ok, value = conn.recv()
-                    done[busy.pop(conn)] = ok, value
+                    index = busy.pop(conn)
+                    try:
+                        ok, value = conn.recv()
+                        idle.append(conn)
+                    except EOFError:  # the worker died; its pipe closed with it
+                        ok, value = False, RuntimeError(f"item {index}: {_death(workers[conn])}")
+                    done[index] = ok, value
                     if not ok:  # items go out in input order: none behind a failed one is ever sent
                         queued.clear()
-                    idle.append(conn)
     finally:
         _forked = False
-        for worker in workers:
+        for worker in workers.values():
             worker.terminate()
             worker.join()
+
+
+def _death(worker) -> str:
+    """How a worker process ended, once it has."""
+    worker.join()
+    code = worker.exitcode
+    return f"worker killed by signal {-code}" if code < 0 else f"worker exited with code {code}"
 
 
 def _serve(fn, conn) -> None:

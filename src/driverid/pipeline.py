@@ -7,8 +7,10 @@ the standardizer fit refuses any block tagged test, so training can never
 touch held-out data. `build_test_dataset` (evaluating a saved model) cuts
 only the test span, from the same split index, and turns blocks into
 labelled rows through the same function as `build_datasets` (train,
-grid). Each trip is windowed and featurized as one `parallel.ordered_map`
-item; the blocks are stacked, counted and standardized here, in trip order.
+grid). Each trip is indexed, windowed and featurized as one
+`parallel.ordered_map` item, so `trips` may be a sequence that reads a trip
+when indexed, in the item's worker; the blocks are stacked, counted and
+standardized here, in trip order.
 """
 from __future__ import annotations
 

@@ -15,6 +15,7 @@ read back, not cleaned again.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -163,7 +164,8 @@ def read_sidecar(path: Path) -> dict:
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)
+    """A JSON number that a float can hold (an int beyond float range is not)."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
 def read_clean(arrays: Path, sidecar: dict) -> CleanTrip:

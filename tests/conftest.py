@@ -114,13 +114,7 @@ def edit_saved(path: Path, edits: dict) -> None:
         if place in arrays and (callable(value) or isinstance(value, np.ndarray)):
             members[place] = value(arrays[place]) if callable(value) else value
             continue
-        holder = doc
-        for step in key[:-1]:
-            holder = holder[step]
-        if value is DELETE:
-            del holder[key[-1]]
-        else:
-            holder[key[-1]] = value(holder[key[-1]]) if callable(value) else value
+        edit_doc(doc, key, value)
     if members:
         np.savez(npz, **{**arrays, **members})
         with open(npz, "rb") as fh:
@@ -128,7 +122,19 @@ def edit_saved(path: Path, edits: dict) -> None:
     path.write_text(json.dumps(doc))
 
 
-DELETE = object()  # an edit_saved value: delete the key
+def edit_doc(doc, key: tuple, value) -> None:
+    """Set the JSON document DOC's value at the key path KEY to VALUE, DELETE
+    it, or replace it by VALUE(old value) if VALUE is a function."""
+    holder = doc
+    for step in key[:-1]:
+        holder = holder[step]
+    if value is DELETE:
+        del holder[key[-1]]
+    else:
+        holder[key[-1]] = value(holder[key[-1]]) if callable(value) else value
+
+
+DELETE = object()  # an edit_saved or edit_doc value: delete the key
 
 # values of every JSON type, and out-of-range ones, to put in a model file's header
 HEADER_VALUES = [None, "x", 1.5, -1, True, [], {}, 10**30, DELETE]

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import pickle
 import re
@@ -23,7 +24,7 @@ from driverid.models.io import FORMAT_VERSION
 from driverid.models.registry import REGISTRY
 from driverid.preprocess import CLEAN_FORMAT, CleaningConfig, clean, read_clean, read_sidecar
 from driverid.synth import generate_trip
-from conftest import HEADER_VALUES, edit_saved, header_places
+from conftest import HEADER_VALUES, edit_doc, edit_saved, header_places
 
 RUN_CONFIG = """
 [run]
@@ -102,15 +103,23 @@ class TestSynthCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_same_seed_byte_identical(self, tmp_path):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        for out in (a, b):
+    def test_same_seed_byte_identical(self, tmp_path, workers):
+        """In one process or two workers, a seed gives the bytes it gave when
+        `synth` wrote each log whole from the main process."""
+        digests = {
+            "driver01.csv": "e5163f6a37365cae65ec58a1ad96125480965e585ab506309c127651fcd53aa0",
+            "driver01.truth.json": "ff3055cdb641fe0a9d23add7a7589e882d1962a9332a2e577198f62987e74f2a",
+            "driver02.csv": "234d7ec63eb1cbd32975b8a08856418e316785f36c7ba8758ca58744f24b952e",
+            "driver02.truth.json": "0cfa47ca59685a8c5a6bd212c184e3a11510db968c60bcc6e3427701e0ec3842",
+            "manifest.csv": "7069a6e625d2e8d95af7b621f9df0866da45b48ecaa7d73b29b5c080e5722e04",
+        }
+        for n in (1, 2):
+            workers(n)
+            out = tmp_path / f"workers{n}"
             assert main(
                 ["synth", "--drivers", "2", "--hours", "0.05", "--seed", "5", "--out", str(out)]
             ) == 0
-        for name in ("driver01.csv", "driver02.csv", "manifest.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+            assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()} == digests
 
 
 class TestCleanCommand:
@@ -879,6 +888,8 @@ CLEANED_DAMAGE = [
      r"stop_intervals must be a list of \[start_t, end_t\] number pairs"),
     (_edit_sidecar("gap_as_text", lambda doc: doc.update(removed_gap_seconds="0")),
      "removed_gap_seconds must be a number"),
+    (_edit_sidecar("gap_beyond_float", lambda doc: doc.update(removed_gap_seconds=10**400)),
+     "removed_gap_seconds must be a number"),
     (_edit_sidecar("stop_holds_a_sample", lambda doc: doc.update(stop_intervals=[[0.0, 1e9]]), "driver01.clean.npz"),
      "a recorded stop interval holds a sample"),
     (_edit_entry("other_rate", rate=4.0), r"trip.nominal_rate_hz = 4.0, but \S+ records 2.0"),
@@ -934,6 +945,56 @@ class TestCleanedManifest:
         assert str(culprit) in capsys.readouterr().err
         assert maps == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("short, damaged, code", [(2, 5, 1), (5, 2, 2)])
+    def test_the_first_failing_entry_decides(
+        self, cleaned_dir, config_path, trained_model, tmp_path, workers, capsys, command, short, damaged, code
+    ):
+        """Manifest entry SHORT is too short to split (exit 1) and entry DAMAGED
+        a truncated archive (exit 2), among four that are sound."""
+        workers(2)
+        root = tmp_path / "cleaned"
+        shutil.copytree(cleaned_dir, root)
+        with np.load(root / "driver02.clean.npz") as npz:
+            np.savez(root / "short.clean.npz", t=npz["t"][:50], data=npz["data"][:50])
+        shutil.copy(root / "driver02.clean.json", root / "short.clean.json")
+        (root / "damaged.clean.npz").write_bytes((root / "driver03.clean.npz").read_bytes()[:1000])
+        shutil.copy(root / "driver03.clean.json", root / "damaged.clean.json")
+        sound = iter(read_manifest(root / "manifest.csv").entries)
+        faulty = {short: (root / "short.clean.npz", "driver02", 2.0), damaged: (root / "damaged.clean.npz", "driver03", 2.0)}
+        write_manifest([faulty.get(i) or next(sound) for i in range(1, 7)], root / "manifest.csv")
+        model = ["--model", str(copy_model(trained_model, tmp_path))] if command == "evaluate" else []
+        argv = [command, "--manifest", str(root / "manifest.csv"), "--config", str(config_path), *model]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            assert "insufficient data for split: trip 'driver02' has 50 samples" in err
+        else:
+            assert f"{root / 'damaged.clean.npz'}: not an .npz archive" in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.usefixtures("one_worker")
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_any_sidecar_field_edit_exits_0_or_2(self, kind_models, command, data):
+        clean = kind_models["knn"].parent / "clean"
+        doc = json.loads((clean / "driver01.clean.json").read_text())
+        place = data.draw(st.sampled_from(sorted(header_places(doc), key=str)), label="field")
+        value = data.draw(st.sampled_from([*HEADER_VALUES, math.nan, 10**400]), label="value")
+        edit_doc(doc, place, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "clean"
+            shutil.copytree(clean, root)
+            (root / "driver01.clean.json").write_text(json.dumps(doc))
+            model = ["--model", str(kind_models["knn"] / "model.json")] if command == "evaluate" else []
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(
+                    [command, "--manifest", str(root / "cleaned.csv"), "--config", str(kind_models["knn"] / "run.ini"),
+                     "--out", str(Path(tmp) / "out"), *model]
+                )
+        assert code in (0, 2), stderr.getvalue()
 
     def test_a_cleaned_trip_is_named_clean_with_a_sidecar(self, cleaned_dir, tmp_path):
         from driverid.cli import _log_tasks

@@ -22,9 +22,14 @@ from driverid.features import (
     trimmed_histogram,
     trimmed_histograms,
 )
+from driverid.cli import main
+from driverid.config import RunConfig, write_manifest
+from driverid.ingest import serialize_log, write_log
 from driverid.models import LabeledDataset, load_model, save_model
 from driverid.pipeline import build_datasets, train_model
-from driverid.segment import TRAIN, SegmentationConfig, WindowBatch
+from driverid.preprocess import write_clean
+from driverid.segment import TRAIN, SegmentationConfig, WindowBatch, segment_trip
+from driverid.synth import generate_trip
 
 from conftest import labeled, window_batch
 from oracles import corr_oracle, histogram_oracle, mean_var_oracle
@@ -488,6 +493,35 @@ class TestPeakMemory:
         bundle, peak = traced_peak(lambda: build_datasets(easy_corpus, seg, FeatureConfig()))
         train, test = bundle.train.features.nbytes, bundle.test.features.nbytes
         assert peak < (train + test) + 1.2 * train  # the blocks, then the train rows stacked
+
+    def test_writing_a_log_holds_a_fraction_of_its_text(self, easy_profiles, tmp_path):
+        trip, _ = generate_trip(easy_profiles[0], 4 * 3600.0, 2.0, driver_id="d")
+        text = serialize_log(trip)
+        _, peak = traced_peak(lambda: write_log(trip, tmp_path / "d.csv"))
+        assert (tmp_path / "d.csv").read_bytes() == text.encode()
+        assert peak < len(text) / 4
+
+    def test_train_holds_about_one_trip_at_a_time(self, easy_corpus, one_worker, tmp_path):
+        # A trip in flight is its samples and its windows, which are copies
+        # (overlapping, at the default segmentation); holding every trip at
+        # once, as the rows are made, takes far more than two of them.
+        cfg = RunConfig(model_kind="knn")
+        entries = []
+        for trip in easy_corpus:
+            arrays = tmp_path / f"{trip.driver_id}.clean.npz"
+            write_clean(trip, arrays, arrays.with_suffix(".json"), cfg.pipeline_record()["cleaning"])
+            entries.append((arrays.name, trip.driver_id, trip.nominal_rate_hz))
+        write_manifest(entries, tmp_path / "manifest.csv")
+        (tmp_path / "run.ini").write_text("[run]\nmodel = knn\n")
+        in_flight = max(
+            trip.t.nbytes + trip.data.nbytes + trip.break_after.nbytes
+            + sum(batch.channels.nbytes for batch in segment_trip(trip, cfg.segmentation))
+            for trip in easy_corpus
+        )
+        argv = ["train", "--manifest", str(tmp_path / "manifest.csv"), "--config", str(tmp_path / "run.ini")]
+        code, peak = traced_peak(lambda: main([*argv, "--out", str(tmp_path / "out")]))
+        assert code == 0
+        assert peak < 2 * in_flight
 
 
 class TestStandardizer:

@@ -1,5 +1,7 @@
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from driverid import ingest
 from driverid.ingest import (
+    LOG_CHUNK_ROWS,
     LOG_HEADER,
     Trip,
     parse_log,
@@ -119,6 +122,26 @@ class TestRoundTrip:
         path = tmp_path / "trip.csv"
         write_log(quiet_trip, path)
         assert read_log(path, "quiet", 2.0) == quiet_trip
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chunks=st.integers(0, 3),
+        extra_rows=st.integers(-2, 2),
+        boundary=st.integers(1, 3),
+        nan_from=st.integers(-4, 1),
+        nan_rows=st.integers(0, 6),
+        channel=st.integers(0, 5),
+    )
+    def test_written_bytes_are_serialize_log(self, chunks, extra_rows, boundary, nan_from, nan_rows, channel):
+        """Lengths around multiples of LOG_CHUNK_ROWS, with a run of NaN at or across a chunk boundary."""
+        n = max(chunks * LOG_CHUNK_ROWS + extra_rows, 0)
+        data = np.random.default_rng(n).standard_normal((n, 6))
+        start = boundary * LOG_CHUNK_ROWS + nan_from
+        data[start : start + nan_rows, channel] = np.nan
+        trip = Trip("d", np.arange(n) / 2.0, data, 2.0)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_log(trip, Path(tmp) / "d.csv")
+            assert (Path(tmp) / "d.csv").read_bytes() == serialize_log(trip).encode()
 
     def test_serialization_is_deterministic(self, quiet_trip):
         assert serialize_log(quiet_trip) == serialize_log(quiet_trip)

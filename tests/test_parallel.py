@@ -144,6 +144,18 @@ class TestOrderedMap:
                 list(results)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("die, ending", [
+        (lambda: os._exit(3), "exited with code 3"),
+        (lambda: os.kill(os.getpid(), 9), "killed by signal 9"),
+    ], ids=["exit", "sigkill"])
+    def test_a_worker_that_dies_fails_its_item_by_position(self, workers, die, ending):
+        workers(2)
+        results = ordered_map(lambda i: die() if i == 3 else i, range(6))
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(RuntimeError, match=f"^item 3: worker {ending}$"):
+            next(results)
+        assert multiprocessing.active_children() == []
+
 
 def random_trips(lengths=(2000, 1600, 2000, 1800), drivers="abac"):
     """Cleaned 2 Hz trips of noise, one continuity break each; driver a has two."""
