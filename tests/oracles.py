@@ -392,3 +392,30 @@ def mlp_fit_oracle(x, y, n_classes, cfg):
             if since_best == cfg.early_stop_patience:
                 break
     return best[0], best[1], epochs_run
+
+
+def synth_events_oracle(data, t, profile, rng, rate_hz):
+    """Add a trip's driving events to DATA in place, one event at a time:
+    the generator's draws and the sums the synthetic trips were made with."""
+    minutes = t[-1] / 60.0 if t.size else 0.0
+    n_events = rng.poisson(profile.event_rate * minutes)
+    n = data.shape[0]
+    for _ in range(n_events):
+        start = int(rng.uniform(0, n))
+        dur = int(round(rng.uniform(2.0, 4.0) * profile.event_duration_scale * rate_hz))
+        stop = min(n, start + max(dur, 2))
+        tau = (np.arange(stop - start) + 0.5) / (stop - start)
+        env = 0.5 * (1.0 - np.cos(2.0 * np.pi * tau))  # raised cosine in (0, 1]
+        kind = rng.uniform()
+        scale = rng.uniform(0.75, 1.25)
+        if kind < 0.35:  # acceleration
+            data[start:stop, 0] += profile.accel_aggressiveness * scale * env
+            data[start:stop, 4] += profile.pitch_coupling * profile.accel_aggressiveness * scale * env
+        elif kind < 0.70:  # braking
+            data[start:stop, 0] -= profile.brake_harshness * scale * env
+            data[start:stop, 4] -= 1.2 * profile.pitch_coupling * profile.brake_harshness * scale * env
+        else:  # turn
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            omega = profile.turn_rate_scale * scale
+            data[start:stop, 5] += sign * omega * env
+            data[start:stop, 1] += sign * profile.lateral_g_per_yaw * omega * env

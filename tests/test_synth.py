@@ -1,9 +1,18 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driverid as d
 from driverid.preprocess import detect_stops, fill_gaps
-from driverid.synth import DriverProfile, generate_trip, make_profiles
+from driverid.synth import DriverProfile, _add_events, generate_trip, make_profiles
+
+from conftest import BENCH_HOURS
+from oracles import synth_events_oracle
 
 
 class TestMakeProfiles:
@@ -125,6 +134,53 @@ class TestGenerateTrip:
         assert list(truth.to_dict()["profile"]) == names
 
 
+class TestEvents:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        separation=st.sampled_from(["easy", "hard"]),
+        seed=st.integers(0, 40),
+        index=st.integers(0, 11),
+        duration_s=st.floats(60.0, 4 * 3600.0),
+        rate_hz=st.floats(0.5, 20.0),
+        zeroed=st.sampled_from([None, "event_rate", "event_duration_scale"]),
+    )
+    def test_events_match_the_oracle_bit_for_bit(self, separation, seed, index, duration_s, rate_hz, zeroed):
+        # The events land on nonzero channels, so the order of every sum shows,
+        # and the generator must end where the oracle's draws leave it.
+        profile = make_profiles(12, separation, seed)[index]
+        if zeroed:
+            profile = dataclasses.replace(profile, **{zeroed: 0.0})
+        n = int(round(duration_s * rate_hz))
+        t = np.arange(n) / rate_hz
+        data = np.random.default_rng(seed).standard_normal((n, 6))
+        expected = data.copy()
+        rng, twin = np.random.default_rng(profile.seed), np.random.default_rng(profile.seed)
+        _add_events(data, t, profile, rng, rate_hz)
+        synth_events_oracle(expected, t, profile, twin, rate_hz)
+        assert data.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestGoldenCorpus:
+    def test_trips_match_the_golden_digest(self, easy_profiles):
+        """The conftest easy corpus before cleaning, a trip with gaps and one
+        without a device rotation come out as when the digest was taken."""
+        made = [
+            generate_trip(profile, BENCH_HOURS * 3600.0, 2.0, driver_id=f"driver{i + 1:02d}")
+            for i, profile in enumerate(easy_profiles)
+        ]
+        made.append(generate_trip(easy_profiles[0], 3600.0, 5.0, missing_rate_per_hour=8.0))
+        made.append(generate_trip(make_profiles(4, "hard", 3)[1], 1800.0, 10.0, device_rotation=False))
+        assert made[-2][1].gap_intervals and made[-1][1].device_rotation is None
+        digest = hashlib.sha256()
+        for trip, truth in made:
+            for a in (trip.t, trip.data):
+                digest.update(f"{a.dtype.str} {a.shape}".encode())
+                digest.update(np.ascontiguousarray(a).tobytes())
+            digest.update(json.dumps(truth.to_dict(), indent=1).encode())
+        assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
+
+
 class TestEndToEndSeparability:
     def test_small_corpus_beats_chance_widely(self):
         from driverid.features import FeatureConfig
@@ -143,3 +199,8 @@ class TestEndToEndSeparability:
         model = train_model("rforest", bundle.train, seed=1)
         report = evaluate(model, bundle.test)
         assert separability_achieved(report.accuracy, 5)
+
+
+# sha256 of TestGoldenCorpus's trips (each t and data array's dtype, shape and
+# bytes, then the truth JSON as `driverid synth` writes it)
+GOLDEN_CORPUS_SHA256 = "8f24611b65486ab23028515b9834beabb91b99be9c1b28b600cc1c423795e429"
