@@ -92,6 +92,8 @@ def _load_run_config(args) -> RunConfig:
 def cmd_synth(args) -> int:
     if args.drivers < 2:
         raise ConfigError("--drivers must be at least 2")
+    if args.separation == "easy" and args.drivers > synth.EASY_MAX_PROFILES:
+        raise ConfigError(f"cannot space {args.drivers} easy profiles; maximum is {synth.EASY_MAX_PROFILES}")
     if not (math.isfinite(args.hours) and args.hours * 3600.0 >= 60.0):
         raise ConfigError("--hours must be finite and cover at least one minute")
     if not (math.isfinite(args.rate) and args.rate > 0):

@@ -9,7 +9,9 @@ inserted stops hold the channels nearly constant. Short brake-dive and
 pull-away ramps frame every stop so its boundaries stay sharp.
 
 Everything derives from the profile seed: the same profile always yields
-the same trip, sample for sample.
+the same trip, sample for sample. Driving events are drawn in blocks and
+added in one array pass, with the draws and sums of one event at a time.
+A stop or gap longer than the trip has room for is left out.
 """
 from __future__ import annotations
 
@@ -256,27 +258,46 @@ def _bump(n_samples: int) -> np.ndarray:
 
 
 def _add_events(data, t, profile, rng, rate_hz) -> None:
+    """Add acceleration, braking and turn events to DATA in place, with the
+    draws and the sums of adding one event at a time."""
     minutes = t[-1] / 60.0 if t.size else 0.0
     n_events = rng.poisson(profile.event_rate * minutes)
+    if n_events == 0:
+        return
     n = data.shape[0]
-    for _ in range(n_events):
-        start = int(rng.uniform(0, n))
-        dur = int(round(rng.uniform(2.0, 4.0) * profile.event_duration_scale * rate_hz))
-        stop = min(n, start + max(dur, 2))
-        env = _bump(stop - start)
-        kind = rng.uniform()
-        scale = rng.uniform(0.75, 1.25)
-        if kind < 0.35:  # acceleration
-            data[start:stop, 0] += profile.accel_aggressiveness * scale * env
-            data[start:stop, 4] += profile.pitch_coupling * profile.accel_aggressiveness * scale * env
-        elif kind < 0.70:  # braking
-            data[start:stop, 0] -= profile.brake_harshness * scale * env
-            data[start:stop, 4] -= 1.2 * profile.pitch_coupling * profile.brake_harshness * scale * env
-        else:  # turn
-            sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            omega = profile.turn_rate_scale * scale
-            data[start:stop, 5] += sign * omega * env
-            data[start:stop, 1] += sign * profile.lateral_g_per_yaw * omega * env
+    # an event draws start, duration, kind and scale, then a turn's sign; 4 draws
+    # per unread event at a time leave the generator where single draws would
+    blocks, turns, firsts, at = [], [], [], 0  # turns[i]: draw i >= 0.70; firsts: event starts
+    while len(firsts) < n_events:
+        size = 5 if at + 2 < len(turns) and turns[at + 2] else 4
+        if at + size > len(turns):
+            blocks.append(rng.random(max(1, 4 * (n_events - len(firsts)) - (len(turns) - at))))
+            turns += (blocks[-1] >= 0.70).tolist()
+            continue
+        firsts.append(at)
+        at += size
+    u, f = np.concatenate(blocks), np.array(firsts)
+    start = (n * u[f]).astype(np.intp)
+    dur = np.rint((2.0 + 2.0 * u[f + 1]) * profile.event_duration_scale * rate_hz).astype(np.intp)
+    length = np.minimum(n, start + np.maximum(dur, 2)) - start
+    kind = (u[f + 2] >= 0.35).astype(np.intp) + (u[f + 2] >= 0.70)  # acceleration, braking, turn
+    scale, turn = 0.75 + 0.5 * u[f + 3], kind == 2
+    sign = np.ones(len(f))
+    sign[turn] = np.where(u[f[turn] + 4] < 0.5, 1.0, -1.0)
+    aa, bh, pc = profile.accel_aggressiveness, profile.brake_harshness, profile.pitch_coupling
+    yaw = profile.turn_rate_scale
+    # each kind's two channels and products, multiplied left to right as one
+    # event at a time does; no channel takes both of an event's products
+    products = (
+        ((0, 0, 5), sign * np.array([aa, -bh, yaw])[kind] * scale),
+        ((4, 4, 1), sign * np.array([pc * aa, -(1.2 * pc * bh), profile.lateral_g_per_yaw])[kind]
+         * np.where(turn, yaw * scale, scale)),
+    )
+    bumps = {k: _bump(k) for k in set(length.tolist())}
+    env = np.concatenate([bumps[k] for k in length.tolist()])
+    rows = np.arange(env.size) + np.repeat(start - (np.cumsum(length) - length), length)
+    for channels, amplitude in products:
+        np.add.at(data, (rows, np.repeat(np.array(channels)[kind], length)), np.repeat(amplitude, length) * env)
 
 
 def _place_stops(profile, duration_s, rng) -> list[tuple[float, float]]:
@@ -287,6 +308,8 @@ def _place_stops(profile, duration_s, rng) -> list[tuple[float, float]]:
     spans: list[tuple[float, float]] = []
     for _ in range(n_stops):
         dur = float(rng.uniform(lo, hi))
+        if duration_s - STOP_EDGE_MARGIN - dur < STOP_EDGE_MARGIN:
+            continue  # no room between the edge margins: leave this stop out
         for _attempt in range(40):
             start = float(rng.uniform(STOP_EDGE_MARGIN, duration_s - STOP_EDGE_MARGIN - dur))
             ok = all(
@@ -337,6 +360,8 @@ def _inject_gaps(
     gaps: list[tuple[float, float]] = []
     for _ in range(n_gaps):
         dur = float(rng.uniform(lo, hi))
+        if duration_s - 5.0 - dur < 5.0:
+            continue  # no room for this gap: leave it out
         for _attempt in range(40):
             start_s = float(rng.uniform(5.0, duration_s - 5.0 - dur))
             end_s = start_s + dur

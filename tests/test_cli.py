@@ -95,6 +95,8 @@ class TestSynthCommand:
             # finite sample counts above the largest array size (np.intp's maximum)
             ("--rate", "1e300", "--hours 0.05 at --rate 1e+300 gives more samples than an array can hold"),
             ("--rate", "1e17", "--hours 0.05 at --rate 1e+17 gives more samples than an array can hold"),
+            # more easy profiles than the spacing rule has room for
+            ("--drivers", "13", "cannot space 13 easy profiles; maximum is 12"),
         ],
     )
     def test_bad_rate_or_duration_is_usage_error(self, tmp_path, capsys, flag, value, message):
@@ -102,6 +104,12 @@ class TestSynthCommand:
         assert main(["synth", "--hours", "0.05", flag, value, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_trip_too_short_for_its_stops_is_written(self, tmp_path):
+        # 72 s trips: some drawn stops do not fit between the 30 s edge margins
+        out = tmp_path / "out"
+        assert main(["synth", "--drivers", "12", "--hours", "0.02", "--seed", "0", "--out", str(out)]) == 0
+        assert len(read_manifest(out / "manifest.csv").entries) == 12
 
     def test_same_seed_byte_identical(self, tmp_path, workers):
         """In one process or two workers, a seed gives the bytes it gave when

@@ -110,6 +110,27 @@ class TestGenerateTrip:
         filled = fill_gaps(trip, max_gap_fill=10.0)
         assert not np.isnan(filled.data).any()
 
+    def test_a_stop_with_no_room_is_left_out(self):
+        # this profile draws a stop longer than a 72 s trip's room between its
+        # 30 s edge margins; the stop is left out and the trip still made
+        profile = make_profiles(12, "easy", 0)[2]
+        trip, truth = generate_trip(profile, 72.0)
+        assert len(trip) == 144 and truth.stop_intervals == ()
+
+    def test_a_gap_with_no_room_is_left_out(self):
+        # gaps of 40-60 s in a 60 s trip: a gap only fits below 50 s, inside
+        # the 5 s edge margins, and the others are left out
+        profile = make_profiles(2, "easy", 8)[0]
+        trip, truth = generate_trip(
+            profile, 60.0, 2.0, missing_rate_per_hour=600.0, missing_duration_range=(40.0, 60.0),
+        )
+        assert all(5.0 <= start < end <= 55.5 for start, end in truth.gap_intervals)
+        missing = np.isnan(trip.data).any(axis=1)
+        inside = np.zeros(len(trip), bool)
+        for start, end in truth.gap_intervals:
+            inside |= (trip.t >= start) & (trip.t < end)
+        assert not (missing & ~inside).any()
+
     def test_device_rotation_recorded_and_orthogonal(self):
         profile = make_profiles(2, "easy", 2)[0]
         _, truth = generate_trip(profile, 300.0, 2.0)

@@ -18,7 +18,7 @@ SRC = ROOT / "src" / "driverid"
 # top-level src/ names kept with no caller in src/, each with its reason
 UNCALLED_ALLOWED = {
     "tree_depth": "the grid's planned per-cell tree accounting; tests use it now",
-    "separability_achieved": "perfbench/workloads.py checks its synthetic corpus with it",
+    "separability_achieved": "the threefold-over-chance rule; test_eval.py pins it and test_synth.py checks a corpus with it",
     "trimmed_histogram": "the paper's histogram feature on one signal; tests check it against its oracle",
 }
 
