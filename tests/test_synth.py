@@ -119,7 +119,8 @@ class TestGenerateTrip:
 
     def test_a_gap_with_no_room_is_left_out(self):
         # gaps of 40-60 s in a 60 s trip: a gap only fits below 50 s, inside
-        # the 5 s edge margins, and the others are left out
+        # the 5 s edge margins (its end rounds to a sample, up to 55.5 s), and
+        # the others are left out
         profile = make_profiles(2, "easy", 8)[0]
         trip, truth = generate_trip(
             profile, 60.0, 2.0, missing_rate_per_hour=600.0, missing_duration_range=(40.0, 60.0),
